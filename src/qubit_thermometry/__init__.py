@@ -7,28 +7,21 @@ bath kernels, quantifies information backflow through re-coherence, and
 computes the quantum/classical Fisher information of temperature estimates.
 """
 
-from .spectral import SpectralDensity, thermal_factor
+from .spectral import SpectralDensity
 from .kernels import (
     KERNEL_NAMES,
     KernelParams,
     KernelSet,
     QuadratureConfig,
     decoherence_exponent,
-    kernel_F,
-    kernel_G,
-    kernel_K,
-    kernel_L,
-    kernel_R,
-    kernel_X,
     kernels_at,
     precompute,
     rebuild_for_temperature,
 )
-from .dynamics import BlochState, ProbeConfig, Trajectory, dephasing_oracle, integrate, rhs
-from .witness import WitnessReport, coherence, non_markovianity, steady_coherence
+from .dynamics import ProbeConfig, Trajectory, dephasing_oracle, integrate, rhs
+from .witness import coherence, non_markovianity, steady_coherence
 from .metrology import (
     MetrologyResult,
-    StencilConfig,
     cfi,
     d_bloch_dT,
     five_point_derivative,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .dynamics import ProbeConfig, integrate, kernels_for
 from .errors import ConfigurationError
 from .kernels import QuadratureConfig, precompute
 from .metrology import (
-    StencilConfig,
     loglog_slope,
     markov_comparator,
     metrology_scan,
@@ -72,7 +71,6 @@ class RunConfig:
     omega_max_factor: float = 60.0
     panels_per_oscillation: int = 4
     resonance_guard: float = 1e-4
-    delta_rel: float = 1e-7
     slope_fit_tmax: float = 0.05
     out_dir: str = "."
     workers: int = 1
@@ -85,9 +83,8 @@ class RunConfig:
             raise ConfigurationError("alpha sweep range must be strictly increasing")
         if self.temp_count > 1 and not (self.temp_min < self.temp_max):
             raise ConfigurationError("temperature sweep range must be strictly increasing")
-        delta = self.delta_rel * self.temp_min
-        if self.temp_count and not (self.temp_min > 2.0 * delta / (1.0 - 2.0 * self.delta_rel)):
-            raise ConfigurationError("temp_min too small: stencil shifts not positive")
+        if not (self.temp_min > 0.0):
+            raise ConfigurationError(f"temp_min must be > 0, got {self.temp_min}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 
@@ -102,10 +99,6 @@ class RunConfig:
             omega_max_factor=self.omega_max_factor,
             panels_per_oscillation=self.panels_per_oscillation,
             resonance_guard=self.resonance_guard)
-
-    @property
-    def stencil(self) -> StencilConfig:
-        return StencilConfig(delta_rel=self.delta_rel)
 
     def probe(self, alpha=None, T=None) -> ProbeConfig:
         return ProbeConfig(
@@ -183,60 +176,47 @@ def _write_csv(path, header, rows, footer_lines=()):
 
 
 def _check_times(cfg: RunConfig):
-    times = tuple(t for t in cfg.times if t <= cfg.t_end + 1e-9)
-    for t in times:
+    for t in cfg.times:
+        if t > cfg.t_end + 1e-9:
+            raise ConfigurationError(f"probing time {t} lies beyond t_end={cfg.t_end}")
         i = round(t / cfg.dt)
         if abs(i * cfg.dt - t) > 1e-9 * max(1.0, t):
             raise ConfigurationError(f"probing time {t} is not on the dt={cfg.dt} grid")
-    return times
+    return cfg.times
 
 
 # ----------------------------------------------------------------------------
-# sweep tasks; the context travels through a module global so that forked
-# pool workers inherit the (potentially large) kernel sets without pickling
-# them per task
+# sweep tasks; each takes its whole state as arguments, so pool workers
+# behave the same under any multiprocessing start method
 
-_CTX = {}
-
-
-def _alpha_task(i: int):
-    cfg: RunConfig = _CTX["cfg"]
-    alpha = float(cfg.alphas()[i])
+def _alpha_task(cfg: RunConfig, base_ks, sk, times, with_steady: bool, alpha: float):
     probe = cfg.probe(alpha=alpha)
-    traj = integrate(probe, _CTX["base_ks"])
+    traj = integrate(probe, base_ks)
     C = coherence(traj)
     n_c = non_markovianity(C, rise_tol=cfg.rise_tol)
-    if _CTX["with_steady"]:
+    if with_steady:
         steady, conv = steady_coherence(traj, cfg.window_frac, cfg.conv_tol)
     else:
         steady, conv = math.nan, False
     row = [alpha, n_c, steady, int(conv)]
-    if _CTX["times"]:
-        results = metrology_scan(probe, _CTX["times"], cfg.stencil, cfg.quad,
-                                 sk=_CTX["sk"])
+    if times:
+        results = metrology_scan(probe, times, cfg.quad, sk=sk)
         row.extend(r.qfi for r in results)
-    return i, row
+    return row
 
 
-def _temp_task(i: int):
-    cfg: RunConfig = _CTX["cfg"]
-    T = float(cfg.temperatures()[i])
-    probe = cfg.probe(T=T)
-    results = metrology_scan(probe, _CTX["times"], cfg.stencil, cfg.quad)
-    return i, [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
-               for r in results]
+def _temp_task(cfg: RunConfig, times, T: float):
+    results = metrology_scan(cfg.probe(T=T), times, cfg.quad)
+    return [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
+            for r in results]
 
 
-def _run_tasks(task, count: int, workers: int):
-    # forked workers inherit _CTX; without fork semantics stay sequential
-    use_pool = (workers > 1 and count > 1
-                and multiprocessing.get_start_method(allow_none=True) in (None, "fork"))
-    if not use_pool:
-        results = [task(i) for i in range(count)]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
-            results = list(pool.map(task, range(count)))
-    return [row for _, row in sorted(results, key=lambda r: r[0])]
+def _run_tasks(task, points, workers: int) -> list:
+    """``task`` applied to each sweep point, results in sweep order."""
+    if workers > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+            return list(pool.map(task, points))
+    return [task(p) for p in points]
 
 
 # ----------------------------------------------------------------------------
@@ -292,10 +272,9 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", base_ks=None) -> int:
         base_ks = kernels_for(probe0, cfg.quad, workers=cfg.workers)
     sk = None
     if times:
-        sk = stencil_kernel_sets(probe0, cfg.stencil, cfg.quad, base=base_ks)
-    _CTX.update(cfg=cfg, base_ks=base_ks, sk=sk, times=times,
-                with_steady=_steady_window_ok(cfg))
-    rows = _run_tasks(_alpha_task, len(cfg.alphas()), cfg.workers)
+        sk = stencil_kernel_sets(probe0, cfg.quad, base=base_ks)
+    task = partial(_alpha_task, cfg, base_ks, sk, times, _steady_window_ok(cfg))
+    rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
     header = "alpha,N_C,steady_dx_abs,converged"
     header += "".join(f",qfi_t_{t:g}" for t in times)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -327,8 +306,8 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
     times = _check_times(cfg)
     if not times:
         raise ConfigurationError("temperature sweep needs at least one probing time")
-    _CTX.update(cfg=cfg, times=times)
-    groups = _run_tasks(_temp_task, len(cfg.temperatures()), cfg.workers)
+    groups = _run_tasks(partial(_temp_task, cfg, times),
+                        [float(T) for T in cfg.temperatures()], cfg.workers)
     rows = [row for group in groups for row in group]
     footer = []
     temps = cfg.temperatures()

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError, NumericError
-from .kernels import KernelParams, KernelSet, QuadratureConfig, _engine, precompute
+from .kernels import KernelParams, KernelSet, QuadratureConfig, _KernelEngine, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
-    "BlochState",
     "ProbeConfig",
     "Trajectory",
     "rhs",
@@ -39,21 +38,6 @@ __all__ = [
 ]
 
 PHYSICALITY_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Real Bloch vector (Dx, Dy, Dz); |D| <= 1 for a physical qubit state."""
-
-    dx: float
-    dy: float
-    dz: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.dx**2 + self.dy**2 + self.dz**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz])
 
 
 @dataclass(frozen=True)
@@ -111,9 +95,6 @@ class Trajectory:
     def dz(self) -> np.ndarray:
         return self.states[:, 2]
 
-    def state(self, i: int) -> BlochState:
-        return BlochState(*self.states[i])
-
     def index_of(self, t: float) -> int:
         """Grid index of time ``t``; rejects off-grid times."""
         dt = float(self.grid[1] - self.grid[0])
@@ -136,23 +117,23 @@ def _rhs_scalar(dx, dy, dz, R, K, L, X, F, G, eps, aa, am2, a2):
     return fx, fy, fz
 
 
-def rhs(state: BlochState, kernels_at_t, epsilon: float, alpha: float) -> BlochState:
+def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
     """Right-hand side of the Bloch equations at one time.
 
-    ``kernels_at_t`` is the 6-tuple (R, K, L, X, F, G).  Returns the time
-    derivative of the Bloch vector (not itself a state).
+    ``state`` is the Bloch vector (Dx, Dy, Dz) and ``kernels_at_t`` the
+    6-tuple (R, K, L, X, F, G).  Returns (dDx/dt, dDy/dt, dDz/dt).
     """
+    dx, dy, dz = (float(v) for v in state)
     vals = tuple(float(v) for v in kernels_at_t)
     if len(vals) != 6:
         raise DomainError("kernels_at_t must supply the six values (R, K, L, X, F, G)")
-    probe = (state.dx, state.dy, state.dz) + vals + (epsilon, alpha)
+    probe = (dx, dy, dz) + vals + (epsilon, alpha)
     if not all(math.isfinite(v) for v in probe):
         raise NumericError("non-finite input to the Bloch equations")
     aa = 4.0 * alpha * (alpha - 1.0)
     am2 = 4.0 * (alpha - 1.0) ** 2
     a2 = 4.0 * alpha * alpha
-    return BlochState(*_rhs_scalar(state.dx, state.dy, state.dz, *vals,
-                                   epsilon, aa, am2, a2))
+    return _rhs_scalar(dx, dy, dz, *vals, epsilon, aa, am2, a2)
 
 
 def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
@@ -236,7 +217,7 @@ def dephasing_oracle(cfg: ProbeConfig,
     if n < 1 or abs(n * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise DomainError(f"t_end={cfg.t_end} is not an integer multiple of dt={cfg.dt}")
     grid = np.arange(n + 1) * cfg.dt
-    eng = _engine(cfg.kernel_params, quad)
+    eng = _KernelEngine(cfg.kernel_params, quad)
     gam, _ = eng.evaluate(grid, gamma=True)
     damp = np.exp(-gam["Gamma"])
     c = np.cos(cfg.epsilon * grid)

@@ -55,12 +55,6 @@ __all__ = [
     "KernelSet",
     "KERNEL_NAMES",
     "THERMAL_KERNELS",
-    "kernel_R",
-    "kernel_K",
-    "kernel_L",
-    "kernel_X",
-    "kernel_F",
-    "kernel_G",
     "kernels_at",
     "decoherence_exponent",
     "precompute",
@@ -591,56 +585,11 @@ class _KernelEngine:
         return out, levels
 
 
-_ENGINES: dict = {}
-
-
-def _engine(params: KernelParams, quad: QuadratureConfig, mesh_T: float = None) -> _KernelEngine:
-    key = (params, quad, mesh_T)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        if len(_ENGINES) > 64:
-            _ENGINES.clear()
-        eng = _KernelEngine(params, quad, mesh_T)
-        _ENGINES[key] = eng
-    return eng
-
-
-def _kernel_scalar(name: str, params: KernelParams, t: float, quad: QuadratureConfig) -> float:
-    if not (t >= 0.0):
-        raise DomainError(f"kernel time must be >= 0, got {t}")
-    vals, _ = _engine(params, quad).evaluate([t])
-    return float(vals[name][0])
-
-
-def kernel_R(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("R", params, t, quad)
-
-
-def kernel_K(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("K", params, t, quad)
-
-
-def kernel_L(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("L", params, t, quad)
-
-
-def kernel_X(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("X", params, t, quad)
-
-
-def kernel_F(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("F", params, t, quad)
-
-
-def kernel_G(params, t, quad=QuadratureConfig()):
-    return _kernel_scalar("G", params, t, quad)
-
-
 def kernels_at(params, t, quad=QuadratureConfig()) -> dict:
     """All six kernels at one time (they share the quadrature mesh)."""
     if not (t >= 0.0):
         raise DomainError(f"kernel time must be >= 0, got {t}")
-    vals, _ = _engine(params, quad).evaluate([t])
+    vals, _ = _KernelEngine(params, quad).evaluate([t])
     return {n: float(vals[n][0]) for n in KERNEL_NAMES}
 
 
@@ -648,7 +597,7 @@ def decoherence_exponent(params, t, quad=QuadratureConfig()) -> float:
     """Pure-dephasing exponent Gamma(t) = 4 int_0^inf J coth(w/2T) (1-cos wt)/w^2 dw."""
     if not (t >= 0.0):
         raise DomainError(f"time must be >= 0, got {t}")
-    vals, _ = _engine(params, quad).evaluate([t], gamma=True)
+    vals, _ = _KernelEngine(params, quad).evaluate([t], gamma=True)
     return float(vals["Gamma"][0])
 
 
@@ -668,13 +617,13 @@ def precompute(params: KernelParams, t_end: float, dt: float,
                workers: int = None) -> KernelSet:
     """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints.
 
-    Grid entries are bit-identical to direct kernel_* calls at the same times.
+    Grid entries are bit-identical to direct kernels_at calls at the same times.
     ``workers`` > 1 splits the time axis across threads (numpy releases the
     GIL); the output does not depend on the worker count.
     """
     grid = _uniform_grid(t_end, dt)
     mids = grid[:-1] + 0.5 * dt
-    eng = _engine(params, quad)
+    eng = _KernelEngine(params, quad)
 
     if workers and workers > 1 and grid.size > 64:
         n_chunks = min(workers * 4, grid.size)
@@ -711,7 +660,7 @@ def rebuild_for_temperature(base: KernelSet, T: float) -> KernelSet:
     if not (T > 0.0):
         raise DomainError(f"shifted temperature must be > 0, got {T}")
     params = KernelParams(sd=base.params.sd, epsilon=base.params.epsilon, T=T)
-    eng = _engine(params, base.quad, mesh_T=base.mesh_T)
+    eng = _KernelEngine(params, base.quad, mesh_T=base.mesh_T)
     mids = base.grid[:-1] + 0.5 * base.dt
     g_vals, _ = eng.evaluate(base.grid, which=THERMAL_KERNELS, fixed_levels=base.levels)
     m_vals, _ = eng.evaluate(mids, which=THERMAL_KERNELS, fixed_levels=base.half_levels)

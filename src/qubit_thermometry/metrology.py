@@ -2,7 +2,7 @@
 
 The temperature enters the dynamics only through the coth(w/2T) occupation
 factors, so the Bloch vector's T-derivative is obtained by re-simulating at
-T +- delta and T +- 2 delta (delta = delta_rel * T) on the frozen base mesh
+T +- delta and T +- 2 delta (delta = 1e-7 T) on the frozen base mesh
 and applying the five-point stencil
 
     df/dT = [-f(T+2d) + 8 f(T+d) - 8 f(T-d) + f(T-2d)] / (12 d),
@@ -32,7 +32,6 @@ from .errors import DomainError, NumericError
 from .kernels import KernelSet, QuadratureConfig, precompute, rebuild_for_temperature
 
 __all__ = [
-    "StencilConfig",
     "StencilKernels",
     "MetrologyResult",
     "five_point_derivative",
@@ -49,23 +48,10 @@ __all__ = [
 
 _PURE_NORM2 = 1.0 - 1e-12
 _CFI_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class StencilConfig:
-    """Relative step of the temperature stencil, delta = delta_rel * T.
-
-    The default follows the finite-difference prescription with
-    delta = 1e-7 * T; very small steps lose significance in the shifted
-    simulations, which the cross-check against a coarser Richardson
-    derivative guards in the tests.
-    """
-
-    delta_rel: float = 1e-7
-
-    def __post_init__(self):
-        if not (1e-12 < self.delta_rel < 1e-3):
-            raise DomainError(f"delta_rel must lie in (1e-12, 1e-3), got {self.delta_rel}")
+# Relative step of the temperature stencil, delta = _REL_STEP * T.  Much
+# smaller steps lose significance in the shifted simulations, which the
+# cross-check against a coarser Richardson derivative guards in the tests.
+_REL_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -121,8 +107,7 @@ def five_point_derivative(f, x: float, delta: float) -> float:
     return (8.0 * inner - outer) / (12.0 * delta)
 
 
-def stencil_kernel_sets(cfg: ProbeConfig, stencil: StencilConfig = StencilConfig(),
-                        quad: QuadratureConfig = QuadratureConfig(),
+def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
                         workers: int = None, base: KernelSet = None) -> StencilKernels:
     """Base kernel set plus the four temperature-shifted rebuilds.
 
@@ -130,9 +115,9 @@ def stencil_kernel_sets(cfg: ProbeConfig, stencil: StencilConfig = StencilConfig
     set's frozen mesh.
     """
     T = cfg.T
-    delta = stencil.delta_rel * T
-    if not (T > 0.0) or T - 2.0 * delta <= 0.0:
-        raise DomainError(f"stencil needs T - 2*delta > 0, got T={T}")
+    if not (T > 0.0):
+        raise DomainError(f"stencil needs T > 0, got T={T}")
+    delta = _REL_STEP * T
     if base is None:
         base = precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers)
     temps = (T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta)
@@ -153,7 +138,6 @@ def bloch_T_derivative(cfg: ProbeConfig, sk: StencilKernels) -> np.ndarray:
 
 
 def d_bloch_dT(cfg: ProbeConfig, t_eval: float,
-               stencil: StencilConfig = StencilConfig(),
                quad: QuadratureConfig = QuadratureConfig(),
                workers: int = None, base: KernelSet = None) -> np.ndarray:
     """Temperature derivative of the Bloch vector at one grid time.
@@ -161,7 +145,7 @@ def d_bloch_dT(cfg: ProbeConfig, t_eval: float,
     Runs the four shifted simulations (rebuilding only the T-dependent
     kernels R, K, X) and applies the five-point stencil componentwise.
     """
-    sk = stencil_kernel_sets(cfg, stencil, quad, workers=workers, base=base)
+    sk = stencil_kernel_sets(cfg, quad, workers=workers, base=base)
     deriv = bloch_T_derivative(cfg, sk)
     ref = Trajectory(grid=sk.base.grid, states=deriv, config=cfg)
     return deriv[ref.index_of(t_eval)]
@@ -237,7 +221,6 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
 
 
 def metrology_scan(cfg: ProbeConfig, times,
-                   stencil: StencilConfig = StencilConfig(),
                    quad: QuadratureConfig = QuadratureConfig(),
                    sk: StencilKernels = None, workers: int = None) -> list:
     """MetrologyResult at each probing time for one (alpha, T) scenario.
@@ -246,7 +229,7 @@ def metrology_scan(cfg: ProbeConfig, times,
     sweeps over the mixing parameter reuse one stencil bundle).
     """
     if sk is None:
-        sk = stencil_kernel_sets(cfg, stencil, quad, workers=workers)
+        sk = stencil_kernel_sets(cfg, quad, workers=workers)
     base_traj = integrate(cfg, sk.base)
     deriv = bloch_T_derivative(cfg, sk)
     try:

@@ -1,4 +1,4 @@
-"""Ohmic bath spectral density and thermal occupation factors.
+"""Ohmic bath spectral density.
 
 Units: hbar = k_B = 1; frequencies, temperatures and times are measured in
 units of the cutoff omega_c unless configured otherwise.
@@ -6,14 +6,13 @@ units of the cutoff omega_c unless configured otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SpectralDensity", "thermal_factor"]
+__all__ = ["SpectralDensity"]
 
 
 @dataclass(frozen=True)
@@ -22,21 +21,17 @@ class SpectralDensity:
 
     The exponential cutoff carries a negative exponent; the positive-exponent
     variant is not integrable and every bath integral built on it would
-    diverge.  ``model`` is a tag so that sub/super-Ohmic variants can be added
-    later without changing call sites.
+    diverge.
     """
 
     eta: float
     omega_c: float = 1.0
-    model: str = "ohmic"
 
     def __post_init__(self):
         if not (self.eta >= 0.0):
             raise DomainError(f"coupling strength eta must be >= 0, got {self.eta}")
         if not (self.omega_c > 0.0):
             raise DomainError(f"cutoff omega_c must be > 0, got {self.omega_c}")
-        if self.model != "ohmic":
-            raise DomainError(f"unsupported spectral model {self.model!r}")
 
     def evaluate(self, omega):
         """Spectral weight J(omega) for omega >= 0 (scalar or array)."""
@@ -48,18 +43,3 @@ class SpectralDensity:
             return float(out)
         return out
 
-
-def thermal_factor(omega: float, T: float) -> float:
-    """coth(omega / 2T), the symmetric bath occupation weight.
-
-    Returns 1.0 at T = 0 (zero-temperature limit).  Small omega must be
-    handled by the caller through the w*coth(w/2T) -> 2T series; this
-    function rejects omega <= 0.
-    """
-    if not (omega > 0.0):
-        raise DomainError(f"thermal factor needs omega > 0, got {omega}")
-    if T < 0.0:
-        raise DomainError(f"temperature must be >= 0, got {T}")
-    if T == 0.0:
-        return 1.0
-    return 1.0 / math.tanh(omega / (2.0 * T))

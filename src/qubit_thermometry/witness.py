@@ -13,28 +13,13 @@ positive forward differences above a jitter threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .errors import DomainError
 
-__all__ = ["WitnessReport", "coherence", "non_markovianity", "steady_coherence"]
-
-
-@dataclass
-class WitnessReport:
-    """Witness quantities of one trajectory at a fixed coupling mix."""
-
-    coherence: np.ndarray
-    n_markov: float
-    steady_dx_abs: float
-    steady_converged: bool
-
-    def csv_row(self, alpha: float) -> str:
-        return (f"{alpha:.17g},{self.n_markov:.17g},{self.steady_dx_abs:.17g},"
-                f"{int(self.steady_converged)}")
+__all__ = ["coherence", "non_markovianity", "steady_coherence"]
 
 
 def coherence(traj: Trajectory) -> np.ndarray:

@@ -33,8 +33,6 @@ from qubit_thermometry import (
     SpectralDensity,
     dephasing_oracle,
     integrate,
-    kernel_L,
-    kernel_R,
     kernels_at,
     precompute,
 )
@@ -109,10 +107,10 @@ def test_c4_kernel_zero_time_and_closed_forms(params, quad, sd):
     vals = kernels_at(params, 0.0, quad)
     assert all(abs(v) < 1e-12 for v in vals.values())
     p0 = KernelParams(sd=sd, epsilon=EPS, T=0.0)
-    rel = max(abs(kernel_R(p0, t, quad) / kernel_R_T0(ETA, 1.0, t) - 1.0)
+    rel = max(abs(kernels_at(p0, t, quad)["R"] / kernel_R_T0(ETA, 1.0, t) - 1.0)
               for t in (0.1, 1.0, 10.0))
     assert rel <= 1e-8
-    dL = abs(kernel_L(params, 1e3, quad) - ETA * 1.0)
+    dL = abs(kernels_at(params, 1e3, quad)["L"] - ETA * 1.0)
     assert dL <= 1e-4
     _report("C4 kernel checks", f"t=0 exact, R(T=0) rel {rel:.1e}, L(1e3) {dL:.1e}")
 

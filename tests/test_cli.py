@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qubit_thermometry
 from qubit_thermometry import ConfigurationError
 from qubit_thermometry.cli import RunConfig, load_config, main
 
@@ -121,17 +124,74 @@ def test_dump_kernels_T_independent_columns(tmp_path):
 
 # -- sweeps ------------------------------------------------------------------------------
 
-def test_sweep_alpha_deterministic_across_workers(tmp_path):
-    args = ["sweep-alpha", "--t-end", "5", "--dt", "0.01", "--alpha-count", "4",
-            "--times", "1"]
+SWEEPS = {
+    "sweep-alpha": ["sweep-alpha", "--t-end", "5", "--dt", "0.01",
+                    "--alpha-count", "4", "--times", "1"],
+    "sweep-temperature": ["sweep-temperature", "--t-end", "2", "--dt", "0.01",
+                          "--times", "1,2", "--temp-count", "3",
+                          "--temp-min", "0.02", "--temp-max", "0.2"],
+}
+
+
+def _sweep_csv(out_dir, command):
+    return open(os.path.join(out_dir, command.replace("-", "_") + ".csv"), "rb").read()
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_sweep_deterministic_across_workers(tmp_path, command):
+    args = SWEEPS[command]
     d1, d2, d3 = (str(tmp_path / s) for s in "abc")
     assert run_cli(*args, "--out", d1, "--workers", "1") == 0
     assert run_cli(*args, "--out", d2, "--workers", "2") == 0
     assert run_cli(*args, "--out", d3, "--workers", "1") == 0
-    b1 = open(os.path.join(d1, "sweep_alpha.csv"), "rb").read()
-    b2 = open(os.path.join(d2, "sweep_alpha.csv"), "rb").read()
-    b3 = open(os.path.join(d3, "sweep_alpha.csv"), "rb").read()
+    b1, b2, b3 = (_sweep_csv(d, command) for d in (d1, d2, d3))
     assert b1 == b2 == b3
+
+
+# Runs the CLI with a forced start method and reports how many process pools
+# it opened, so a sweep that silently stays sequential is caught.
+_START_METHOD_SCRIPT = """\
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+from qubit_thermometry.cli import main
+
+pools = []
+_init = ProcessPoolExecutor.__init__
+
+
+def _counting_init(self, *args, **kwargs):
+    pools.append(1)
+    _init(self, *args, **kwargs)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    ProcessPoolExecutor.__init__ = _counting_init
+    rc = main(sys.argv[2:])
+    print(f"pools={len(pools)}")
+    sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_workers_byte_identical_under_start_method(tmp_path, command, method):
+    script = tmp_path / "run_sweep.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    src = os.path.dirname(os.path.dirname(qubit_thermometry.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
+    assert run_cli(*SWEEPS[command], "--out", seq, "--workers", "1") == 0
+    proc = subprocess.run(
+        [sys.executable, str(script), method, *SWEEPS[command], "--out", par,
+         "--workers", "2"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "pools=1" in proc.stdout
+    assert _sweep_csv(par, command) == _sweep_csv(seq, command)
 
 
 def test_sweep_alpha_zero_coupling(tmp_path):
@@ -176,12 +236,17 @@ def test_sweep_temperature_zero_coupling(tmp_path):
         assert math.isinf(vals[6])
 
 
-def test_off_grid_probing_time_fails(tmp_path, capsys):
-    rc = run_cli("sweep-temperature", "--t-end", "2", "--dt", "0.01",
-                 "--times", "1.005", "--temp-count", "2",
-                 "--out", str(tmp_path))
+@pytest.mark.parametrize("args,named", [
+    (("sweep-temperature", "--t-end", "2", "--times", "1.005", "--temp-count", "2"),
+     "probing time 1.005 is not on the dt=0.01 grid"),
+    (("sweep-alpha", "--t-end", "5", "--times", "1,10"),
+     "probing time 10.0 lies beyond t_end=5.0"),
+], ids=["off-grid", "beyond-t_end"])
+def test_off_grid_probing_time_fails(tmp_path, capsys, args, named):
+    rc = run_cli(*args, "--dt", "0.01", "--out", str(tmp_path))
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and named in err
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

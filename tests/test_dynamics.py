@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qubit_thermometry import (
-    BlochState,
     ConfigurationError,
     DomainError,
     IntegrationError,
@@ -31,23 +30,22 @@ def _probe(sd, alpha, T=0.2, eps=0.5, t_end=10.0, dt=0.01, initial=(1.0, 0.0, 0.
 # -- rhs ------------------------------------------------------------------------
 
 def test_rhs_pure_dephasing_conserves_population():
-    state = BlochState(0.3, -0.2, 0.7)
-    deriv = rhs(state, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), epsilon=0.5, alpha=0.0)
-    assert deriv.dz == 0.0  # every Dz term carries alpha
+    state = (0.3, -0.2, 0.7)
+    fx, fy, fz = rhs(state, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), epsilon=0.5, alpha=0.0)
+    assert fz == 0.0  # every Dz term carries alpha
 
 
 def test_rhs_closed_system_precession():
-    deriv = rhs(BlochState(1.0, 0.0, 0.0), (0.0,) * 6, epsilon=0.7, alpha=0.6)
-    assert (deriv.dx, deriv.dy, deriv.dz) == (0.0, 0.7, 0.0)
+    assert rhs((1.0, 0.0, 0.0), (0.0,) * 6, epsilon=0.7, alpha=0.6) == (0.0, 0.7, 0.0)
 
 
 def test_rhs_half_mixing_coefficient():
     # at alpha = 1/2 the cross coefficient -4 a (a-1) equals +1, so from
     # D = (0, 0, 1) the x-equation reads G + K
     r, k, l, x, f, g = 0.11, 0.23, 0.31, 0.41, 0.53, 0.61
-    deriv = rhs(BlochState(0.0, 0.0, 1.0), (r, k, l, x, f, g), epsilon=0.5, alpha=0.5)
-    assert deriv.dx == pytest.approx(g + k, rel=1e-15)
-    assert deriv.dz == pytest.approx(-g - k, rel=1e-15)
+    fx, fy, fz = rhs((0.0, 0.0, 1.0), (r, k, l, x, f, g), epsilon=0.5, alpha=0.5)
+    assert fx == pytest.approx(g + k, rel=1e-15)
+    assert fz == pytest.approx(-g - k, rel=1e-15)
 
 
 @given(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
@@ -55,14 +53,14 @@ def test_rhs_half_mixing_coefficient():
 def test_rhs_cross_terms_vanish_at_endpoints(dx, dy, dz, alpha):
     # the interference terms carry alpha*(1-alpha) and must be exactly zero
     kernels = (0.3, 0.5, 0.7, 0.11, 0.13, 0.17)
-    deriv = rhs(BlochState(dx, dy, dz), kernels, epsilon=0.5, alpha=alpha)
+    fx, fy, fz = rhs((dx, dy, dz), kernels, epsilon=0.5, alpha=alpha)
     if alpha == 0.0:
         # pure dephasing never moves the population
-        assert deriv.dz == 0.0
+        assert fz == 0.0
     else:
         # pure dissipation: no population-coherence feedback terms in dx, dz
-        assert deriv.dx == -0.5 * dy
-        assert deriv.dz == -4.0 * kernels[5] - 4.0 * dz * kernels[1]
+        assert fx == -0.5 * dy
+        assert fz == -4.0 * kernels[5] - 4.0 * dz * kernels[1]
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -73,16 +71,16 @@ _unit = st.floats(-1.0, 1.0)
 def test_rhs_matches_tcl2_generator(v, kernels, eps, alpha):
     # the printed Bloch equations are the TCL2 generator in the Pauli basis
     D = np.array(v) / max(1.0, float(np.linalg.norm(v)))
-    deriv = rhs(BlochState(*D), kernels, epsilon=eps, alpha=alpha)
+    deriv = rhs(D, kernels, epsilon=eps, alpha=alpha)
     ref = tcl2_bloch_rhs(D, kernels, eps, alpha)
-    assert np.max(np.abs(deriv.as_array() - ref)) <= 1e-14
+    assert np.max(np.abs(np.array(deriv) - ref)) <= 1e-14
 
 
 def test_rhs_rejects_non_finite():
     with pytest.raises(NumericError):
-        rhs(BlochState(math.nan, 0.0, 0.0), (0.0,) * 6, 0.5, 0.5)
+        rhs((math.nan, 0.0, 0.0), (0.0,) * 6, 0.5, 0.5)
     with pytest.raises(NumericError):
-        rhs(BlochState(0.0, 0.0, 0.0), (math.inf, 0, 0, 0, 0, 0), 0.5, 0.5)
+        rhs((0.0, 0.0, 0.0), (math.inf, 0, 0, 0, 0, 0), 0.5, 0.5)
 
 
 # -- integrate --------------------------------------------------------------------

@@ -11,8 +11,6 @@ from qubit_thermometry import (
     SpectralDensity,
     decoherence_exponent,
     kernels_at,
-    kernel_L,
-    kernel_R,
     precompute,
     rebuild_for_temperature,
 )
@@ -63,24 +61,24 @@ def test_frozen_oracle_values(params, quad):
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
 def test_R_closed_form_at_T0(sd, quad, t):
     p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert kernel_R(p, t, quad) == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
+    assert kernels_at(p, t, quad)["R"] == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
 
 
 def test_L_long_time_limit(params, quad):
     # L(t) -> eta * omega_c; the residual at t = 1e3 is ~ eta/t^2
-    assert kernel_L(params, 1e3, quad) == pytest.approx(0.05, abs=1e-4)
+    assert kernels_at(params, 1e3, quad)["L"] == pytest.approx(0.05, abs=1e-4)
 
 
 def test_R_long_time_vanishes_at_T0(sd, quad):
     p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert abs(kernel_R(p, 1e3, quad)) < 1e-4
+    assert abs(kernels_at(p, 1e3, quad)["R"]) < 1e-4
 
 
 def test_K_long_time_markov_average(params, quad):
     # tail average over one precession period approaches (pi/2) J(eps) coth(eps/2T);
     # the residual oscillation decays like 1/t
-    from qubit_thermometry.kernels import _engine
-    eng = _engine(params, quad)
+    from qubit_thermometry.kernels import _KernelEngine
+    eng = _KernelEngine(params, quad)
     ts = 200.0 + np.linspace(0.0, 2.0 * math.pi / 0.5, 41)
     vals, _ = eng.evaluate(ts)
     avg = float(np.trapezoid(vals["K"], ts) / (ts[-1] - ts[0]))
@@ -160,7 +158,7 @@ def test_panel_density_consistency(params):
 
 def test_negative_time_rejected(params, quad):
     with pytest.raises(DomainError):
-        kernel_R(params, -1.0, quad)
+        kernels_at(params, -1.0, quad)
     with pytest.raises(DomainError):
         decoherence_exponent(params, -0.5, quad)
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qubit_thermometry import DomainError, SpectralDensity, thermal_factor
+from qubit_thermometry import DomainError, SpectralDensity
+from qubit_thermometry.kernels import _thermal_weight
+
+
+def thermal_factor(omega, T, omega_c=1.0):
+    """coth(omega/2T) at one frequency, through the kernels' thermal weight."""
+    return float(_thermal_weight(np.array([omega]), T, omega_c)[0])
 
 
 def test_ohmic_values():
@@ -29,8 +35,6 @@ def test_invalid_parameters():
     with pytest.raises(DomainError):
         SpectralDensity(eta=0.1, omega_c=0.0)
     with pytest.raises(DomainError):
-        SpectralDensity(eta=0.1, model="lorentzian")
-    with pytest.raises(DomainError):
         SpectralDensity(eta=0.1).evaluate(-1.0)
 
 
@@ -49,13 +53,18 @@ def test_thermal_factor_small_omega_series():
     assert w * thermal_factor(w, 0.3) == pytest.approx(2 * 0.3, rel=1e-6)
 
 
-def test_thermal_factor_domain():
-    with pytest.raises(DomainError):
-        thermal_factor(0.0, 0.2)
-    with pytest.raises(DomainError):
-        thermal_factor(-1.0, 0.2)
-    with pytest.raises(DomainError):
-        thermal_factor(1.0, -0.2)
+@pytest.mark.parametrize("T,omega_c", [(0.2, 1.0), (5.0, 1.0), (0.01, 2.0)])
+def test_thermal_weight_branches_agree_at_switch(T, omega_c):
+    # below w_s = 1e-3 min(T, omega_c) the Laurent series replaces 1/tanh;
+    # the two must agree on both sides of the switch
+    w_s = 1e-3 * min(T, omega_c)
+    w = w_s * np.array([0.5, 0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001, 2.0])
+    laurent = 2.0 * T / w + w / (6.0 * T) - w**3 / (360.0 * T**3)
+    direct = 1.0 / np.tanh(w / (2.0 * T))
+    np.testing.assert_allclose(laurent, direct, rtol=1e-13, atol=0.0)
+    got = _thermal_weight(w, T, omega_c)
+    np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got, laurent, rtol=1e-13, atol=0.0)
 
 
 @given(st.floats(0.01, 50.0), st.floats(0.001, 50.0))

@@ -12,7 +12,7 @@ from qubit_thermometry import (
     integrate,
 )
 from qubit_thermometry.dynamics import Trajectory
-from qubit_thermometry.witness import WitnessReport, coherence, non_markovianity, steady_coherence
+from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
 
 
 def _traj(grid, dx, dy=None, dz=None, eps=0.5):
@@ -138,8 +138,3 @@ def test_steady_trapped_coherence(sd, ks_long):
     assert vals[1.0] < 1e-2
     assert vals[0.5] > 0.01
 
-
-def test_witness_report_csv_row():
-    rep = WitnessReport(coherence=np.array([1.0]), n_markov=0.25,
-                        steady_dx_abs=0.125, steady_converged=True)
-    assert rep.csv_row(0.5) == "0.5,0.25,0.125,1"
