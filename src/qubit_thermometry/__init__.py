@@ -16,7 +16,6 @@ from .kernels import (
     decoherence_exponent,
     kernels_at,
     precompute,
-    rebuild_for_temperature,
 )
 from .dynamics import ProbeConfig, Trajectory, dephasing_oracle, integrate, rhs
 from .witness import coherence, non_markovianity, steady_coherence

@@ -268,11 +268,9 @@ def _steady_window_ok(cfg: RunConfig) -> bool:
 def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", base_ks=None) -> int:
     times = _check_times(cfg)
     probe0 = cfg.probe(alpha=0.0)
+    sk = stencil_kernel_sets(probe0, cfg.quad, workers=cfg.workers) if times else None
     if base_ks is None:
-        base_ks = kernels_for(probe0, cfg.quad, workers=cfg.workers)
-    sk = None
-    if times:
-        sk = stencil_kernel_sets(probe0, cfg.quad, base=base_ks)
+        base_ks = sk.base if sk else kernels_for(probe0, cfg.quad, workers=cfg.workers)
     task = partial(_alpha_task, cfg, base_ks, sk, times, _steady_window_ok(cfg))
     rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
     header = "alpha,N_C,steady_dx_abs,converged"

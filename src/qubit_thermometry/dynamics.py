@@ -218,7 +218,7 @@ def dephasing_oracle(cfg: ProbeConfig,
         raise DomainError(f"t_end={cfg.t_end} is not an integer multiple of dt={cfg.dt}")
     grid = np.arange(n + 1) * cfg.dt
     eng = _KernelEngine(cfg.kernel_params, quad)
-    gam, _ = eng.evaluate(grid, gamma=True)
+    gam, _, _ = eng.evaluate(grid, gamma=True)
     damp = np.exp(-gam["Gamma"])
     c = np.cos(cfg.epsilon * grid)
     s = np.sin(cfg.epsilon * grid)

@@ -36,6 +36,10 @@ few scalars per time and multiplied by the panel's smooth-factor mass, and
 (b) a static truncation term from the top Legendre coefficients of the
 t-independent smooth factors.  If any kernel misses its tolerance the whole
 mesh is bisected and the point re-evaluated (budget: 6 halvings).
+
+R, K, X can also be reduced at extra temperatures in the same pass, reusing
+each time point's trigonometric arrays and accepted mesh, so the shifted
+kernels are smooth in T (as a finite-difference temperature stencil needs).
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ __all__ = [
     "kernels_at",
     "decoherence_exponent",
     "precompute",
-    "rebuild_for_temperature",
 ]
 
 KERNEL_NAMES = ("R", "K", "L", "X", "F", "G")
@@ -128,9 +131,9 @@ class KernelSet:
 
     ``values[name][i]`` is the kernel at ``grid[i]``; ``half_values[name][i]``
     at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
-    record the mesh-refinement depth actually used per time so that rebuilding
-    the thermal kernels at a stencil-shifted temperature reuses the identical
-    mesh, keeping finite differences in T smooth.
+    record the mesh-refinement depth used per time.  ``shifted`` holds one set
+    per extra temperature requested from ``precompute``: its R, K, X were
+    evaluated on this set's mesh, and its L, F, G are this set's arrays.
     """
 
     grid: np.ndarray
@@ -140,7 +143,7 @@ class KernelSet:
     quad: QuadratureConfig
     levels: np.ndarray = field(repr=False, default=None)
     half_levels: np.ndarray = field(repr=False, default=None)
-    mesh_T: float = None
+    shifted: tuple = field(repr=False, default=())
 
     @property
     def dt(self) -> float:
@@ -173,23 +176,24 @@ def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
     return coth
 
 
-def _sum_nodes(vec: np.ndarray, trig: np.ndarray) -> np.ndarray:
-    # (N,) x (nt, N) -> (nt,); reduction order along the node axis is fixed,
-    # so results do not depend on how times are batched.
-    return (vec * trig).sum(axis=1)
+def _sum_nodes(vec: np.ndarray, trig: np.ndarray, buf: np.ndarray = None) -> np.ndarray:
+    # (N,) x (nt, N) -> (nt,), the product going through ``buf`` when given;
+    # reduction order along the node axis is fixed, so results do not depend
+    # on how times are batched.
+    return np.multiply(vec, trig, out=buf).sum(axis=1)
 
 
 class _Band:
     """Node set and folded coefficient data for one mesh-refinement level."""
 
     __slots__ = (
-        "n_panels", "omega", "vR", "vL", "vP", "vQ", "vF", "vG",
-        "const_L", "const_X", "const_F",
+        "n_panels", "omega", "wq", "E", "i2_sum", "i2_dif", "p_idx", "th",
+        "vL", "vF", "vG", "const_L", "const_F",
         "class_h", "mass_L", "mass_KX", "mass_FG",
         "mass_R_inv", "mass_R_flat", "mass_Gam_inv", "mass_Gam_flat",
         "stat_L", "stat_KX", "stat_FG",
         "stat_R_inv", "stat_R_flat", "stat_Gam_inv", "stat_Gam_flat",
-        "p_wq", "p_btil", "p_jtil", "p_vm", "p_vp", "p_hmax",
+        "p_wq", "p_jtil", "p_vm", "p_vp", "p_hmax",
         "vGam",
     )
 
@@ -230,21 +234,15 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 class _KernelEngine:
     """Evaluates the six kernels (and the pure-dephasing exponent) at
-    arbitrary times for one (params, quad) pair, caching per-band geometry.
+    arbitrary times for one (params, quad) pair, caching per-band geometry."""
 
-    ``mesh_T`` decouples the mesh geometry from the occupation factors so a
-    temperature-stencil rebuild can evaluate coth at a shifted T on the exact
-    mesh of the base run.
-    """
-
-    def __init__(self, params: KernelParams, quad: QuadratureConfig, mesh_T: float = None):
+    def __init__(self, params: KernelParams, quad: QuadratureConfig):
         self.params = params
         self.quad = quad
         self.omega_c = params.sd.omega_c
         self.eta = params.sd.eta
         self.eps = params.epsilon
         self.T = params.T
-        self.mesh_T = params.T if mesh_T is None else mesh_T
         self.w0 = self.omega_c / 4.0
         self.w_near = max(quad.resonance_guard, self.omega_c / 16.0)
         self._bands: dict = {}
@@ -285,9 +283,8 @@ class _KernelEngine:
         n_uniform = int(math.ceil(self._cut / w - 1e-12))
         bounds = list(w * np.arange(1, n_uniform)) + [self._cut]
         first = [0.0]
-        Tm = self.mesh_T
-        if Tm > 0.0:
-            target = min(Tm, self.omega_c) / 4.0
+        if self.T > 0.0:
+            target = min(self.T, self.omega_c) / 4.0
             if w > target:
                 m = math.ceil(math.log2(w / target))
                 first += [w / (2.0**j) for j in range(m, 0, -1)]
@@ -328,27 +325,28 @@ class _KernelEngine:
         i2vm[main] = 1.0 / (2.0 * vm[main])
         i2vp[main] = 1.0 / (2.0 * vp[main])
 
-        sR = E * coth
-        sL = E
-        sP = btil * (i2vm + i2vp)
-        sQ = btil * (i2vp - i2vm)
-        sF = jtil * (i2vm - i2vp)
-        sG = jtil * (i2vm + i2vp)
-        sGam = 8.0 * E * coth / omega
-
         b = _Band()
         b.n_panels = P
         b.omega = omega
-        b.vR = wq * sR
+        b.wq = wq
+        b.E = E
+        b.i2_sum = i2vm + i2vp
+        b.i2_dif = i2vp - i2vm
+        b.p_idx = np.nonzero(patch_node)[0]
+        b.th = self._thermal(b, self.T)
+
+        sL = E
+        sP = btil * b.i2_sum
+        sQ = btil * b.i2_dif
+        sF = jtil * (i2vm - i2vp)
+        sG = jtil * b.i2_sum
+        sGam = 8.0 * E * coth / omega
         b.vL = wq * sL
-        b.vP = wq * sP
-        b.vQ = wq * sQ
         b.vF = wq * sF
         b.vG = wq * sG
         b.vGam = wq * sGam
         ones = np.ones((1, omega.size))
         b.const_L = float(_sum_nodes(b.vL, ones)[0])
-        b.const_X = float(_sum_nodes(b.vP, ones)[0])
         b.const_F = -float(_sum_nodes(b.vF, ones)[0])
 
         # per-panel Legendre projections of the smooth factors -> oscillation
@@ -390,9 +388,8 @@ class _KernelEngine:
         b.mass_KX, b.stat_KX = mP + mQ, sPst + sQst
         b.mass_FG, b.stat_FG = mF + mG, sFst + sGst
 
-        idx = np.nonzero(patch_node)[0]
+        idx = b.p_idx
         b.p_wq = wq[idx]
-        b.p_btil = btil[idx]
         b.p_jtil = jtil[idx]
         b.p_vm = vm[idx]
         b.p_vp = vp[idx]
@@ -400,6 +397,16 @@ class _KernelEngine:
 
         self._bands[k] = b
         return b
+
+    def _thermal(self, band: _Band, T: float) -> tuple:
+        """(vR, vP, vQ, const_X, p_btil): the coefficients of R, K, X on
+        ``band`` with the occupation factor at T; p_btil = J*coth on the
+        resonance-window nodes."""
+        coth = _thermal_weight(band.omega, T, self.omega_c)
+        btil = band.E * band.omega * coth
+        vP = band.wq * (btil * band.i2_sum)
+        return (band.wq * (band.E * coth), vP, band.wq * (btil * band.i2_dif),
+                float(_sum_nodes(vP, np.ones((1, vP.size)))[0]), btil[band.p_idx])
 
     # -- per-chunk evaluation ----------------------------------------------------
 
@@ -419,129 +426,128 @@ class _KernelEngine:
             h = np.where(small, hs, h)
         return g, h
 
-    def _eval_chunk(self, band: _Band, ts: np.ndarray, want_err: bool,
-                    which=KERNEL_NAMES):
-        """Kernel values (and error estimates) for times sharing one band.
+    def _eval_chunk(self, band: _Band, ts: np.ndarray, shifted=()):
+        """Kernel values, error estimates and rejected rows for times sharing
+        one band, plus R, K, X for each ``_thermal`` tuple in ``shifted``.
 
-        Only the requested kernels are reduced; a kernel's value never
-        depends on which others were requested alongside it.
+        The shifted kernels reuse this chunk's trigonometric arrays; they are
+        reduced only when some row is accepted at this level.
         """
         tw = ts[:, None] * band.omega[None, :]
         S = np.sin(tw)
         C = np.cos(tw)
-        del tw
+        # tw is spent: reuse it for every node product of this chunk rather
+        # than allocating a fresh (nt, N) temporary per reduction, which
+        # fragments the heap and raised peak memory by ~12 MB on fig2
+        buf = tw
         st = np.sin(self.eps * ts)
         ct = np.cos(self.eps * ts)
-        which = frozenset(which)
-        need_pq = which & {"K", "X"}
-        need_fg = which & {"F", "G"}
-
-        vals = {}
-        if "R" in which:
-            vals["R"] = _sum_nodes(band.vR, S)
-        if "L" in which:
-            vals["L"] = band.const_L - _sum_nodes(band.vL, C)
-        if need_pq:
-            rP = _sum_nodes(band.vP, C)
-            rQ = _sum_nodes(band.vQ, S)
-            if "K" in which:
-                vals["K"] = st * rP + ct * rQ
-            if "X" in which:
-                vals["X"] = band.const_X - ct * rP + st * rQ
-        if need_fg:
-            rF = _sum_nodes(band.vF, C)
-            rG = _sum_nodes(band.vG, S)
-            if "F" in which:
-                vals["F"] = band.const_F + ct * rF + st * rG
-            if "G" in which:
-                vals["G"] = st * rF - ct * rG
-
-        patch_amp = {}
-        if band.p_wq.size and (need_pq or need_fg):
+        # resonance-window factors: of J*coth for K, X and of J for F, G
+        p_th, p_j = {}, {}
+        if band.p_wq.size:
             t_col = ts[:, None]
             um = t_col * band.p_vm[None, :]
             up = t_col * band.p_vp[None, :]
             gm, hm = self._g_h(band.p_vm[None, :], um, t_col)
             gp, hp = self._g_h(band.p_vp[None, :], up, t_col)
-            pieces = {"K": lambda: band.p_btil * (gm + gp),
-                      "X": lambda: band.p_btil * (hm + hp),
-                      "F": lambda: band.p_jtil * (hp - hm),
-                      "G": lambda: band.p_jtil * (gm - gp)}
-            for name in ("K", "X", "F", "G"):
-                if name in which:
-                    f = pieces[name]()
-                    vals[name] = vals[name] + _sum_nodes(band.p_wq, f)
-                    if want_err:
-                        patch_amp[name] = (band.p_wq * np.abs(f)).sum(axis=1)
+            p_th = {"K": gm + gp, "X": hm + hp}
+            p_j = {"F": hp - hm, "G": gm - gp}
 
-        errs = None
-        if want_err:
-            osc = _OSC_INFLATE * _osc_error(ts[:, None] * band.class_h[None, :])
-            # every basis function is bounded by min(1, t*w) on the range
-            amp_t = np.minimum(1.0, ts * self._cut)
-            t_col = ts[:, None]
-            errs = {}
-            p_err = None
-            for name in which:
-                if name == "R":
-                    mass = np.minimum(band.mass_R_inv[None, :],
-                                      t_col * band.mass_R_flat[None, :])
-                    err = (osc * mass).sum(axis=1)
-                    err = err + np.minimum(band.stat_R_inv, ts * band.stat_R_flat)
-                else:
-                    mass, stat = {"L": (band.mass_L, band.stat_L),
-                                  "K": (band.mass_KX, band.stat_KX),
-                                  "X": (band.mass_KX, band.stat_KX),
-                                  "F": (band.mass_FG, band.stat_FG),
-                                  "G": (band.mass_FG, band.stat_FG)}[name]
-                    err = osc @ mass + stat * amp_t
-                err = err + self.tail_bound
-                if name in patch_amp:
-                    if p_err is None:
-                        p_err = _OSC_INFLATE * _osc_error(ts * band.p_hmax)
-                    err = err + p_err * patch_amp[name]
-                errs[name] = err
-        return vals, errs
+        def thermal(th):
+            vR, vP, vQ, const_X, p_btil = th
+            rP = _sum_nodes(vP, C, buf)
+            rQ = _sum_nodes(vQ, S, buf)
+            vals = {"R": _sum_nodes(vR, S, buf),
+                    "K": st * rP + ct * rQ,
+                    "X": const_X - ct * rP + st * rQ}
+            pieces = {}
+            for name, fac in p_th.items():
+                pieces[name] = f = p_btil * fac
+                vals[name] = vals[name] + _sum_nodes(band.p_wq, f)
+            return vals, pieces
 
-    def _gamma_chunk(self, band: _Band, ts: np.ndarray, want_err: bool):
+        vals, pieces = thermal(band.th)
+        vals["L"] = band.const_L - _sum_nodes(band.vL, C, buf)
+        rF = _sum_nodes(band.vF, C, buf)
+        rG = _sum_nodes(band.vG, S, buf)
+        vals["F"] = band.const_F + ct * rF + st * rG
+        vals["G"] = st * rF - ct * rG
+        for name, fac in p_j.items():
+            pieces[name] = f = band.p_jtil * fac
+            vals[name] = vals[name] + _sum_nodes(band.p_wq, f)
+
+        osc = _OSC_INFLATE * _osc_error(ts[:, None] * band.class_h[None, :])
+        # every basis function is bounded by min(1, t*w) on the range
+        amp_t = np.minimum(1.0, ts * self._cut)
+        p_err = _OSC_INFLATE * _osc_error(ts * band.p_hmax) if pieces else None
+        errs = {}
+        for name in KERNEL_NAMES:
+            if name == "R":
+                mass = np.minimum(band.mass_R_inv[None, :],
+                                  ts[:, None] * band.mass_R_flat[None, :])
+                err = (osc * mass).sum(axis=1)
+                err = err + np.minimum(band.stat_R_inv, ts * band.stat_R_flat)
+            else:
+                mass, stat = {"L": (band.mass_L, band.stat_L),
+                              "K": (band.mass_KX, band.stat_KX),
+                              "X": (band.mass_KX, band.stat_KX),
+                              "F": (band.mass_FG, band.stat_FG),
+                              "G": (band.mass_FG, band.stat_FG)}[name]
+                err = osc @ mass + stat * amp_t
+            err = err + self.tail_bound
+            if name in pieces:
+                err = err + p_err * (band.p_wq * np.abs(pieces[name])).sum(axis=1)
+            errs[name] = err
+        bad = self._rejected(vals, errs)
+        shifted_vals = [thermal(th)[0] for th in shifted] if not bad.all() else []
+        return vals, errs, bad, shifted_vals
+
+    def _gamma_chunk(self, band: _Band, ts: np.ndarray):
         s2 = np.sin((0.5 * ts)[:, None] * band.omega[None, :]) ** 2
         val = _sum_nodes(band.vGam, s2)
-        err = None
-        if want_err:
-            osc = _OSC_INFLATE * _osc_error(ts[:, None] * band.class_h[None, :])
-            t2 = 0.25 * ts * ts
-            mass = np.minimum(band.mass_Gam_inv[None, :],
-                              t2[:, None] * band.mass_Gam_flat[None, :])
-            err = (osc * mass).sum(axis=1)
-            err = err + np.minimum(band.stat_Gam_inv, t2 * band.stat_Gam_flat)
-            err = err + self.tail_bound
-        return {"Gamma": val}, {"Gamma": err}
+        osc = _OSC_INFLATE * _osc_error(ts[:, None] * band.class_h[None, :])
+        t2 = 0.25 * ts * ts
+        mass = np.minimum(band.mass_Gam_inv[None, :],
+                          t2[:, None] * band.mass_Gam_flat[None, :])
+        err = (osc * mass).sum(axis=1)
+        err = err + np.minimum(band.stat_Gam_inv, t2 * band.stat_Gam_flat)
+        err = err + self.tail_bound
+        vals, errs = {"Gamma": val}, {"Gamma": err}
+        return vals, errs, self._rejected(vals, errs), []
 
     # -- public evaluation ---------------------------------------------------------
 
-    def _tol(self, value: np.ndarray) -> np.ndarray:
-        return np.maximum(self.quad.abs_tol, self.quad.rel_tol * np.abs(value))
+    def _rejected(self, vals: dict, errs: dict) -> np.ndarray:
+        """Rows where any kernel misses max(abs_tol, rel_tol*|value|)."""
+        bad = np.zeros(len(next(iter(vals.values()))), dtype=bool)
+        for n in vals:
+            bad |= errs[n] > np.maximum(self.quad.abs_tol,
+                                        self.quad.rel_tol * np.abs(vals[n]))
+        return bad
 
-    def evaluate(self, ts, which=KERNEL_NAMES, fixed_levels=None, gamma=False):
-        """Evaluate at times ``ts``.
+    def evaluate(self, ts, gamma=False, temps=()):
+        """Evaluate at times ``ts``, bisecting the mesh until every kernel
+        meets its tolerance.
 
-        Returns (values, levels): ``values`` maps each requested kernel (or
+        Returns (values, levels, shifted): ``values`` maps each kernel (or
         "Gamma") to an array over ts; ``levels`` records the refinement depth
-        used.  With ``fixed_levels`` the adaptive loop is skipped and the given
-        mesh depths are reused verbatim (no error control; used for
-        temperature-stencil rebuilds on a frozen mesh).
+        used; ``shifted`` holds one dict of R, K, X arrays per temperature in
+        ``temps``, evaluated on the mesh accepted at the base temperature.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0.0)):
             raise DomainError("kernel times must be finite and >= 0")
-        names = ("Gamma",) if gamma else tuple(which)
+        for T in temps:
+            if not (T > 0.0):
+                raise DomainError(f"shifted temperature must be > 0, got {T}")
+        names = ("Gamma",) if gamma else KERNEL_NAMES
         out = {n: np.empty(ts.shape) for n in names}
+        shifted = [{n: np.empty(ts.shape) for n in THERMAL_KERNELS} for _ in temps]
         levels = np.zeros(ts.shape, dtype=np.int64)
-        if fixed_levels is not None:
-            levels[:] = fixed_levels
-        adaptive = fixed_levels is None
         base_k = np.array([self._width_exponent(t) for t in ts], dtype=np.int64)
         pending = np.arange(ts.size)
+        # per-band coefficients at ``temps``; released when this call returns
+        thermal = {}
 
         while pending.size:
             keys = base_k[pending] + levels[pending]
@@ -549,47 +555,48 @@ class _KernelEngine:
             for k in np.unique(keys):
                 idx = pending[keys == k]
                 band = self._band(int(k))
+                if temps and k not in thermal:
+                    thermal[k] = [self._thermal(band, T) for T in temps]
                 chunk = max(1, _CHUNK_ELEMENTS // len(band.omega))
                 for lo in range(0, idx.size, chunk):
                     sel = idx[lo:lo + chunk]
                     tsel = ts[sel]
                     if gamma:
-                        vals, errs = self._gamma_chunk(band, tsel, adaptive)
+                        vals, errs, bad, sh = self._gamma_chunk(band, tsel)
                     else:
-                        vals, errs = self._eval_chunk(band, tsel, adaptive, which=names)
-                    if adaptive:
-                        bad = np.zeros(len(sel), dtype=bool)
-                        for n in names:
-                            bad |= errs[n] > self._tol(vals[n])
-                    else:
-                        bad = np.zeros(len(sel), dtype=bool)
+                        vals, errs, bad, sh = self._eval_chunk(
+                            band, tsel, thermal.get(k, ()))
                     good = ~bad
                     for n in names:
                         out[n][sel[good]] = vals[n][good]
+                    for dst, src in zip(shifted, sh):
+                        for n in THERMAL_KERNELS:
+                            dst[n][sel[good]] = src[n][good]
                     if bad.any():
                         over = sel[bad]
                         exhausted = levels[over] + 1 > _MAX_HALVINGS
                         if exhausted.any():
                             i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
                             name = max(names, key=lambda n: float(errs[n][i0]))
+                            t, err, q = float(tsel[i0]), float(errs[name][i0]), self.quad
                             raise QuadratureError(
-                                f"kernel {name} did not reach tolerance at "
-                                f"t={tsel[i0]:g} after {_MAX_HALVINGS} mesh halvings",
-                                achieved_error=float(errs[name][i0]),
-                                kernel=name,
-                                t=float(tsel[i0]),
-                            )
+                                f"kernel {name} did not reach tolerance at t={t:g} after "
+                                f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
+                                f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
+                                f"rel_tol={q.rel_tol:g}, abs_tol={q.abs_tol:g}; "
+                                f"error estimate {err:.3g})",
+                                achieved_error=err, kernel=name, t=t)
                         levels[over] += 1
                         still.append(over)
             pending = np.concatenate(still) if still else np.empty(0, dtype=np.int64)
-        return out, levels
+        return out, levels, shifted
 
 
 def kernels_at(params, t, quad=QuadratureConfig()) -> dict:
     """All six kernels at one time (they share the quadrature mesh)."""
     if not (t >= 0.0):
         raise DomainError(f"kernel time must be >= 0, got {t}")
-    vals, _ = _KernelEngine(params, quad).evaluate([t])
+    vals, _, _ = _KernelEngine(params, quad).evaluate([t])
     return {n: float(vals[n][0]) for n in KERNEL_NAMES}
 
 
@@ -597,7 +604,7 @@ def decoherence_exponent(params, t, quad=QuadratureConfig()) -> float:
     """Pure-dephasing exponent Gamma(t) = 4 int_0^inf J coth(w/2T) (1-cos wt)/w^2 dw."""
     if not (t >= 0.0):
         raise DomainError(f"time must be >= 0, got {t}")
-    vals, _ = _KernelEngine(params, quad).evaluate([t], gamma=True)
+    vals, _, _ = _KernelEngine(params, quad).evaluate([t], gamma=True)
     return float(vals["Gamma"][0])
 
 
@@ -612,66 +619,60 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
+def _joined(parts):
+    """One (values, levels, shifted) triple from per-chunk evaluate results."""
+    vals = {n: np.concatenate([p[0][n] for p in parts]) for n in KERNEL_NAMES}
+    levels = np.concatenate([p[1] for p in parts])
+    shifted = [{n: np.concatenate([p[2][j][n] for p in parts]) for n in THERMAL_KERNELS}
+               for j in range(len(parts[0][2]))]
+    for d in (vals, *shifted):
+        for arr in d.values():
+            arr.flags.writeable = False
+    return vals, levels, shifted
+
+
 def precompute(params: KernelParams, t_end: float, dt: float,
                quad: QuadratureConfig = QuadratureConfig(),
-               workers: int = None) -> KernelSet:
+               workers: int = None, shifted_T=()) -> KernelSet:
     """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints.
 
     Grid entries are bit-identical to direct kernels_at calls at the same times.
     ``workers`` > 1 splits the time axis across threads (numpy releases the
     GIL); the output does not depend on the worker count.
+
+    For each temperature in ``shifted_T`` the same pass also evaluates R, K, X
+    with coth at that temperature on the mesh accepted at ``params.T``; these
+    sets are returned in ``KernelSet.shifted``, sharing L, F, G and the levels
+    with the base set.  Freezing the mesh keeps the kernels smooth in T, which
+    the finite-difference temperature stencil relies on.
     """
     grid = _uniform_grid(t_end, dt)
     mids = grid[:-1] + 0.5 * dt
     eng = _KernelEngine(params, quad)
+    temps = tuple(float(T) for T in shifted_T)
 
-    if workers and workers > 1 and grid.size > 64:
-        n_chunks = min(workers * 4, grid.size)
-        g_parts = np.array_split(np.arange(grid.size), n_chunks)
-        m_parts = np.array_split(np.arange(mids.size), n_chunks)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            g_res = list(ex.map(lambda ix: eng.evaluate(grid[ix]), g_parts))
-            m_res = list(ex.map(lambda ix: eng.evaluate(mids[ix]), m_parts))
-        g_vals = {n: np.concatenate([r[0][n] for r in g_res]) for n in KERNEL_NAMES}
-        g_lv = np.concatenate([r[1] for r in g_res])
-        m_vals = {n: np.concatenate([r[0][n] for r in m_res]) for n in KERNEL_NAMES}
-        m_lv = np.concatenate([r[1] for r in m_res])
-    else:
-        g_vals, g_lv = eng.evaluate(grid)
-        m_vals, m_lv = eng.evaluate(mids)
+    def run(ts):
+        return eng.evaluate(ts, temps=temps)
 
-    for d in (g_vals, m_vals):
-        for arr in d.values():
-            arr.flags.writeable = False
+    threads = workers if workers and workers > 1 and grid.size > 64 else 1
+    n_chunks = 1 if threads == 1 else min(threads * 4, grid.size)
+    g_parts = np.array_split(np.arange(grid.size), n_chunks)
+    m_parts = np.array_split(np.arange(mids.size), n_chunks)
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        g_res = list(ex.map(lambda ix: run(grid[ix]), g_parts))
+        m_res = list(ex.map(lambda ix: run(mids[ix]), m_parts))
+    g_vals, g_lv, g_sh = _joined(g_res)
+    m_vals, m_lv, m_sh = _joined(m_res)
     grid.flags.writeable = False
-    return KernelSet(grid=grid, values=g_vals, half_values=m_vals,
-                     params=params, quad=quad, levels=g_lv, half_levels=m_lv,
-                     mesh_T=params.T)
 
+    def kernel_set(p, values, half_values, shifted=()):
+        return KernelSet(grid=grid, values=values, half_values=half_values,
+                         params=p, quad=quad, levels=g_lv, half_levels=m_lv,
+                         shifted=shifted)
 
-def rebuild_for_temperature(base: KernelSet, T: float) -> KernelSet:
-    """Kernel set at a shifted temperature on the base set's frozen mesh.
-
-    Only the coth-bearing kernels (R, K, X) are recomputed; L, F, G are
-    temperature independent and shared with the base set.  Freezing the mesh
-    (geometry and refinement depth) makes the kernels a smooth function of T,
-    which the finite-difference temperature stencil relies on.
-    """
-    if not (T > 0.0):
-        raise DomainError(f"shifted temperature must be > 0, got {T}")
-    params = KernelParams(sd=base.params.sd, epsilon=base.params.epsilon, T=T)
-    eng = _KernelEngine(params, base.quad, mesh_T=base.mesh_T)
-    mids = base.grid[:-1] + 0.5 * base.dt
-    g_vals, _ = eng.evaluate(base.grid, which=THERMAL_KERNELS, fixed_levels=base.levels)
-    m_vals, _ = eng.evaluate(mids, which=THERMAL_KERNELS, fixed_levels=base.half_levels)
-    for name in KERNEL_NAMES:
-        if name not in THERMAL_KERNELS:
-            g_vals[name] = base.values[name]
-            m_vals[name] = base.half_values[name]
-    for d in (g_vals, m_vals):
-        for arr in d.values():
-            if arr.flags.writeable:
-                arr.flags.writeable = False
-    return KernelSet(grid=base.grid, values=g_vals, half_values=m_vals,
-                     params=params, quad=base.quad, levels=base.levels,
-                     half_levels=base.half_levels, mesh_T=base.mesh_T)
+    shifted = tuple(
+        kernel_set(KernelParams(sd=params.sd, epsilon=params.epsilon, T=T),
+                   {n: gs.get(n, g_vals[n]) for n in KERNEL_NAMES},
+                   {n: ms.get(n, m_vals[n]) for n in KERNEL_NAMES})
+        for T, gs, ms in zip(temps, g_sh, m_sh))
+    return kernel_set(params, g_vals, m_vals, shifted)

@@ -2,12 +2,14 @@
 
 The temperature enters the dynamics only through the coth(w/2T) occupation
 factors, so the Bloch vector's T-derivative is obtained by re-simulating at
-T +- delta and T +- 2 delta (delta = 1e-7 T) on the frozen base mesh
-and applying the five-point stencil
+T +- delta and T +- 2 delta (delta = 1e-7 T) and applying the five-point
+stencil
 
     df/dT = [-f(T+2d) + 8 f(T+d) - 8 f(T-d) + f(T-2d)] / (12 d),
 
-exact through quartic order.  For a qubit with Bloch vector D the quantum
+exact through quartic order.  The shifted R, K, X come from the base kernels'
+quadrature pass, on its mesh and sin/cos(t w) arrays (see ``precompute``).
+For a qubit with Bloch vector D the quantum
 Fisher information is
 
     F_Q = (dD/dT)^T . M^{-1} . (dD/dT),   M^{-1} = I_3 + D D^T / (1 - |D|^2),
@@ -29,7 +31,7 @@ import numpy as np
 
 from .dynamics import ProbeConfig, Trajectory, integrate
 from .errors import DomainError, NumericError
-from .kernels import KernelSet, QuadratureConfig, precompute, rebuild_for_temperature
+from .kernels import KernelSet, QuadratureConfig, precompute
 
 __all__ = [
     "StencilKernels",
@@ -108,21 +110,20 @@ def five_point_derivative(f, x: float, delta: float) -> float:
 
 
 def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
-                        workers: int = None, base: KernelSet = None) -> StencilKernels:
-    """Base kernel set plus the four temperature-shifted rebuilds.
+                        workers: int = None) -> StencilKernels:
+    """Base kernel set plus the four temperature-shifted sets, from one pass.
 
-    Only the coth-bearing kernels are recomputed for the shifts, on the base
-    set's frozen mesh.
+    Only the coth-bearing kernels are evaluated at the shifted temperatures,
+    on the base set's mesh.
     """
     T = cfg.T
     if not (T > 0.0):
         raise DomainError(f"stencil needs T > 0, got T={T}")
     delta = _REL_STEP * T
-    if base is None:
-        base = precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers)
     temps = (T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta)
-    shifted = tuple(rebuild_for_temperature(base, Ts) for Ts in temps)
-    return StencilKernels(base=base, shifted=shifted, temps=temps)
+    base = precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers,
+                      shifted_T=temps)
+    return StencilKernels(base=base, shifted=base.shifted, temps=temps)
 
 
 def bloch_T_derivative(cfg: ProbeConfig, sk: StencilKernels) -> np.ndarray:
@@ -139,13 +140,13 @@ def bloch_T_derivative(cfg: ProbeConfig, sk: StencilKernels) -> np.ndarray:
 
 def d_bloch_dT(cfg: ProbeConfig, t_eval: float,
                quad: QuadratureConfig = QuadratureConfig(),
-               workers: int = None, base: KernelSet = None) -> np.ndarray:
+               workers: int = None) -> np.ndarray:
     """Temperature derivative of the Bloch vector at one grid time.
 
-    Runs the four shifted simulations (rebuilding only the T-dependent
-    kernels R, K, X) and applies the five-point stencil componentwise.
+    Runs the four shifted simulations (only the T-dependent kernels R, K, X
+    differ from the base set) and applies the five-point stencil componentwise.
     """
-    sk = stencil_kernel_sets(cfg, quad, workers=workers, base=base)
+    sk = stencil_kernel_sets(cfg, quad, workers=workers)
     deriv = bloch_T_derivative(cfg, sk)
     ref = Trajectory(grid=sk.base.grid, states=deriv, config=cfg)
     return deriv[ref.index_of(t_eval)]

@@ -8,12 +8,13 @@ from qubit_thermometry import (
     KERNEL_NAMES,
     KernelParams,
     QuadratureConfig,
+    QuadratureError,
     SpectralDensity,
     decoherence_exponent,
     kernels_at,
     precompute,
-    rebuild_for_temperature,
 )
+from qubit_thermometry.kernels import THERMAL_KERNELS
 
 from oracles import kernel_R_T0, markov_K_limit, riemann_gamma, riemann_kernel
 
@@ -80,7 +81,7 @@ def test_K_long_time_markov_average(params, quad):
     from qubit_thermometry.kernels import _KernelEngine
     eng = _KernelEngine(params, quad)
     ts = 200.0 + np.linspace(0.0, 2.0 * math.pi / 0.5, 41)
-    vals, _ = eng.evaluate(ts)
+    vals, _, _ = eng.evaluate(ts)
     avg = float(np.trapezoid(vals["K"], ts) / (ts[-1] - ts[0]))
     assert avg == pytest.approx(markov_K_limit(0.05, 1.0, 0.5, 0.2), rel=2e-2)
 
@@ -241,17 +242,64 @@ def test_thermal_kernels_only_depend_on_T(sd, quad):
     assert np.max(np.abs(ka.values["R"] - kb.values["R"])) > 1e-4
 
 
-def test_rebuild_for_temperature(params, quad, ks_short):
-    kr = rebuild_for_temperature(ks_short, 0.3)
+def test_rebuild_for_temperature(params, quad):
+    # thermal kernels at a shifted temperature, from the base pass on its mesh
+    ks = precompute(params, 10.0, 0.01, quad, shifted_T=(0.3,))
+    kr = ks.shifted[0]
+    assert kr.params.T == 0.3
     for name in ("L", "F", "G"):
-        assert kr.values[name] is ks_short.values[name]
+        assert kr.values[name] is ks.values[name]
     fresh = precompute(KernelParams(sd=params.sd, epsilon=0.5, T=0.3),
                        10.0, 0.01, quad)
     for name in ("R", "K", "X"):
         np.testing.assert_allclose(kr.values[name], fresh.values[name],
                                    rtol=1e-9, atol=1e-12)
-    with pytest.raises(DomainError):
-        rebuild_for_temperature(ks_short, 0.0)
+    for bad_T in (0.0, -0.1):
+        with pytest.raises(DomainError):
+            precompute(params, 10.0, 0.01, quad, shifted_T=(0.3, bad_T))
+
+
+def _stencil_temps(T):
+    return tuple(T * (1.0 + r) for r in (-2e-7, -1e-7, 1e-7, 2e-7))
+
+
+def test_shift_at_base_temperature_is_bit_identical(params, quad):
+    ks = precompute(params, 10.0, 0.01, quad, shifted_T=(params.T,))
+    assert ks.levels.max() > 0 and ks.half_levels.max() > 0  # refined rows covered
+    for name in THERMAL_KERNELS:
+        assert np.array_equal(ks.shifted[0].values[name], ks.values[name])
+        assert np.array_equal(ks.shifted[0].half_values[name], ks.half_values[name])
+
+
+def test_shifted_sets_independent_of_worker_count(params, quad):
+    temps = _stencil_temps(params.T)
+    a = precompute(params, 10.0, 0.01, quad, workers=1, shifted_T=temps)
+    b = precompute(params, 10.0, 0.01, quad, workers=4, shifted_T=temps)
+    for sa, sb in zip(a.shifted, b.shifted):
+        assert sa.params == sb.params
+        for name in KERNEL_NAMES:
+            assert np.array_equal(sa.values[name], sb.values[name])
+            assert np.array_equal(sa.half_values[name], sb.half_values[name])
+
+
+def test_shifted_value_independent_of_companion_temperatures(params, quad):
+    temps = _stencil_temps(params.T)
+    among = precompute(params, 10.0, 0.01, quad, shifted_T=temps).shifted[2]
+    alone = precompute(params, 10.0, 0.01, quad, shifted_T=temps[2:3]).shifted[0]
+    for name in THERMAL_KERNELS:
+        assert np.array_equal(alone.values[name], among.values[name])
+        assert np.array_equal(alone.half_values[name], among.half_values[name])
+
+
+def test_quadrature_error_names_parameters(params):
+    tight = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-30)
+    with pytest.raises(QuadratureError) as info:
+        kernels_at(params, 1.0, tight)
+    err = info.value
+    assert err.kernel in KERNEL_NAMES and err.t == 1.0 and err.achieved_error > 1e-30
+    msg = str(err)
+    assert msg.startswith(f"kernel {err.kernel} did not reach tolerance at t=1 after 6 mesh halvings")
+    assert "(epsilon=0.5, T=0.2, eta=0.05, omega_c=1, rel_tol=1e-30, abs_tol=1e-30;" in msg
 
 
 def test_kernelset_csv(tmp_path, ks_short):

@@ -8,6 +8,8 @@ from qubit_thermometry import (
     DomainError,
     NumericError,
     ProbeConfig,
+    QuadratureConfig,
+    QuadratureError,
     SpectralDensity,
     cfi,
     d_bloch_dT,
@@ -154,19 +156,32 @@ def test_derivative_against_richardson_oracle(sd, quad):
     sk = stencil_kernel_sets(cfg, quad=quad)
     deriv = bloch_T_derivative(cfg, sk)
 
-    from qubit_thermometry import integrate, rebuild_for_temperature
-
-    def traj_at(T):
-        ks = rebuild_for_temperature(sk.base, T)
-        c = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=20.0, dt=0.01)
-        return integrate(c, ks).states
+    from qubit_thermometry import integrate, precompute
 
     h = 1e-5 * cfg.T
+    temps = (cfg.T - 2 * h, cfg.T - h, cfg.T + h, cfg.T + 2 * h)
+    oracle = precompute(cfg.kernel_params, 20.0, 0.01, quad, shifted_T=temps)
+    sets = dict(zip(temps, oracle.shifted))
+
+    def traj_at(T):
+        c = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=20.0, dt=0.01)
+        return integrate(c, sets[T]).states
+
     c1 = (traj_at(cfg.T + h) - traj_at(cfg.T - h)) / (2 * h)
     c2 = (traj_at(cfg.T + 2 * h) - traj_at(cfg.T - 2 * h)) / (4 * h)
     richardson = (4.0 * c1 - c2) / 3.0
     i = 2000  # t = 20
     assert np.linalg.norm(deriv[i] - richardson[i]) <= 1e-4 * np.linalg.norm(richardson[i])
+
+
+def test_stencil_raises_quadrature_error(sd):
+    # an unreachable tolerance fails the fused pass instead of returning shifted sets
+    tight = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-30)
+    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.5)
+    with pytest.raises(QuadratureError) as info:
+        stencil_kernel_sets(cfg, quad=tight)
+    assert ("after 6 mesh halvings (epsilon=0.5, T=0.2, eta=0.05, omega_c=1, "
+            "rel_tol=1e-30, abs_tol=1e-30;") in str(info.value)
 
 
 def test_metrology_scan_structure(sd, sk_fig2):

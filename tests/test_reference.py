@@ -1,0 +1,85 @@
+"""Figure pipelines against the frozen reference CSVs in ``bench/reference``.
+
+The comparison follows the benchmark's output check: same line count, exact
+header, exact integer columns, NaN equal to NaN, numeric fields within
+rel 1e-6 / abs 1e-9 and the fig3 footer within rel 1e-5.  The tolerance admits
+a more exact temperature derivative (QFI moves ~2e-8) and re-meshed kernels
+(~1e-13); a wrong result still fails.
+"""
+
+import math
+import os
+
+import pytest
+
+from qubit_thermometry.cli import main
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench", "reference")
+REL_TOL = 1e-6
+ABS_TOL = 1e-9
+FOOTER_REL_TOL = 1e-5
+INT_COLUMNS = {"converged"}
+
+
+def _same_token(got: str, want: str, rel_tol: float) -> bool:
+    if got == want:
+        return True
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    if math.isnan(g) or math.isnan(w):
+        return math.isnan(g) and math.isnan(w)
+    return abs(g - w) <= max(ABS_TOL, rel_tol * abs(w))
+
+
+def csv_mismatch(lines, ref):
+    """None when the CSV ``lines`` match the reference ``ref``, else the reason."""
+    if len(lines) != len(ref):
+        return f"{len(lines)} lines, reference has {len(ref)}"
+    if lines[0] != ref[0]:
+        return f"header {lines[0]!r} differs from {ref[0]!r}"
+    header = ref[0].split(",")
+    for n, (got, want) in enumerate(zip(lines[1:], ref[1:]), 2):
+        footer = want.startswith("#")
+        g, w = (got.split(), want.split()) if footer else (got.split(","), want.split(","))
+        if len(g) != len(w):
+            return f"line {n}: {len(g)} fields, reference has {len(w)}"
+        for i, (a, b) in enumerate(zip(g, w)):
+            if footer:
+                ok = _same_token(a, b, FOOTER_REL_TOL)
+            elif header[i] in INT_COLUMNS:
+                ok = a == b
+            else:
+                ok = _same_token(a, b, REL_TOL)
+            if not ok:
+                return f"line {n} field {i + 1}: {a} vs reference {b}"
+    return None
+
+
+def _reference(name):
+    with open(os.path.join(REFERENCE, name)) as fh:
+        return fh.read().splitlines()
+
+
+def test_comparer_rejects_drift():
+    ref = ["alpha,N_C,converged", "0.5,0.25,1", "1,nan,0", "# slope = 2.00000 (fit)"]
+    assert csv_mismatch(list(ref), ref) is None
+    assert csv_mismatch(["alpha,N_C,converged", "0.5,0.2500001,1", *ref[2:]], ref) is None
+    for line, where in ((1, "0.5,0.2500010,1"), (1, "0.5,0.25,0"), (2, "1,0.5,0"),
+                        (3, "# slope = 2.00003 (fit)")):
+        drifted = list(ref)
+        drifted[line] = where
+        assert csv_mismatch(drifted, ref) is not None
+    assert csv_mismatch(["alpha,N_C,converged_x", *ref[1:]], ref) is not None
+    assert csv_mismatch(ref[:-1], ref) is not None
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+def test_figure_matches_frozen_reference(tmp_path, figure):
+    argv = ["reproduce", figure, "--dt", "0.05", "--workers", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    name = f"{figure}_sweep.csv"
+    lines = (tmp_path / name).read_text().splitlines()
+    assert csv_mismatch(lines, _reference(name)) is None
