@@ -9,7 +9,7 @@ gate.
 """
 import numpy as np
 
-from qubit_thermometry import ProbeConfig, SpectralDensity
+from qubit_thermometry import ProbeConfig, SpectralDensity, integrate
 from qubit_thermometry.metrology import loglog_slope, metrology_scan, stencil_kernel_sets
 
 
@@ -22,7 +22,7 @@ def main():
         cfg = ProbeConfig(epsilon=0.0, alpha=0.5, T=float(T), sd=sd,
                           t_end=max(times), dt=0.01)
         sk = stencil_kernel_sets(cfg)
-        for r in metrology_scan(cfg, times, sk=sk):
+        for r in metrology_scan(integrate(cfg, sk.base), times, sk):
             qfi[r.t].append(r.qfi)
         print(f"T = {T:.4f}: " + "  ".join(
             f"F_Q(t={t:g}) = {qfi[t][-1]:.4g}" for t in times))

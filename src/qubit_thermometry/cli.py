@@ -200,13 +200,14 @@ def _alpha_task(cfg: RunConfig, base_ks, sk, times, with_steady: bool, alpha: fl
         steady, conv = math.nan, False
     row = [alpha, n_c, steady, int(conv)]
     if times:
-        results = metrology_scan(probe, times, cfg.quad, sk=sk)
-        row.extend(r.qfi for r in results)
+        row.extend(r.qfi for r in metrology_scan(traj, times, sk))
     return row
 
 
 def _temp_task(cfg: RunConfig, times, T: float):
-    results = metrology_scan(cfg.probe(T=T), times, cfg.quad)
+    probe = cfg.probe(T=T)
+    sk = stencil_kernel_sets(probe, cfg.quad)
+    results = metrology_scan(integrate(probe, sk.base), times, sk)
     return [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
             for r in results]
 

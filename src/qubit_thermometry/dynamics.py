@@ -19,6 +19,7 @@ error budget.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 PHYSICALITY_SLACK = 1e-8
+# Weak-coupling envelope of the TCL2 equations; stronger baths warn.
+_ETA_VALIDATED = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class ProbeConfig:
     """Physical scenario plus integration controls.
 
     ``initial`` defaults to the |+> state (1, 0, 0), a pure state on the
-    equator of the Bloch sphere.
+    equator of the Bloch sphere.  A coupling eta above 0.1 lies outside the
+    weak-coupling envelope of the TCL2 equations and issues a UserWarning.
     """
 
     epsilon: float
@@ -68,6 +72,11 @@ class ProbeConfig:
             raise DomainError(f"initial Bloch vector has norm^2 = {n2} > 1")
         if not (self.dt > 0.0 and self.t_end >= self.dt):
             raise DomainError("need dt > 0 and t_end >= dt")
+        if self.sd.eta > _ETA_VALIDATED:
+            warnings.warn(
+                f"eta={self.sd.eta:g} exceeds {_ETA_VALIDATED:g}, the coupling up to "
+                f"which the second-order (TCL2) equations are validated", UserWarning,
+                stacklevel=3)
 
     @property
     def kernel_params(self) -> KernelParams:
@@ -110,13 +119,6 @@ class Trajectory:
                 fh.write(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
 
 
-def _rhs_scalar(dx, dy, dz, R, K, L, X, F, G, eps, aa, am2, a2):
-    fx = -eps * dy - aa * G - aa * dz * K - am2 * dx * R
-    fy = dx * (eps + a2 * X) + aa * (F - L) - dy * (a2 * K + am2 * R) - aa * dz * X
-    fz = -a2 * G - a2 * dz * K - aa * dx * R
-    return fx, fy, fz
-
-
 def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
     """Right-hand side of the Bloch equations at one time.
 
@@ -130,10 +132,14 @@ def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
     probe = (dx, dy, dz) + vals + (epsilon, alpha)
     if not all(math.isfinite(v) for v in probe):
         raise NumericError("non-finite input to the Bloch equations")
+    R, K, L, X, F, G = vals
     aa = 4.0 * alpha * (alpha - 1.0)
     am2 = 4.0 * (alpha - 1.0) ** 2
     a2 = 4.0 * alpha * alpha
-    return _rhs_scalar(dx, dy, dz, *vals, epsilon, aa, am2, a2)
+    fx = -epsilon * dy - aa * G - aa * dz * K - am2 * dx * R
+    fy = dx * (epsilon + a2 * X) + aa * (F - L) - dy * (a2 * K + am2 * R) - aa * dz * X
+    fz = -a2 * G - a2 * dz * K - aa * dx * R
+    return fx, fy, fz
 
 
 def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
@@ -148,23 +154,32 @@ def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
             f"(dt={cfg.dt}, t_end={cfg.t_end})")
 
 
+def _step_tables(values: dict, eps: float, aa: float, am2: float, a2: float) -> list:
+    """Per-time kernel terms of ``rhs``, built in its association order so
+    each entry is the float its scalar expression forms: rows of
+    (R, K, X, aa*G, eps + a2*X, aa*(F - L), a2*K + am2*R, (-a2)*G)."""
+    R, K, L, X, F, G = (values[name] for name in ("R", "K", "L", "X", "F", "G"))
+    cols = (R, K, X, aa * G, eps + a2 * X, aa * (F - L), a2 * K + am2 * R, -a2 * G)
+    return list(zip(*(c.tolist() for c in cols)))
+
+
 def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
     """Classical fixed-step RK4 over the kernel grid.
 
+    Each stage evaluates ``rhs``'s expressions inline, with their kernel-only
+    terms read from tables built once per call (``_step_tables``).  The
+    floating-point operations and their order are those of ``rhs``, so the
+    states equal those of a stage-by-stage RK4 over ``rhs`` to the last bit.
+
     Raises IntegrationError at the first step whose Bloch norm exceeds
     1 + PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
-    renormalizing it away).
+    renormalizing it away); the message names alpha, T, epsilon, eta and dt.
     """
     _check_kernelset(cfg, ks)
     grid = ks.grid
-    n = len(grid) - 1
-    kv = [ks.values[name].tolist() for name in ("R", "K", "L", "X", "F", "G")]
-    kh = [ks.half_values[name].tolist() for name in ("R", "K", "L", "X", "F", "G")]
-    Rg, Kg, Lg, Xg, Fg, Gg = kv
-    Rh, Kh, Lh, Xh, Fh, Gh = kh
-
     alpha = cfg.alpha
     eps = cfg.epsilon
+    meps = -eps
     aa = 4.0 * alpha * (alpha - 1.0)
     am2 = 4.0 * (alpha - 1.0) ** 2
     a2 = 4.0 * alpha * alpha
@@ -172,29 +187,41 @@ def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
     half = 0.5 * dt
     sixth = dt / 6.0
     limit = 1.0 + PHYSICALITY_SLACK
+    on_grid = _step_tables(ks.values, eps, aa, am2, a2)
+    on_half = _step_tables(ks.half_values, eps, aa, am2, a2)
 
-    out = np.empty((n + 1, 3))
     x, y, z = (float(c) for c in cfg.initial)
-    out[0] = (x, y, z)
-    f = _rhs_scalar
-    for i in range(n):
-        k1 = f(x, y, z, Rg[i], Kg[i], Lg[i], Xg[i], Fg[i], Gg[i], eps, aa, am2, a2)
-        k2 = f(x + half * k1[0], y + half * k1[1], z + half * k1[2],
-               Rh[i], Kh[i], Lh[i], Xh[i], Fh[i], Gh[i], eps, aa, am2, a2)
-        k3 = f(x + half * k2[0], y + half * k2[1], z + half * k2[2],
-               Rh[i], Kh[i], Lh[i], Xh[i], Fh[i], Gh[i], eps, aa, am2, a2)
-        j = i + 1
-        k4 = f(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2],
-               Rg[j], Kg[j], Lg[j], Xg[j], Fg[j], Gg[j], eps, aa, am2, a2)
-        x += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        y += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        z += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+    rows = [(x, y, z)]
+    for (R1, K1, X1, g1, e1, f1, q1, h1), (Rm, Km, Xm, gm, em, fm, qm, hm), \
+            (R4, K4, X4, g4, e4, f4, q4, h4) in zip(on_grid, on_half, on_grid[1:]):
+        # R, K, X and g = aa*G, e = eps + a2*X, f = aa*(F - L), q = a2*K + am2*R,
+        # h = -a2*G at grid[i] (1), the midpoint (m) and grid[i+1] (4)
+        k1x = meps * y - g1 - aa * z * K1 - am2 * x * R1
+        k1y = x * e1 + f1 - y * q1 - aa * z * X1
+        k1z = h1 - a2 * z * K1 - aa * x * R1
+        u, v, w = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = meps * v - gm - aa * w * Km - am2 * u * Rm
+        k2y = u * em + fm - v * qm - aa * w * Xm
+        k2z = hm - a2 * w * Km - aa * u * Rm
+        u, v, w = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = meps * v - gm - aa * w * Km - am2 * u * Rm
+        k3y = u * em + fm - v * qm - aa * w * Xm
+        k3z = hm - a2 * w * Km - aa * u * Rm
+        u, v, w = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = meps * v - g4 - aa * w * K4 - am2 * u * R4
+        k4y = u * e4 + f4 - v * q4 - aa * w * X4
+        k4z = h4 - a2 * w * K4 - aa * u * R4
+        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
         if not (x * x + y * y + z * z <= limit):
+            t = float(grid[len(rows)])
             raise IntegrationError(
-                f"Bloch norm left the unit ball at t={grid[j]:g} "
-                f"(|D|^2 = {x*x + y*y + z*z:.6g})", t=float(grid[j]))
-        out[j] = (x, y, z)
-    return Trajectory(grid=grid, states=out, config=cfg)
+                f"Bloch norm left the unit ball at t={t:g} "
+                f"(|D|^2 = {x*x + y*y + z*z:.6g}; alpha={alpha:g}, T={cfg.T:g}, "
+                f"epsilon={eps:g}, eta={cfg.sd.eta:g}, dt={dt:g})", t=t)
+        rows.append((x, y, z))
+    return Trajectory(grid=grid, states=np.array(rows), config=cfg)
 
 
 def kernels_for(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),

@@ -78,7 +78,9 @@ _PROJ = np.stack([
 
 _OSC_INFLATE = 8.0        # modulation allowance on the pure-oscillation error
 _MAX_HALVINGS = 6
-_CHUNK_ELEMENTS = 2_000_000
+# times x nodes per chunk: 2 MB per (nt, N) array, so the t*w, sin and cos
+# work arrays of one thread take ~6 MB
+_CHUNK_ELEMENTS = 262_144
 
 
 @dataclass(frozen=True)
@@ -426,16 +428,20 @@ class _KernelEngine:
             h = np.where(small, hs, h)
         return g, h
 
-    def _eval_chunk(self, band: _Band, ts: np.ndarray, shifted=()):
+    def _eval_chunk(self, band: _Band, ts: np.ndarray, shifted, work):
         """Kernel values, error estimates and rejected rows for times sharing
         one band, plus R, K, X for each ``_thermal`` tuple in ``shifted``.
 
-        The shifted kernels reuse this chunk's trigonometric arrays; they are
-        reduced only when some row is accepted at this level.
+        ``work`` holds three flat arrays of at least ts.size * N elements that
+        receive t*w, sin(t w) and cos(t w).  The shifted kernels reuse these
+        trigonometric arrays; they are reduced only when some row is accepted
+        at this level.
         """
-        tw = ts[:, None] * band.omega[None, :]
-        S = np.sin(tw)
-        C = np.cos(tw)
+        shape = (ts.size, band.omega.size)
+        tw, S, C = (w[:math.prod(shape)].reshape(shape) for w in work)
+        np.multiply(ts[:, None], band.omega[None, :], out=tw)
+        np.sin(tw, out=S)
+        np.cos(tw, out=C)
         # tw is spent: reuse it for every node product of this chunk rather
         # than allocating a fresh (nt, N) temporary per reduction, which
         # fragments the heap and raised peak memory by ~12 MB on fig2
@@ -548,6 +554,11 @@ class _KernelEngine:
         pending = np.arange(ts.size)
         # per-band coefficients at ``temps``; released when this call returns
         thermal = {}
+        # flat t*w, sin and cos arrays shared by every chunk of this call.
+        # Fresh arrays per chunk go back to the system and are faulted in
+        # again: a t_end = 200 precompute on two threads took 38x the minor
+        # page faults and 1.8 s of system time that way.
+        work = []
 
         while pending.size:
             keys = base_k[pending] + levels[pending]
@@ -564,8 +575,11 @@ class _KernelEngine:
                     if gamma:
                         vals, errs, bad, sh = self._gamma_chunk(band, tsel)
                     else:
+                        need = sel.size * len(band.omega)
+                        if not work or work[0].size < need:
+                            work = [np.empty(max(need, _CHUNK_ELEMENTS)) for _ in range(3)]
                         vals, errs, bad, sh = self._eval_chunk(
-                            band, tsel, thermal.get(k, ()))
+                            band, tsel, thermal.get(k, ()), work)
                     good = ~bad
                     for n in names:
                         out[n][sel[good]] = vals[n][good]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ProbeConfig, Trajectory, integrate
+from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate
 from .errors import DomainError, NumericError
 from .kernels import KernelSet, QuadratureConfig, precompute
 
@@ -221,17 +221,16 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     return fisher, bound
 
 
-def metrology_scan(cfg: ProbeConfig, times,
-                   quad: QuadratureConfig = QuadratureConfig(),
-                   sk: StencilKernels = None, workers: int = None) -> list:
-    """MetrologyResult at each probing time for one (alpha, T) scenario.
+def metrology_scan(traj: Trajectory, times, sk: StencilKernels) -> list:
+    """MetrologyResult at each probing time of the base trajectory ``traj``.
 
-    ``sk`` may carry shared kernel sets (they do not depend on alpha, so
-    sweeps over the mixing parameter reuse one stencil bundle).
+    ``traj`` must come from ``integrate`` on ``sk.base``; the caller keeps it
+    for its own use (the alpha sweep reads the witnesses from the same
+    trajectory).  ``sk`` does not depend on alpha, so sweeps over the mixing
+    parameter share one stencil bundle.
     """
-    if sk is None:
-        sk = stencil_kernel_sets(cfg, quad, workers=workers)
-    base_traj = integrate(cfg, sk.base)
+    cfg = traj.config
+    _check_kernelset(cfg, sk.base)
     deriv = bloch_T_derivative(cfg, sk)
     try:
         mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
@@ -239,8 +238,8 @@ def metrology_scan(cfg: ProbeConfig, times,
         mk_fisher = math.nan
     out = []
     for t in times:
-        i = base_traj.index_of(t)
-        D = base_traj.states[i]
+        i = traj.index_of(t)
+        D = traj.states[i]
         d = deriv[i]
         f_q = qfi(D, d)
         out.append(MetrologyResult(

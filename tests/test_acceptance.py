@@ -43,6 +43,7 @@ from qubit_thermometry.metrology import (
     loglog_slope,
     markov_comparator,
     metrology_scan,
+    stencil_kernel_sets,
 )
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
 
@@ -145,7 +146,7 @@ def fig2_table(sd, sk_fig2):
     for a in np.linspace(0.0, 1.0, 21):
         cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
                           t_end=50.0, dt=0.01)
-        table[float(a)] = metrology_scan(cfg, (1.0, 50.0), sk=sk_fig2)
+        table[float(a)] = metrology_scan(integrate(cfg, sk_fig2.base), (1.0, 50.0), sk_fig2)
     return table
 
 
@@ -165,7 +166,8 @@ def fig2_long_qfi(sd, sk_fig2_long):
     for a in alphas:
         cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
                           t_end=100.0, dt=0.01)
-        qfi_100.append(metrology_scan(cfg, (100.0,), sk=sk_fig2_long)[0].qfi)
+        traj = integrate(cfg, sk_fig2_long.base)
+        qfi_100.append(metrology_scan(traj, (100.0,), sk_fig2_long)[0].qfi)
     return alphas, qfi_100
 
 
@@ -213,7 +215,8 @@ def fig3_table(sd, quad):
     for T in temps:
         cfg = ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd,
                           t_end=1.0, dt=0.01)
-        rows.append(metrology_scan(cfg, (1.0,), quad=quad)[0])
+        sk = stencil_kernel_sets(cfg, quad=quad)
+        rows.append(metrology_scan(integrate(cfg, sk.base), (1.0,), sk)[0])
     return temps, rows
 
 

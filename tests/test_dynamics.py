@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from qubit_thermometry import (
     rhs,
 )
 from qubit_thermometry.dynamics import kernels_for
+from qubit_thermometry.kernels import precompute
 from qubit_thermometry.witness import coherence
 
-from oracles import dephasing_coherence_T0, quad_gamma, tcl2_bloch_rhs
+from oracles import dephasing_coherence_T0, quad_gamma, staged_rk4, tcl2_bloch_rhs
 
 
 def _probe(sd, alpha, T=0.2, eps=0.5, t_end=10.0, dt=0.01, initial=(1.0, 0.0, 0.0)):
@@ -169,6 +171,23 @@ def test_physicality_breach_detected(sd, ks_short):
     with pytest.raises(IntegrationError) as err:
         integrate(cfg, bad)
     assert err.value.t is not None and err.value.t > 0.0
+    msg = str(err.value)
+    assert msg.startswith(f"Bloch norm left the unit ball at t={err.value.t:g} ")
+    assert "alpha=0, T=0.2, epsilon=0.5, eta=0.05, dt=0.01)" in msg
+
+
+@pytest.fixture(scope="module")
+def ks_stencil(params):
+    """Base set plus one stencil-shifted set on a short grid."""
+    return precompute(params, 10.0, 0.01, shifted_T=(params.T * (1.0 + 1e-7),))
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["base", "shifted"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_integrate_matches_staged_rk4_bit_for_bit(sd, ks_stencil, alpha, shifted):
+    ks = ks_stencil.shifted[0] if shifted else ks_stencil
+    cfg = _probe(sd, alpha=alpha, T=ks.params.T, initial=(0.6, 0.0, 0.8))
+    assert np.array_equal(integrate(cfg, ks).states, staged_rk4(cfg, ks))
 
 
 def test_markov_fixed_point(sd, ks_long):
@@ -186,6 +205,15 @@ def test_probe_config_validation(sd):
         _probe(sd, alpha=0.5, initial=(1.0, 0.5, 0.0))
     with pytest.raises(DomainError):
         ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.0)
+
+
+def test_coupling_beyond_validated_envelope_warns(sd):
+    with pytest.warns(UserWarning, match=r"eta=0\.2 exceeds 0\.1"):
+        _probe(SpectralDensity(eta=0.2), alpha=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _probe(SpectralDensity(eta=0.1), alpha=0.5)  # edge of the envelope
+        _probe(sd, alpha=0.5)  # the figures' eta = 0.05
 
 
 # -- dephasing oracle ----------------------------------------------------------------

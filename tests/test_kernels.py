@@ -14,6 +14,7 @@ from qubit_thermometry import (
     kernels_at,
     precompute,
 )
+from qubit_thermometry import kernels
 from qubit_thermometry.kernels import THERMAL_KERNELS
 
 from oracles import kernel_R_T0, markov_K_limit, riemann_gamma, riemann_kernel
@@ -276,6 +277,22 @@ def test_shifted_sets_independent_of_worker_count(params, quad):
     a = precompute(params, 10.0, 0.01, quad, workers=1, shifted_T=temps)
     b = precompute(params, 10.0, 0.01, quad, workers=4, shifted_T=temps)
     for sa, sb in zip(a.shifted, b.shifted):
+        assert sa.params == sb.params
+        for name in KERNEL_NAMES:
+            assert np.array_equal(sa.values[name], sb.values[name])
+            assert np.array_equal(sa.half_values[name], sb.half_values[name])
+
+
+def test_chunk_size_does_not_change_values(params, quad, monkeypatch):
+    # one time row per chunk against the default chunking, 0 ulp
+    temps = _stencil_temps(params.T)
+    a = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 1)
+    b = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
+    assert a.levels.max() > 0 and a.half_levels.max() > 0  # refined rows covered
+    assert np.array_equal(a.levels, b.levels)
+    assert np.array_equal(a.half_levels, b.half_levels)
+    for sa, sb in zip((a, *a.shifted), (b, *b.shifted)):
         assert sa.params == sb.params
         for name in KERNEL_NAMES:
             assert np.array_equal(sa.values[name], sb.values[name])

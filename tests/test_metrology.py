@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qubit_thermometry import (
+    ConfigurationError,
     DomainError,
     NumericError,
     ProbeConfig,
@@ -13,6 +14,7 @@ from qubit_thermometry import (
     SpectralDensity,
     cfi,
     d_bloch_dT,
+    integrate,
     markov_comparator,
     qcrb,
     qfi,
@@ -186,7 +188,7 @@ def test_stencil_raises_quadrature_error(sd):
 
 def test_metrology_scan_structure(sd, sk_fig2):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=50.0, dt=0.01)
-    results = metrology_scan(cfg, (0.0, 1.0, 20.0), sk=sk_fig2)
+    results = metrology_scan(integrate(cfg, sk_fig2.base), (0.0, 1.0, 20.0), sk_fig2)
     assert [r.t for r in results] == [0.0, 1.0, 20.0]
     assert results[0].qfi == 0.0  # initial state carries no information yet
     assert results[0].qcrb == math.inf
@@ -195,6 +197,15 @@ def test_metrology_scan_structure(sd, sk_fig2):
         assert r.cfi_x <= r.qfi * (1 + 1e-8)
         assert r.cfi_z <= r.qfi * (1 + 1e-8)
         assert r.qcrb == pytest.approx(1.0 / math.sqrt(r.qfi), rel=1e-12)
+
+
+def test_metrology_scan_rejects_trajectory_of_other_kernels(sd, sk_fig2):
+    # a trajectory at a shifted temperature would pair D(T + d) with dD/dT at T
+    other = ProbeConfig(epsilon=0.5, alpha=0.5, T=sk_fig2.temps[2], sd=sd,
+                        t_end=50.0, dt=0.01)
+    traj = integrate(other, sk_fig2.shifted[2])
+    with pytest.raises(ConfigurationError):
+        metrology_scan(traj, (1.0,), sk_fig2)
 
 
 def test_loglog_slope():

@@ -9,6 +9,7 @@ a more exact temperature derivative (QFI moves ~2e-8) and re-meshed kernels
 
 import math
 import os
+import warnings
 
 import pytest
 
@@ -76,10 +77,18 @@ def test_comparer_rejects_drift():
     assert csv_mismatch(ref[:-1], ref) is not None
 
 
-@pytest.mark.parametrize("figure", ["fig2", "fig3"])
-def test_figure_matches_frozen_reference(tmp_path, figure):
-    argv = ["reproduce", figure, "--dt", "0.05", "--workers", "1", "--out", str(tmp_path)]
-    assert main(argv) == 0
+# fig1 runs at 2 workers, through the precompute thread pool and the process
+# pool over sweep points
+@pytest.mark.parametrize("figure,workers", [("fig1", 2), ("fig2", 1), ("fig3", 1)],
+                         ids=["fig1", "fig2", "fig3"])
+def test_figure_matches_frozen_reference(tmp_path, figure, workers):
+    argv = ["reproduce", figure, "--dt", "0.05", "--workers", str(workers),
+            "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    # eta = 0.05 lies inside the validated envelope
+    assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
     name = f"{figure}_sweep.csv"
     lines = (tmp_path / name).read_text().splitlines()
     assert csv_mismatch(lines, _reference(name)) is None
