@@ -13,17 +13,14 @@ from .kernels import (
     KernelParams,
     KernelSet,
     QuadratureConfig,
-    decoherence_exponent,
     kernels_at,
     precompute,
 )
-from .dynamics import ProbeConfig, Trajectory, dephasing_oracle, integrate, rhs
+from .dynamics import ProbeConfig, Trajectory, integrate, rhs
 from .witness import coherence, non_markovianity, steady_coherence
 from .metrology import (
     MetrologyResult,
     cfi,
-    d_bloch_dT,
-    five_point_derivative,
     markov_comparator,
     qcrb,
     qfi,

@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -215,6 +214,9 @@ def _temp_task(cfg: RunConfig, times, T: float):
 def _run_tasks(task, points, workers: int) -> list:
     """``task`` applied to each sweep point, results in sweep order."""
     if workers > 1 and len(points) > 1:
+        # imported here: multiprocessing costs ~20 ms of every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             return list(pool.map(task, points))
     return [task(p) for p in points]

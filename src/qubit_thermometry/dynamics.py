@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError, NumericError
-from .kernels import KernelParams, KernelSet, QuadratureConfig, _KernelEngine, precompute
+from .kernels import KernelParams, KernelSet, QuadratureConfig, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Trajectory",
     "rhs",
     "integrate",
-    "dephasing_oracle",
     "kernels_for",
     "PHYSICALITY_SLACK",
 ]
@@ -229,30 +228,3 @@ def kernels_for(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
     """Precompute the kernel set matching ``cfg``'s grid and parameters."""
     return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers)
 
-
-def dephasing_oracle(cfg: ProbeConfig,
-                     quad: QuadratureConfig = QuadratureConfig()) -> Trajectory:
-    """Exact trajectory for the purely dephasing coupling (alpha = 0).
-
-    Dz is conserved; the transverse vector rotates by eps*t and is damped by
-    exp(-Gamma(t)) with Gamma(t) = 4 int J(w) coth(w/2T) (1 - cos wt)/w^2 dw,
-    a single frequency-space quadrature that never touches the ODE path.
-    """
-    if cfg.alpha != 0.0:
-        raise DomainError("the dephasing oracle applies only to alpha = 0")
-    n = int(round(cfg.t_end / cfg.dt))
-    if n < 1 or abs(n * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise DomainError(f"t_end={cfg.t_end} is not an integer multiple of dt={cfg.dt}")
-    grid = np.arange(n + 1) * cfg.dt
-    eng = _KernelEngine(cfg.kernel_params, quad)
-    gam, _, _ = eng.evaluate(grid, gamma=True)
-    damp = np.exp(-gam["Gamma"])
-    c = np.cos(cfg.epsilon * grid)
-    s = np.sin(cfg.epsilon * grid)
-    x0, y0, z0 = cfg.initial
-    out = np.empty((n + 1, 3))
-    out[:, 0] = damp * (x0 * c - y0 * s)
-    out[:, 1] = damp * (x0 * s + y0 * c)
-    out[:, 2] = z0
-    out[0] = (x0, y0, z0)
-    return Trajectory(grid=grid, states=out, config=cfg)

@@ -60,7 +60,6 @@ __all__ = [
     "KERNEL_NAMES",
     "THERMAL_KERNELS",
     "kernels_at",
-    "decoherence_exponent",
     "precompute",
 ]
 
@@ -192,11 +191,9 @@ class _Band:
         "n_panels", "omega", "wq", "E", "i2_sum", "i2_dif", "p_idx", "th",
         "vL", "vF", "vG", "const_L", "const_F",
         "class_h", "mass_L", "mass_KX", "mass_FG",
-        "mass_R_inv", "mass_R_flat", "mass_Gam_inv", "mass_Gam_flat",
-        "stat_L", "stat_KX", "stat_FG",
-        "stat_R_inv", "stat_R_flat", "stat_Gam_inv", "stat_Gam_flat",
+        "mass_R_inv", "mass_R_flat",
+        "stat_L", "stat_KX", "stat_FG", "stat_R_inv", "stat_R_flat",
         "p_wq", "p_jtil", "p_vm", "p_vp", "p_hmax",
-        "vGam",
     )
 
 
@@ -235,8 +232,8 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 
 class _KernelEngine:
-    """Evaluates the six kernels (and the pure-dephasing exponent) at
-    arbitrary times for one (params, quad) pair, caching per-band geometry."""
+    """Evaluates the six kernels at arbitrary times for one (params, quad)
+    pair, caching per-band geometry."""
 
     def __init__(self, params: KernelParams, quad: QuadratureConfig):
         self.params = params
@@ -342,11 +339,9 @@ class _KernelEngine:
         sQ = btil * b.i2_dif
         sF = jtil * (i2vm - i2vp)
         sG = jtil * b.i2_sum
-        sGam = 8.0 * E * coth / omega
         b.vL = wq * sL
         b.vF = wq * sF
         b.vG = wq * sG
-        b.vGam = wq * sGam
         ones = np.ones((1, omega.size))
         b.const_L = float(_sum_nodes(b.vL, ones)[0])
         b.const_F = -float(_sum_nodes(b.vF, ones)[0])
@@ -373,9 +368,8 @@ class _KernelEngine:
             np.add.at(per_class, class_id, m)
             return per_class, stat
 
-        # R pairs E*w*coth with sin(t w)/w, |basis| <= min(t, 1/w); Gamma
-        # pairs 8*E*w*coth with sin^2(t w/2)/w^2, |basis| <= min(t^2/4, 1/w^2).
-        # Both caps are kept as separate static masses and combined per time.
+        # R pairs E*w*coth with sin(t w)/w, |basis| <= min(t, 1/w); both caps
+        # are kept as separate static masses and combined per time.
         inv_w = 1.0 / np.maximum(bounds[:-1], 0.5 * halfw)
         b.mass_R_inv, b.stat_R_inv = mass_stat(btil, amp=inv_w)
         b.mass_R_flat, b.stat_R_flat = mass_stat(btil)
@@ -384,8 +378,6 @@ class _KernelEngine:
         mQ, sQst = mass_stat(sQ)
         mF, sFst = mass_stat(sF)
         mG, sGst = mass_stat(sG)
-        b.mass_Gam_inv, b.stat_Gam_inv = mass_stat(8.0 * btil, amp=inv_w**2)
-        b.mass_Gam_flat, b.stat_Gam_flat = mass_stat(8.0 * btil)
         b.mass_L, b.stat_L = mL, sLst
         b.mass_KX, b.stat_KX = mP + mQ, sPst + sQst
         b.mass_FG, b.stat_FG = mF + mG, sFst + sGst
@@ -486,7 +478,10 @@ class _KernelEngine:
         # every basis function is bounded by min(1, t*w) on the range
         amp_t = np.minimum(1.0, ts * self._cut)
         p_err = _OSC_INFLATE * _osc_error(ts * band.p_hmax) if pieces else None
+        q = self.quad
         errs = {}
+        # rows where any kernel misses max(abs_tol, rel_tol*|value|)
+        bad = np.zeros(ts.size, dtype=bool)
         for name in KERNEL_NAMES:
             if name == "R":
                 mass = np.minimum(band.mass_R_inv[None, :],
@@ -504,40 +499,19 @@ class _KernelEngine:
             if name in pieces:
                 err = err + p_err * (band.p_wq * np.abs(pieces[name])).sum(axis=1)
             errs[name] = err
-        bad = self._rejected(vals, errs)
+            bad |= err > np.maximum(q.abs_tol, q.rel_tol * np.abs(vals[name]))
         shifted_vals = [thermal(th)[0] for th in shifted] if not bad.all() else []
         return vals, errs, bad, shifted_vals
 
-    def _gamma_chunk(self, band: _Band, ts: np.ndarray):
-        s2 = np.sin((0.5 * ts)[:, None] * band.omega[None, :]) ** 2
-        val = _sum_nodes(band.vGam, s2)
-        osc = _OSC_INFLATE * _osc_error(ts[:, None] * band.class_h[None, :])
-        t2 = 0.25 * ts * ts
-        mass = np.minimum(band.mass_Gam_inv[None, :],
-                          t2[:, None] * band.mass_Gam_flat[None, :])
-        err = (osc * mass).sum(axis=1)
-        err = err + np.minimum(band.stat_Gam_inv, t2 * band.stat_Gam_flat)
-        err = err + self.tail_bound
-        vals, errs = {"Gamma": val}, {"Gamma": err}
-        return vals, errs, self._rejected(vals, errs), []
-
     # -- public evaluation ---------------------------------------------------------
 
-    def _rejected(self, vals: dict, errs: dict) -> np.ndarray:
-        """Rows where any kernel misses max(abs_tol, rel_tol*|value|)."""
-        bad = np.zeros(len(next(iter(vals.values()))), dtype=bool)
-        for n in vals:
-            bad |= errs[n] > np.maximum(self.quad.abs_tol,
-                                        self.quad.rel_tol * np.abs(vals[n]))
-        return bad
-
-    def evaluate(self, ts, gamma=False, temps=()):
+    def evaluate(self, ts, temps=()):
         """Evaluate at times ``ts``, bisecting the mesh until every kernel
         meets its tolerance.
 
-        Returns (values, levels, shifted): ``values`` maps each kernel (or
-        "Gamma") to an array over ts; ``levels`` records the refinement depth
-        used; ``shifted`` holds one dict of R, K, X arrays per temperature in
+        Returns (values, levels, shifted): ``values`` maps each kernel to an
+        array over ts; ``levels`` records the refinement depth used;
+        ``shifted`` holds one dict of R, K, X arrays per temperature in
         ``temps``, evaluated on the mesh accepted at the base temperature.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -546,11 +520,10 @@ class _KernelEngine:
         for T in temps:
             if not (T > 0.0):
                 raise DomainError(f"shifted temperature must be > 0, got {T}")
-        names = ("Gamma",) if gamma else KERNEL_NAMES
-        out = {n: np.empty(ts.shape) for n in names}
+        out = {n: np.empty(ts.shape) for n in KERNEL_NAMES}
         shifted = [{n: np.empty(ts.shape) for n in THERMAL_KERNELS} for _ in temps]
         levels = np.zeros(ts.shape, dtype=np.int64)
-        base_k = np.array([self._width_exponent(t) for t in ts], dtype=np.int64)
+        base_k = np.array([self._width_exponent(t) for t in ts.tolist()], dtype=np.int64)
         pending = np.arange(ts.size)
         # per-band coefficients at ``temps``; released when this call returns
         thermal = {}
@@ -572,16 +545,13 @@ class _KernelEngine:
                 for lo in range(0, idx.size, chunk):
                     sel = idx[lo:lo + chunk]
                     tsel = ts[sel]
-                    if gamma:
-                        vals, errs, bad, sh = self._gamma_chunk(band, tsel)
-                    else:
-                        need = sel.size * len(band.omega)
-                        if not work or work[0].size < need:
-                            work = [np.empty(max(need, _CHUNK_ELEMENTS)) for _ in range(3)]
-                        vals, errs, bad, sh = self._eval_chunk(
-                            band, tsel, thermal.get(k, ()), work)
+                    need = sel.size * len(band.omega)
+                    if not work or work[0].size < need:
+                        work = [np.empty(max(need, _CHUNK_ELEMENTS)) for _ in range(3)]
+                    vals, errs, bad, sh = self._eval_chunk(
+                        band, tsel, thermal.get(k, ()), work)
                     good = ~bad
-                    for n in names:
+                    for n in KERNEL_NAMES:
                         out[n][sel[good]] = vals[n][good]
                     for dst, src in zip(shifted, sh):
                         for n in THERMAL_KERNELS:
@@ -591,7 +561,7 @@ class _KernelEngine:
                         exhausted = levels[over] + 1 > _MAX_HALVINGS
                         if exhausted.any():
                             i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
-                            name = max(names, key=lambda n: float(errs[n][i0]))
+                            name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
                             t, err, q = float(tsel[i0]), float(errs[name][i0]), self.quad
                             raise QuadratureError(
                                 f"kernel {name} did not reach tolerance at t={t:g} after "
@@ -612,14 +582,6 @@ def kernels_at(params, t, quad=QuadratureConfig()) -> dict:
         raise DomainError(f"kernel time must be >= 0, got {t}")
     vals, _, _ = _KernelEngine(params, quad).evaluate([t])
     return {n: float(vals[n][0]) for n in KERNEL_NAMES}
-
-
-def decoherence_exponent(params, t, quad=QuadratureConfig()) -> float:
-    """Pure-dephasing exponent Gamma(t) = 4 int_0^inf J coth(w/2T) (1-cos wt)/w^2 dw."""
-    if not (t >= 0.0):
-        raise DomainError(f"time must be >= 0, got {t}")
-    vals, _, _ = _KernelEngine(params, quad).evaluate([t], gamma=True)
-    return float(vals["Gamma"][0])
 
 
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:

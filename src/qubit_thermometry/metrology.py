@@ -36,10 +36,8 @@ from .kernels import KernelSet, QuadratureConfig, precompute
 __all__ = [
     "StencilKernels",
     "MetrologyResult",
-    "five_point_derivative",
     "stencil_kernel_sets",
     "bloch_T_derivative",
-    "d_bloch_dT",
     "qfi",
     "cfi",
     "qcrb",
@@ -96,19 +94,6 @@ class MetrologyResult:
             self.qcrb, self.markov_fisher))
 
 
-def five_point_derivative(f, x: float, delta: float) -> float:
-    """Five-point central stencil (-f(x+2d) + 8f(x+d) - 8f(x-d) + f(x-2d)) / (12d).
-
-    Grouped as differences of symmetric pairs, which is algebraically the
-    same but avoids amplifying rounding when the four values nearly coincide.
-    """
-    if not (delta > 0.0):
-        raise DomainError(f"stencil step must be > 0, got {delta}")
-    inner = f(x + delta) - f(x - delta)
-    outer = f(x + 2.0 * delta) - f(x - 2.0 * delta)
-    return (8.0 * inner - outer) / (12.0 * delta)
-
-
 def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
                         workers: int = None) -> StencilKernels:
     """Base kernel set plus the four temperature-shifted sets, from one pass.
@@ -136,20 +121,6 @@ def bloch_T_derivative(cfg: ProbeConfig, sk: StencilKernels) -> np.ndarray:
     m2, m1, p1, p2 = trajs
     delta = sk.temps[2] - cfg.T
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * delta)
-
-
-def d_bloch_dT(cfg: ProbeConfig, t_eval: float,
-               quad: QuadratureConfig = QuadratureConfig(),
-               workers: int = None) -> np.ndarray:
-    """Temperature derivative of the Bloch vector at one grid time.
-
-    Runs the four shifted simulations (only the T-dependent kernels R, K, X
-    differ from the base set) and applies the five-point stencil componentwise.
-    """
-    sk = stencil_kernel_sets(cfg, quad, workers=workers)
-    deriv = bloch_T_derivative(cfg, sk)
-    ref = Trajectory(grid=sk.base.grid, states=deriv, config=cfg)
-    return deriv[ref.index_of(t_eval)]
 
 
 def qfi(delta, ddelta) -> float:

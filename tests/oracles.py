@@ -3,13 +3,21 @@
 Everything here deliberately avoids the package's quadrature machinery:
 kernels come from raw midpoint Riemann sums over the printed integrands (with
 the bare ratio over eps^2 - w^2), the dephasing exponent additionally from
-scipy's adaptive QUADPACK, and closed forms are written out directly.  The
+scipy's adaptive QUADPACK, and closed forms are written out directly.  For
+the Ohmic density J(w) = eta w exp(-w/omega_c), expanding coth x = 1 +
+2 sum_n exp(-2 n x) termwise gives R, L and the dephasing exponent Gamma in
+closed form at any T (e.g. Breuer & Petruccione, The Theory of Open Quantum
+Systems, 2002); the exact alpha = 0 trajectory is built on that Gamma.  The
 Bloch equations are checked against the TCL2 generator acting on explicit 2x2
 density matrices, and the integrator against a textbook RK4 over ``rhs``.
 """
 
 import numpy as np
 from scipy import integrate as sp_integrate
+from scipy import special
+
+from qubit_thermometry.dynamics import Trajectory, rhs
+from qubit_thermometry.errors import DomainError
 
 
 def riemann_kernel(name, eta, omega_c, eps, T, t, n=2_000_000, wmax=80.0):
@@ -56,6 +64,69 @@ def quad_gamma(eta, omega_c, T, t):
     val, _ = sp_integrate.quad(f, 0.0, 60.0 * omega_c, limit=400,
                                epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def gamma_closed(eta, omega_c, T, t):
+    """Dephasing exponent 4 int J coth(w/2T) (1 - cos wt)/w^2 dw in closed form:
+
+        Gamma(t) = 2 eta [ln(1 + omega_c^2 t^2) + 4 ln Gamma_E(1 + T/omega_c)
+                          - 4 Re ln Gamma_E(1 + T/omega_c + i T t)],
+
+    Gamma_E being Euler's gamma function.  Accepts arrays of t.
+    """
+    t = np.asarray(t, dtype=float)
+    x = T / omega_c
+    thermal = special.loggamma(1.0 + x) - special.loggamma(1.0 + x + 1j * T * t).real
+    return 2.0 * eta * (np.log1p((omega_c * t) ** 2) + 4.0 * thermal)
+
+
+def kernel_R_closed(eta, omega_c, T, t):
+    """R(t) = Gamma'(t)/4 = eta [omega_c^2 t/(1 + omega_c^2 t^2)
+    + 2 T Im psi(1 + T/omega_c + i T t)], psi the digamma function."""
+    wt = omega_c * t
+    psi = special.psi(1.0 + T / omega_c + 1j * T * t)
+    return eta * (omega_c * wt / (1.0 + wt * wt) + 2.0 * T * psi.imag)
+
+
+def kernel_L_closed(eta, omega_c, t):
+    """L(t) = eta omega_c^3 t^2 / (1 + omega_c^2 t^2), the same at every T."""
+    wt = omega_c * t
+    return eta * omega_c * wt * wt / (1.0 + wt * wt)
+
+
+def dephasing_oracle(cfg):
+    """Exact trajectory of the purely dephasing probe (alpha = 0).
+
+    Dz is conserved; the transverse vector rotates by eps*t and is damped by
+    exp(-Gamma(t)) with the closed-form ``gamma_closed``.
+    """
+    if cfg.alpha != 0.0:
+        raise DomainError("the dephasing oracle applies only to alpha = 0")
+    n = int(round(cfg.t_end / cfg.dt))
+    grid = np.arange(n + 1) * cfg.dt
+    damp = np.exp(-gamma_closed(cfg.sd.eta, cfg.sd.omega_c, cfg.T, grid))
+    c = np.cos(cfg.epsilon * grid)
+    s = np.sin(cfg.epsilon * grid)
+    x0, y0, z0 = cfg.initial
+    out = np.empty((n + 1, 3))
+    out[:, 0] = damp * (x0 * c - y0 * s)
+    out[:, 1] = damp * (x0 * s + y0 * c)
+    out[:, 2] = z0
+    out[0] = (x0, y0, z0)
+    return Trajectory(grid=grid, states=out, config=cfg)
+
+
+def five_point_derivative(f, x, delta):
+    """Five-point central stencil (-f(x+2d) + 8f(x+d) - 8f(x-d) + f(x-2d)) / (12d).
+
+    Grouped as differences of symmetric pairs, as ``bloch_T_derivative``
+    groups its shifted trajectories.
+    """
+    if not (delta > 0.0):
+        raise DomainError(f"stencil step must be > 0, got {delta}")
+    inner = f(x + delta) - f(x - delta)
+    outer = f(x + 2.0 * delta) - f(x - 2.0 * delta)
+    return (8.0 * inner - outer) / (12.0 * delta)
 
 
 def dephasing_coherence_T0(eta, omega_c, t):
@@ -105,8 +176,6 @@ def staged_rk4(cfg, ks):
     ``rhs`` is tied to the TCL2 generator by ``test_rhs_matches_tcl2_generator``;
     stages 2 and 3 read the kernels at the midpoint, stage 4 at the next point.
     """
-    from qubit_thermometry.dynamics import rhs
-
     names = ("R", "K", "L", "X", "F", "G")
     on_grid = np.stack([ks.values[n] for n in names], axis=1).tolist()
     on_half = np.stack([ks.half_values[n] for n in names], axis=1).tolist()

@@ -31,7 +31,6 @@ from qubit_thermometry import (
     ProbeConfig,
     QuadratureConfig,
     SpectralDensity,
-    dephasing_oracle,
     integrate,
     kernels_at,
     precompute,
@@ -39,7 +38,6 @@ from qubit_thermometry import (
 from qubit_thermometry.cli import main as cli_main
 from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.metrology import (
-    five_point_derivative,
     loglog_slope,
     markov_comparator,
     metrology_scan,
@@ -47,7 +45,7 @@ from qubit_thermometry.metrology import (
 )
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
 
-from oracles import gibbs_qfi, kernel_R_T0
+from oracles import dephasing_oracle, five_point_derivative, gibbs_qfi, kernel_R_T0
 
 EPS, TEMP, ETA = 0.5, 0.2, 0.05
 
@@ -78,7 +76,7 @@ def test_c2_dephasing_oracle_finite_T(sd):
     cfg = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=50.0, dt=1e-3)
     ks = kernels_for(cfg, FAST_QUAD, workers=os.cpu_count())
     traj = integrate(cfg, ks)
-    oracle = dephasing_oracle(cfg, FAST_QUAD)
+    oracle = dephasing_oracle(cfg)
     err = float(np.max(np.abs(coherence(traj) - coherence(oracle))))
     elapsed = time.perf_counter() - start
     assert err <= 1e-5

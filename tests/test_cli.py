@@ -148,6 +148,13 @@ def test_sweep_deterministic_across_workers(tmp_path, command):
     assert b1 == b2 == b3
 
 
+def _package_env():
+    """Environment in which a fresh interpreter imports this package."""
+    src = os.path.dirname(os.path.dirname(qubit_thermometry.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 # Runs the CLI with a forced start method and reports how many process pools
 # it opened, so a sweep that silently stays sequential is caught.
 _START_METHOD_SCRIPT = """\
@@ -180,18 +187,26 @@ if __name__ == "__main__":
 def test_workers_byte_identical_under_start_method(tmp_path, command, method):
     script = tmp_path / "run_sweep.py"
     script.write_text(_START_METHOD_SCRIPT)
-    src = os.path.dirname(os.path.dirname(qubit_thermometry.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
     assert run_cli(*SWEEPS[command], "--out", seq, "--workers", "1") == 0
     proc = subprocess.run(
         [sys.executable, str(script), method, *SWEEPS[command], "--out", par,
          "--workers", "2"],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "pools=1" in proc.stdout
     assert _sweep_csv(par, command) == _sweep_csv(seq, command)
+
+
+def test_cli_import_leaves_out_slow_stdlib_modules():
+    # multiprocessing loads only when a sweep opens its pool; xml.sax and
+    # urllib.request (with http.client) would add 60-100 ms to every start-up
+    code = ("import sys, qubit_thermometry.cli; print(sorted(m for m in "
+            "('multiprocessing', 'xml.sax', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_alpha_zero_coupling(tmp_path):
@@ -269,6 +284,20 @@ def test_svg_output_is_valid_xml(tmp_path):
     for name in ("trajectory.svg", "trajectory_equator.svg"):
         root = ET.fromstring((tmp_path / name).read_text())
         assert root.tag.endswith("svg")
+
+
+def test_svg_escapes_markup_in_text():
+    import xml.etree.ElementTree as ET
+
+    from qubit_thermometry.svg import LinePlot
+
+    text = "F_Q <T> & <alpha>"
+    plot = LinePlot(title=text, xlabel=text, ylabel=text)
+    plot.add([0.0, 1.0], [0.0, 1.0], label=text)
+    svg = plot.render()
+    assert "F_Q &lt;T&gt; &amp; &lt;alpha&gt;" in svg
+    labels = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+    assert labels.count(text) == 4
 
 
 def test_repeated_run_byte_identical(tmp_path):

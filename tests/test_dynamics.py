@@ -13,7 +13,6 @@ from qubit_thermometry import (
     NumericError,
     ProbeConfig,
     SpectralDensity,
-    dephasing_oracle,
     integrate,
     rhs,
 )
@@ -21,7 +20,13 @@ from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.kernels import precompute
 from qubit_thermometry.witness import coherence
 
-from oracles import dephasing_coherence_T0, quad_gamma, staged_rk4, tcl2_bloch_rhs
+from oracles import (
+    dephasing_coherence_T0,
+    dephasing_oracle,
+    quad_gamma,
+    staged_rk4,
+    tcl2_bloch_rhs,
+)
 
 
 def _probe(sd, alpha, T=0.2, eps=0.5, t_end=10.0, dt=0.01, initial=(1.0, 0.0, 0.0)):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qubit_thermometry import (
     DomainError,
@@ -10,14 +12,22 @@ from qubit_thermometry import (
     QuadratureConfig,
     QuadratureError,
     SpectralDensity,
-    decoherence_exponent,
     kernels_at,
     precompute,
 )
 from qubit_thermometry import kernels
 from qubit_thermometry.kernels import THERMAL_KERNELS
 
-from oracles import kernel_R_T0, markov_K_limit, riemann_gamma, riemann_kernel
+from oracles import (
+    gamma_closed,
+    kernel_L_closed,
+    kernel_R_closed,
+    kernel_R_T0,
+    markov_K_limit,
+    quad_gamma,
+    riemann_gamma,
+    riemann_kernel,
+)
 
 # frozen midpoint-Riemann references (n = 2e7, wmax = 100, converged to ~1e-13)
 # at eta=0.05, omega_c=1, eps=0.5, T=0.2
@@ -162,7 +172,15 @@ def test_negative_time_rejected(params, quad):
     with pytest.raises(DomainError):
         kernels_at(params, -1.0, quad)
     with pytest.raises(DomainError):
-        decoherence_exponent(params, -0.5, quad)
+        kernels._KernelEngine(params, quad).evaluate([-0.5])
+
+
+def test_subnormal_time_evaluates_without_warning(params, quad):
+    # 2 pi / t overflows to inf there; the mesh choice must still be silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = kernels_at(params, 5e-324, quad)
+    assert abs(vals["R"]) <= quad.abs_tol
 
 
 def test_config_validation():
@@ -178,16 +196,60 @@ def test_config_validation():
         KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=-0.1)
 
 
-def test_decoherence_exponent_against_oracles(params, quad):
-    got = decoherence_exponent(params, 1.0, quad)
+def test_decoherence_exponent_against_oracles():
+    # the closed-form Gamma that the alpha = 0 trajectory oracle is built on
+    got = gamma_closed(0.05, 1.0, 0.2, 1.0)
     assert got == pytest.approx(GAMMA_T1, rel=1e-9)
     assert got == pytest.approx(riemann_gamma(0.05, 1.0, 0.2, 1.0, n=500_000), rel=1e-7)
     # closed form at T = 0: Gamma = 2 eta ln(1 + t^2)
-    p0 = KernelParams(sd=params.sd, epsilon=0.5, T=0.0)
     for t in (0.5, 3.0, 20.0):
-        assert decoherence_exponent(p0, t, quad) == pytest.approx(
+        assert gamma_closed(0.05, 1.0, 0.0, t) == pytest.approx(
             2 * 0.05 * math.log1p(t * t), rel=1e-9)
-    assert decoherence_exponent(params, 0.0, quad) == 0.0
+    assert gamma_closed(0.05, 1.0, 0.2, 0.0) == 0.0
+
+
+def test_closed_form_gamma_against_quadpack():
+    for T in (0.01, 0.2, 0.5):
+        for t in (0.5, 1.0, 5.0, 20.0, 50.0):
+            assert gamma_closed(0.05, 1.0, T, t) == pytest.approx(
+                quad_gamma(0.05, 1.0, T, t), rel=1e-12)
+
+
+# -- closed-form R and L ------------------------------------------------------------
+
+def _within_engine_tolerance(got, want, quad):
+    return abs(got - want) <= max(quad.abs_tol, quad.rel_tol * abs(got))
+
+
+def test_R_L_closed_forms_at_headline(params, quad):
+    # R = Gamma'/4 and L at T = 0.2, eta = 0.05, far tighter than the
+    # 2M-point Riemann oracle (7e-13 to 3e-11 at these t)
+    for t in (0.5, 1.0, 5.0, 20.0, 50.0, 200.0, 1000.0):
+        vals = kernels_at(params, t, quad)
+        assert abs(vals["R"] - kernel_R_closed(0.05, 1.0, 0.2, t)) <= 1e-13
+        assert abs(vals["L"] - kernel_L_closed(0.05, 1.0, t)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 200.0), T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1),
+       eps=st.floats(0.0, 2.0))
+def test_R_L_match_closed_forms(t, T, eta, eps):
+    quad = QuadratureConfig()
+    vals = kernels_at(KernelParams(sd=SpectralDensity(eta=eta), epsilon=eps, T=T), t, quad)
+    assert _within_engine_tolerance(vals["R"], kernel_R_closed(eta, 1.0, T, t), quad)
+    assert _within_engine_tolerance(vals["L"], kernel_L_closed(eta, 1.0, t), quad)
+
+
+@pytest.mark.parametrize("T", [0.01, 0.2, 0.5])
+def test_long_horizon_meets_tolerance_or_raises(T, quad):
+    # at t = 1e3 the quadrature may give up, but never return a wrong R or L
+    p = KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=T)
+    try:
+        vals = kernels_at(p, 1e3, quad)
+    except QuadratureError:
+        return
+    assert _within_engine_tolerance(vals["R"], kernel_R_closed(0.1, 1.0, T, 1e3), quad)
+    assert _within_engine_tolerance(vals["L"], kernel_L_closed(0.1, 1.0, 1e3), quad)
 
 
 # -- precompute ---------------------------------------------------------------

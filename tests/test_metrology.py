@@ -13,7 +13,6 @@ from qubit_thermometry import (
     QuadratureError,
     SpectralDensity,
     cfi,
-    d_bloch_dT,
     integrate,
     markov_comparator,
     qcrb,
@@ -22,11 +21,12 @@ from qubit_thermometry import (
 from qubit_thermometry.metrology import (
     MetrologyResult,
     bloch_T_derivative,
-    five_point_derivative,
     loglog_slope,
     metrology_scan,
     stencil_kernel_sets,
 )
+
+from oracles import five_point_derivative
 
 
 # -- stencil ---------------------------------------------------------------------
@@ -138,17 +138,18 @@ def test_metrology_result_invariants():
 def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
-    d = d_bloch_dT(cfg, 1.0)
+    sk = stencil_kernel_sets(cfg)
+    d = bloch_T_derivative(cfg, sk)[integrate(cfg, sk.base).index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
 
 def test_derivative_grid_and_temperature_guards(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
-        d_bloch_dT(cfg, 0.005)  # off the grid
+        integrate(cfg, stencil_kernel_sets(cfg).base).index_of(0.005)  # off the grid
     cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
-        d_bloch_dT(cfg0, 1.0)
+        stencil_kernel_sets(cfg0)
 
 
 def test_derivative_against_richardson_oracle(sd, quad):

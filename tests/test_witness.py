@@ -8,11 +8,12 @@ from qubit_thermometry import (
     DomainError,
     ProbeConfig,
     SpectralDensity,
-    dephasing_oracle,
     integrate,
 )
 from qubit_thermometry.dynamics import Trajectory
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
+
+from oracles import dephasing_oracle
 
 
 def _traj(grid, dx, dy=None, dz=None, eps=0.5):
