@@ -21,8 +21,8 @@ def main():
     for T in temps:
         cfg = ProbeConfig(epsilon=0.0, alpha=0.5, T=float(T), sd=sd,
                           t_end=max(times), dt=0.01)
-        sk = stencil_kernel_sets(cfg)
-        for r in metrology_scan(integrate(cfg, sk.base), times, sk):
+        ks = stencil_kernel_sets(cfg)
+        for r in metrology_scan(integrate(cfg, ks), times, ks):
             qfi[r.t].append(r.qfi)
         print(f"T = {T:.4f}: " + "  ".join(
             f"F_Q(t={t:g}) = {qfi[t][-1]:.4g}" for t in times))

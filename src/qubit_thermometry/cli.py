@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import ProbeConfig, integrate, kernels_for
 from .errors import ConfigurationError
-from .kernels import QuadratureConfig, precompute
+from .kernels import KERNEL_NAMES, QuadratureConfig, precompute
 from .metrology import (
     loglog_slope,
     markov_comparator,
@@ -161,17 +161,15 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     return RunConfig(**values)
 
 
-def _g17(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path, header, rows, footer_lines=()):
+    """Write ``rows`` of numbers with 17 significant digits, then report it."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
         for line in footer_lines:
             fh.write(line + "\n")
+    print(f"wrote {path}")
 
 
 def _check_times(cfg: RunConfig):
@@ -188,9 +186,9 @@ def _check_times(cfg: RunConfig):
 # sweep tasks; each takes its whole state as arguments, so pool workers
 # behave the same under any multiprocessing start method
 
-def _alpha_task(cfg: RunConfig, base_ks, sk, times, with_steady: bool, alpha: float):
+def _alpha_task(cfg: RunConfig, ks, times, with_steady: bool, alpha: float):
     probe = cfg.probe(alpha=alpha)
-    traj = integrate(probe, base_ks)
+    traj = integrate(probe, ks)
     C = coherence(traj)
     n_c = non_markovianity(C, rise_tol=cfg.rise_tol)
     if with_steady:
@@ -199,14 +197,14 @@ def _alpha_task(cfg: RunConfig, base_ks, sk, times, with_steady: bool, alpha: fl
         steady, conv = math.nan, False
     row = [alpha, n_c, steady, int(conv)]
     if times:
-        row.extend(r.qfi for r in metrology_scan(traj, times, sk))
+        row.extend(r.qfi for r in metrology_scan(traj, times, ks))
     return row
 
 
 def _temp_task(cfg: RunConfig, times, T: float):
     probe = cfg.probe(T=T)
-    sk = stencil_kernel_sets(probe, cfg.quad)
-    results = metrology_scan(integrate(probe, sk.base), times, sk)
+    ks = stencil_kernel_sets(probe, cfg.quad)
+    results = metrology_scan(integrate(probe, ks), times, ks)
     return [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
             for r in results]
 
@@ -230,9 +228,8 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     ks = kernels_for(probe, cfg.quad, workers=cfg.workers)
     traj = integrate(probe, ks)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "trajectory.csv")
-    traj.to_csv(path)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"), "t,dx,dy,dz",
+               np.column_stack((traj.grid, traj.states)))
     if cfg.emit_svg:
         C = coherence(traj)
         plot = LinePlot(title=f"probe trajectory (alpha={cfg.alpha:g})",
@@ -255,9 +252,8 @@ def cmd_dump_kernels(cfg: RunConfig) -> int:
     params = cfg.probe().kernel_params
     ks = precompute(params, cfg.t_end, cfg.dt, cfg.quad, workers=cfg.workers)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "kernels.csv")
-    ks.to_csv(path)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(cfg.out_dir, "kernels.csv"), "t," + ",".join(KERNEL_NAMES),
+               np.column_stack([ks.grid] + [ks.values[n] for n in KERNEL_NAMES]))
     return 0
 
 
@@ -268,22 +264,17 @@ def _steady_window_ok(cfg: RunConfig) -> bool:
     return True
 
 
-def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", base_ks=None) -> int:
+def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
     times = _check_times(cfg)
-    probe0 = cfg.probe(alpha=0.0)
-    sk = stencil_kernel_sets(probe0, cfg.quad, workers=cfg.workers) if times else None
-    if base_ks is None:
-        base_ks = sk.base if sk else kernels_for(probe0, cfg.quad, workers=cfg.workers)
-    task = partial(_alpha_task, cfg, base_ks, sk, times, _steady_window_ok(cfg))
+    if ks is None:
+        build = stencil_kernel_sets if times else kernels_for
+        ks = build(cfg.probe(alpha=0.0), cfg.quad, workers=cfg.workers)
+    task = partial(_alpha_task, cfg, ks, times, _steady_window_ok(cfg))
     rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
     header = "alpha,N_C,steady_dx_abs,converged"
     header += "".join(f",qfi_t_{t:g}" for t in times)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"{tag}.csv")
-    _write_csv(path, header,
-               [",".join([_g17(v) if not isinstance(v, int) else str(v) for v in row])
-                for row in rows])
-    print(f"wrote {path}")
+    _write_csv(os.path.join(cfg.out_dir, f"{tag}.csv"), header, rows)
     if cfg.emit_svg:
         alphas = cfg.alphas()
         cols = list(zip(*rows))
@@ -320,10 +311,8 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
         footer.append(f"# low_T_slope_qfi = {slope:.6g} "
                       f"(log-log fit at t={t0:g} over T <= {cfg.slope_fit_tmax:g})")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"{tag}.csv")
-    _write_csv(path, "t,T,alpha,qfi,cfi_x,cfi_z,qcrb,markov_fisher",
-               [",".join(_g17(v) for v in row) for row in rows], footer)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(cfg.out_dir, f"{tag}.csv"),
+               "t,T,alpha,qfi,cfi_x,cfi_z,qcrb,markov_fisher", rows, footer)
     if cfg.emit_svg:
         qplot = LinePlot(title="QFI vs temperature", xlabel="T [omega_c]",
                          ylabel="F_Q", xlog=True, ylog=True)
@@ -363,7 +352,7 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
                           emit_svg=True)
         probe0 = fig_cfg.probe(alpha=0.0)
         ks = kernels_for(probe0, fig_cfg.quad, workers=fig_cfg.workers)
-        rc = cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", base_ks=ks)
+        rc = cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", ks=ks)
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
         for alpha in (0.0, 0.5, 1.0):
             traj = integrate(fig_cfg.probe(alpha=alpha), ks)

@@ -111,12 +111,6 @@ class Trajectory:
             raise DomainError(f"t={t} is not on the trajectory grid")
         return i
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,dx,dy,dz\n")
-            for t, (x, y, z) in zip(self.grid, self.states):
-                fh.write(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
-
 
 def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
     """Right-hand side of the Bloch equations at one time.

@@ -134,7 +134,9 @@ class KernelSet:
     at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
     record the mesh-refinement depth used per time.  ``shifted`` holds one set
     per extra temperature requested from ``precompute``: its R, K, X were
-    evaluated on this set's mesh, and its L, F, G are this set's arrays.
+    evaluated on this set's mesh, and its L, F, G are this set's arrays.  A
+    set from ``metrology.stencil_kernel_sets`` is the temperature-stencil
+    bundle: its four shifted sets sit at T-2d, T-d, T+d, T+2d.
     """
 
     grid: np.ndarray
@@ -153,14 +155,6 @@ class KernelSet:
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,R,K,L,X,F,G\n")
-            cols = [self.values[k] for k in KERNEL_NAMES]
-            for i, t in enumerate(self.grid):
-                row = ",".join(f"{c[i]:.17g}" for c in cols)
-                fh.write(f"{t:.17g},{row}\n")
 
 
 def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
@@ -421,8 +415,9 @@ class _KernelEngine:
         return g, h
 
     def _eval_chunk(self, band: _Band, ts: np.ndarray, shifted, work):
-        """Kernel values, error estimates and rejected rows for times sharing
-        one band, plus R, K, X for each ``_thermal`` tuple in ``shifted``.
+        """(sets, errs, bad) for times sharing one band: ``sets`` holds the
+        six kernel values, then R, K, X for each ``_thermal`` tuple in
+        ``shifted``; ``errs`` the error estimates; ``bad`` the rejected rows.
 
         ``work`` holds three flat arrays of at least ts.size * N elements that
         receive t*w, sin(t w) and cos(t w).  The shifted kernels reuse these
@@ -500,8 +495,8 @@ class _KernelEngine:
                 err = err + p_err * (band.p_wq * np.abs(pieces[name])).sum(axis=1)
             errs[name] = err
             bad |= err > np.maximum(q.abs_tol, q.rel_tol * np.abs(vals[name]))
-        shifted_vals = [thermal(th)[0] for th in shifted] if not bad.all() else []
-        return vals, errs, bad, shifted_vals
+        sets = [vals] + ([thermal(th)[0] for th in shifted] if not bad.all() else [])
+        return sets, errs, bad
 
     # -- public evaluation ---------------------------------------------------------
 
@@ -509,10 +504,10 @@ class _KernelEngine:
         """Evaluate at times ``ts``, bisecting the mesh until every kernel
         meets its tolerance.
 
-        Returns (values, levels, shifted): ``values`` maps each kernel to an
-        array over ts; ``levels`` records the refinement depth used;
-        ``shifted`` holds one dict of R, K, X arrays per temperature in
-        ``temps``, evaluated on the mesh accepted at the base temperature.
+        Returns (sets, levels): ``sets[0]`` maps each kernel to an array over
+        ts, and ``sets[1 + j]`` maps R, K, X to arrays at ``temps[j]``,
+        evaluated on the mesh accepted at the base temperature; ``levels``
+        records the refinement depth used.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0.0)):
@@ -520,8 +515,8 @@ class _KernelEngine:
         for T in temps:
             if not (T > 0.0):
                 raise DomainError(f"shifted temperature must be > 0, got {T}")
-        out = {n: np.empty(ts.shape) for n in KERNEL_NAMES}
-        shifted = [{n: np.empty(ts.shape) for n in THERMAL_KERNELS} for _ in temps]
+        out = [{n: np.empty(ts.shape) for n in names}
+               for names in (KERNEL_NAMES,) + (THERMAL_KERNELS,) * len(temps)]
         levels = np.zeros(ts.shape, dtype=np.int64)
         base_k = np.array([self._width_exponent(t) for t in ts.tolist()], dtype=np.int64)
         pending = np.arange(ts.size)
@@ -548,14 +543,12 @@ class _KernelEngine:
                     need = sel.size * len(band.omega)
                     if not work or work[0].size < need:
                         work = [np.empty(max(need, _CHUNK_ELEMENTS)) for _ in range(3)]
-                    vals, errs, bad, sh = self._eval_chunk(
+                    sets, errs, bad = self._eval_chunk(
                         band, tsel, thermal.get(k, ()), work)
                     good = ~bad
-                    for n in KERNEL_NAMES:
-                        out[n][sel[good]] = vals[n][good]
-                    for dst, src in zip(shifted, sh):
-                        for n in THERMAL_KERNELS:
-                            dst[n][sel[good]] = src[n][good]
+                    for dst, src in zip(out, sets):
+                        for n, arr in dst.items():
+                            arr[sel[good]] = src[n][good]
                     if bad.any():
                         over = sel[bad]
                         exhausted = levels[over] + 1 > _MAX_HALVINGS
@@ -573,14 +566,14 @@ class _KernelEngine:
                         levels[over] += 1
                         still.append(over)
             pending = np.concatenate(still) if still else np.empty(0, dtype=np.int64)
-        return out, levels, shifted
+        return out, levels
 
 
 def kernels_at(params, t, quad=QuadratureConfig()) -> dict:
     """All six kernels at one time (they share the quadrature mesh)."""
     if not (t >= 0.0):
         raise DomainError(f"kernel time must be >= 0, got {t}")
-    vals, _, _ = _KernelEngine(params, quad).evaluate([t])
+    (vals,), _ = _KernelEngine(params, quad).evaluate([t])
     return {n: float(vals[n][0]) for n in KERNEL_NAMES}
 
 
@@ -596,15 +589,13 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _joined(parts):
-    """One (values, levels, shifted) triple from per-chunk evaluate results."""
-    vals = {n: np.concatenate([p[0][n] for p in parts]) for n in KERNEL_NAMES}
-    levels = np.concatenate([p[1] for p in parts])
-    shifted = [{n: np.concatenate([p[2][j][n] for p in parts]) for n in THERMAL_KERNELS}
-               for j in range(len(parts[0][2]))]
-    for d in (vals, *shifted):
+    """One read-only (sets, levels) pair from per-part evaluate results."""
+    sets = [{n: np.concatenate([p[0][j][n] for p in parts]) for n in d}
+            for j, d in enumerate(parts[0][0])]
+    for d in sets:
         for arr in d.values():
             arr.flags.writeable = False
-    return vals, levels, shifted
+    return sets, np.concatenate([p[1] for p in parts])
 
 
 def precompute(params: KernelParams, t_end: float, dt: float,
@@ -623,32 +614,30 @@ def precompute(params: KernelParams, t_end: float, dt: float,
     the finite-difference temperature stencil relies on.
     """
     grid = _uniform_grid(t_end, dt)
-    mids = grid[:-1] + 0.5 * dt
+    # grid points and midpoints interleaved, evaluated in one pass
+    ts = np.empty(2 * grid.size - 1)
+    ts[0::2] = grid
+    ts[1::2] = grid[:-1] + 0.5 * dt
     eng = _KernelEngine(params, quad)
     temps = tuple(float(T) for T in shifted_T)
-
-    def run(ts):
-        return eng.evaluate(ts, temps=temps)
-
     threads = workers if workers and workers > 1 and grid.size > 64 else 1
-    n_chunks = 1 if threads == 1 else min(threads * 4, grid.size)
-    g_parts = np.array_split(np.arange(grid.size), n_chunks)
-    m_parts = np.array_split(np.arange(mids.size), n_chunks)
+    n_parts = 1 if threads == 1 else min(threads * 8, ts.size)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        g_res = list(ex.map(lambda ix: run(grid[ix]), g_parts))
-        m_res = list(ex.map(lambda ix: run(mids[ix]), m_parts))
-    g_vals, g_lv, g_sh = _joined(g_res)
-    m_vals, m_lv, m_sh = _joined(m_res)
+        sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix], temps),
+                                           np.array_split(np.arange(ts.size), n_parts))))
     grid.flags.writeable = False
+    on_grid, on_half = slice(0, None, 2), slice(1, None, 2)
+    g_lv, m_lv = levels[on_grid], levels[on_half]
+    (g_vals, m_vals), *shifted = (
+        ({n: a[on_grid] for n, a in d.items()}, {n: a[on_half] for n, a in d.items()})
+        for d in sets)
 
     def kernel_set(p, values, half_values, shifted=()):
         return KernelSet(grid=grid, values=values, half_values=half_values,
                          params=p, quad=quad, levels=g_lv, half_levels=m_lv,
                          shifted=shifted)
 
-    shifted = tuple(
+    return kernel_set(params, g_vals, m_vals, tuple(
         kernel_set(KernelParams(sd=params.sd, epsilon=params.epsilon, T=T),
-                   {n: gs.get(n, g_vals[n]) for n in KERNEL_NAMES},
-                   {n: ms.get(n, m_vals[n]) for n in KERNEL_NAMES})
-        for T, gs, ms in zip(temps, g_sh, m_sh))
-    return kernel_set(params, g_vals, m_vals, shifted)
+                   {**g_vals, **gs}, {**m_vals, **ms})
+        for T, (gs, ms) in zip(temps, shifted)))

@@ -25,16 +25,15 @@ that collapses exponentially at low temperature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate
-from .errors import DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 from .kernels import KernelSet, QuadratureConfig, precompute
 
 __all__ = [
-    "StencilKernels",
     "MetrologyResult",
     "stencil_kernel_sets",
     "bloch_T_derivative",
@@ -52,15 +51,6 @@ _CFI_SLACK = 1e-8
 # smaller steps lose significance in the shifted simulations, which the
 # cross-check against a coarser Richardson derivative guards in the tests.
 _REL_STEP = 1e-7
-
-
-@dataclass(frozen=True)
-class StencilKernels:
-    """Kernel sets for one stencil: base plus (T-2d, T-d, T+d, T+2d)."""
-
-    base: KernelSet
-    shifted: tuple
-    temps: tuple
 
 
 @dataclass
@@ -88,15 +78,11 @@ class MetrologyResult:
         if not (self.qcrb == want or abs(self.qcrb - want) <= 1e-12 * want):
             raise NumericError("qcrb must equal 1/sqrt(qfi)")
 
-    def csv_row(self) -> str:
-        return ",".join(f"{v:.17g}" for v in (
-            self.t, self.T, self.alpha, self.qfi, self.cfi_x, self.cfi_z,
-            self.qcrb, self.markov_fisher))
-
 
 def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
-                        workers: int = None) -> StencilKernels:
-    """Base kernel set plus the four temperature-shifted sets, from one pass.
+                        workers: int = None) -> KernelSet:
+    """Kernel set at ``cfg.T`` whose ``shifted`` sets sit at (T-2d, T-d,
+    T+d, T+2d), from one pass.
 
     Only the coth-bearing kernels are evaluated at the shifted temperatures,
     on the base set's mesh.
@@ -105,21 +91,15 @@ def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureCon
     if not (T > 0.0):
         raise DomainError(f"stencil needs T > 0, got T={T}")
     delta = _REL_STEP * T
-    temps = (T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta)
-    base = precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers,
-                      shifted_T=temps)
-    return StencilKernels(base=base, shifted=base.shifted, temps=temps)
+    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers,
+                      shifted_T=(T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta))
 
 
-def bloch_T_derivative(cfg: ProbeConfig, sk: StencilKernels) -> np.ndarray:
+def bloch_T_derivative(cfg: ProbeConfig, ks: KernelSet) -> np.ndarray:
     """dD/dT on the whole grid from the four temperature-shifted trajectories."""
-    trajs = []
-    for Ts, ks in zip(sk.temps, sk.shifted):
-        cfg_s = ProbeConfig(epsilon=cfg.epsilon, alpha=cfg.alpha, T=Ts, sd=cfg.sd,
-                            initial=cfg.initial, t_end=cfg.t_end, dt=cfg.dt)
-        trajs.append(integrate(cfg_s, ks).states)
-    m2, m1, p1, p2 = trajs
-    delta = sk.temps[2] - cfg.T
+    m2, m1, p1, p2 = (integrate(replace(cfg, T=s.params.T), s).states
+                      for s in ks.shifted)
+    delta = ks.shifted[2].params.T - cfg.T
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * delta)
 
 
@@ -192,17 +172,21 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     return fisher, bound
 
 
-def metrology_scan(traj: Trajectory, times, sk: StencilKernels) -> list:
+def metrology_scan(traj: Trajectory, times, ks: KernelSet) -> list:
     """MetrologyResult at each probing time of the base trajectory ``traj``.
 
-    ``traj`` must come from ``integrate`` on ``sk.base``; the caller keeps it
-    for its own use (the alpha sweep reads the witnesses from the same
-    trajectory).  ``sk`` does not depend on alpha, so sweeps over the mixing
-    parameter share one stencil bundle.
+    ``ks`` comes from ``stencil_kernel_sets`` and ``traj`` from ``integrate``
+    on it; the caller keeps the trajectory for its own use (the alpha sweep
+    reads the witnesses from it).  ``ks`` does not depend on alpha, so sweeps
+    over the mixing parameter share one stencil bundle.
     """
     cfg = traj.config
-    _check_kernelset(cfg, sk.base)
-    deriv = bloch_T_derivative(cfg, sk)
+    _check_kernelset(cfg, ks)
+    if len(ks.shifted) != 4:
+        raise ConfigurationError(
+            f"metrology needs a kernel set from stencil_kernel_sets with four "
+            f"temperature-shifted sets, got {len(ks.shifted)}")
+    deriv = bloch_T_derivative(cfg, ks)
     try:
         mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
     except DomainError:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["SpectralDensity"]
@@ -32,14 +30,3 @@ class SpectralDensity:
             raise DomainError(f"coupling strength eta must be >= 0, got {self.eta}")
         if not (self.omega_c > 0.0):
             raise DomainError(f"cutoff omega_c must be > 0, got {self.omega_c}")
-
-    def evaluate(self, omega):
-        """Spectral weight J(omega) for omega >= 0 (scalar or array)."""
-        w = np.asarray(omega, dtype=float)
-        if np.any(w < 0.0):
-            raise DomainError("spectral density is defined for omega >= 0")
-        out = self.eta * w * np.exp(-w / self.omega_c)
-        if np.isscalar(omega) or w.ndim == 0:
-            return float(out)
-        return out
-

@@ -20,6 +20,14 @@ from qubit_thermometry.dynamics import Trajectory, rhs
 from qubit_thermometry.errors import DomainError
 
 
+def spectral_density(sd, omega):
+    """Ohmic J(omega) = eta omega exp(-omega/omega_c) of ``sd``; a float for
+    a scalar omega, else an array."""
+    w = np.asarray(omega, dtype=float)
+    out = sd.eta * w * np.exp(-w / sd.omega_c)
+    return float(out) if w.ndim == 0 else out
+
+
 def riemann_kernel(name, eta, omega_c, eps, T, t, n=2_000_000, wmax=80.0):
     """Midpoint Riemann sum of the raw kernel integrand."""
     w = (np.arange(n) + 0.5) * (wmax / n)

@@ -144,7 +144,7 @@ def fig2_table(sd, sk_fig2):
     for a in np.linspace(0.0, 1.0, 21):
         cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
                           t_end=50.0, dt=0.01)
-        table[float(a)] = metrology_scan(integrate(cfg, sk_fig2.base), (1.0, 50.0), sk_fig2)
+        table[float(a)] = metrology_scan(integrate(cfg, sk_fig2), (1.0, 50.0), sk_fig2)
     return table
 
 
@@ -164,7 +164,7 @@ def fig2_long_qfi(sd, sk_fig2_long):
     for a in alphas:
         cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
                           t_end=100.0, dt=0.01)
-        traj = integrate(cfg, sk_fig2_long.base)
+        traj = integrate(cfg, sk_fig2_long)
         qfi_100.append(metrology_scan(traj, (100.0,), sk_fig2_long)[0].qfi)
     return alphas, qfi_100
 
@@ -213,8 +213,8 @@ def fig3_table(sd, quad):
     for T in temps:
         cfg = ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd,
                           t_end=1.0, dt=0.01)
-        sk = stencil_kernel_sets(cfg, quad=quad)
-        rows.append(metrology_scan(integrate(cfg, sk.base), (1.0,), sk)[0])
+        ks = stencil_kernel_sets(cfg, quad=quad)
+        rows.append(metrology_scan(integrate(cfg, ks), (1.0,), ks)[0])
     return temps, rows
 
 

@@ -16,6 +16,7 @@ from qubit_thermometry import (
     integrate,
     rhs,
 )
+from qubit_thermometry.cli import main
 from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.kernels import precompute
 from qubit_thermometry.witness import coherence
@@ -251,9 +252,10 @@ def test_oracle_gamma_against_scipy(sd):
 def test_trajectory_csv(tmp_path, sd, ks_short):
     cfg = _probe(sd, alpha=0.5)
     traj = integrate(cfg, ks_short)
-    path = tmp_path / "trajectory.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
+    # the trajectory command at the defaults (eps=0.5, T=0.2, eta=0.05, alpha=0.5)
+    assert main(["trajectory", "--t-end", "10", "--dt", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,dx,dy,dz"
     assert len(lines) == len(traj.grid) + 1
     row = lines[1].split(",")

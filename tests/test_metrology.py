@@ -18,6 +18,7 @@ from qubit_thermometry import (
     qcrb,
     qfi,
 )
+from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.metrology import (
     MetrologyResult,
     bloch_T_derivative,
@@ -128,9 +129,8 @@ def test_metrology_result_invariants():
     with pytest.raises(NumericError):
         MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
                         qcrb=1.0, markov_fisher=0.0)
-    r = MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
-                        qcrb=0.5, markov_fisher=0.3)
-    assert "0.5" in r.csv_row()
+    MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
+                    qcrb=0.5, markov_fisher=0.3)  # consistent: accepted
 
 
 # -- temperature derivative -----------------------------------------------------------
@@ -138,15 +138,15 @@ def test_metrology_result_invariants():
 def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
-    sk = stencil_kernel_sets(cfg)
-    d = bloch_T_derivative(cfg, sk)[integrate(cfg, sk.base).index_of(1.0)]
+    ks = stencil_kernel_sets(cfg)
+    d = bloch_T_derivative(cfg, ks)[integrate(cfg, ks).index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
 
 def test_derivative_grid_and_temperature_guards(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
-        integrate(cfg, stencil_kernel_sets(cfg).base).index_of(0.005)  # off the grid
+        integrate(cfg, stencil_kernel_sets(cfg)).index_of(0.005)  # off the grid
     cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
         stencil_kernel_sets(cfg0)
@@ -156,8 +156,8 @@ def test_derivative_against_richardson_oracle(sd, quad):
     # independent route: coarser step delta' = 1e-5 T, two central differences
     # Richardson-combined; both must agree to 1e-4 relative
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=20.0, dt=0.01)
-    sk = stencil_kernel_sets(cfg, quad=quad)
-    deriv = bloch_T_derivative(cfg, sk)
+    ks = stencil_kernel_sets(cfg, quad=quad)
+    deriv = bloch_T_derivative(cfg, ks)
 
     from qubit_thermometry import integrate, precompute
 
@@ -189,7 +189,7 @@ def test_stencil_raises_quadrature_error(sd):
 
 def test_metrology_scan_structure(sd, sk_fig2):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=50.0, dt=0.01)
-    results = metrology_scan(integrate(cfg, sk_fig2.base), (0.0, 1.0, 20.0), sk_fig2)
+    results = metrology_scan(integrate(cfg, sk_fig2), (0.0, 1.0, 20.0), sk_fig2)
     assert [r.t for r in results] == [0.0, 1.0, 20.0]
     assert results[0].qfi == 0.0  # initial state carries no information yet
     assert results[0].qcrb == math.inf
@@ -202,11 +202,19 @@ def test_metrology_scan_structure(sd, sk_fig2):
 
 def test_metrology_scan_rejects_trajectory_of_other_kernels(sd, sk_fig2):
     # a trajectory at a shifted temperature would pair D(T + d) with dD/dT at T
-    other = ProbeConfig(epsilon=0.5, alpha=0.5, T=sk_fig2.temps[2], sd=sd,
+    other = ProbeConfig(epsilon=0.5, alpha=0.5, T=sk_fig2.shifted[2].params.T, sd=sd,
                         t_end=50.0, dt=0.01)
     traj = integrate(other, sk_fig2.shifted[2])
     with pytest.raises(ConfigurationError):
         metrology_scan(traj, (1.0,), sk_fig2)
+
+
+def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
+    # a plain kernel set carries no temperature-shifted sets to differentiate
+    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
+    ks = kernels_for(cfg)
+    with pytest.raises(ConfigurationError):
+        metrology_scan(integrate(cfg, ks), (1.0,), ks)
 
 
 def test_loglog_slope():
