@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""sha256 digests of the figure outputs and of the kernel arrays.
+
+    python scripts/output_digest.py [--src DIR] > digest.txt
+
+Prints one ``<sha256>  <name>`` line per item:
+
+* every CSV and SVG that ``reproduce fig1|fig2|fig3 --dt 0.05`` writes at
+  ``--workers 1`` and ``2`` (each run in a fresh subprocess, into a
+  temporary directory that is removed afterwards);
+* every kernel array of the temperature-stencil bundle (the base set, its
+  four shifted sets and the refinement levels, grid and midpoints) at the
+  headline eps = 0.5, eta = 0.05, dt = 0.05, for T in {0.2, 0.02, 0.01},
+  workers in {1, 2, 4} and t_end in {20, 50, 200}.
+
+Arrays are hashed as raw float64/int64 bytes, so two checkouts agree line
+for line exactly when every output is byte-identical and every kernel value
+is equal to 0 ulp: ``diff`` the digests of both.  ``--src`` points at the
+``src`` directory of the checkout to digest (default: this one's), which
+lets this script digest a checkout that predates it.  Takes a few minutes
+on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+FIGURES = ("fig1", "fig2", "fig3")
+FIG_WORKERS = (1, 2)
+TEMPERATURES = (0.2, 0.02, 0.01)
+KERNEL_WORKERS = (1, 2, 4)
+T_ENDS = (20.0, 50.0, 200.0)
+DT = 0.05
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def figure_digests(src: str):
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fig in FIGURES:
+            for w in FIG_WORKERS:
+                out = os.path.join(tmp, f"{fig}_w{w}")
+                subprocess.run([sys.executable, "-m", "qubit_thermometry.cli", "reproduce",
+                                fig, "--dt", str(DT), "--workers", str(w), "--out", out],
+                               env=env, check=True, stdout=subprocess.DEVNULL)
+                for name in sorted(os.listdir(out)):
+                    if name.endswith((".csv", ".svg")):
+                        with open(os.path.join(out, name), "rb") as fh:
+                            yield _sha(fh.read()), f"{fig}/w{w}/{name}"
+
+
+def kernel_digests(src: str):
+    sys.path.insert(0, src)
+    from qubit_thermometry import ProbeConfig, SpectralDensity
+    from qubit_thermometry.metrology import stencil_kernel_sets
+
+    sd = SpectralDensity(eta=0.05, omega_c=1.0)
+    for T in TEMPERATURES:
+        for t_end in T_ENDS:
+            cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=t_end, dt=DT)
+            for w in KERNEL_WORKERS:
+                ks = stencil_kernel_sets(cfg, workers=w)
+                tag = f"T={T:g}/t_end={t_end:g}/w{w}"
+                yield _sha(ks.levels.tobytes()), f"{tag}/levels"
+                yield _sha(ks.half_levels.tobytes()), f"{tag}/half_levels"
+                for j, s in enumerate((ks, *ks.shifted)):
+                    for name, arr in s.values.items():
+                        yield _sha(arr.tobytes()), f"{tag}/set{j}/{name}"
+                    for name, arr in s.half_values.items():
+                        yield _sha(arr.tobytes()), f"{tag}/set{j}/half_{name}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="src directory of the checkout to digest")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    for digest, name in figure_digests(src):
+        print(f"{digest}  {name}", flush=True)
+    for digest, name in kernel_digests(src):
+        print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

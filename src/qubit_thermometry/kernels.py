@@ -37,9 +37,13 @@ few scalars per time and multiplied by the panel's smooth-factor mass, and
 t-independent smooth factors.  If any kernel misses its tolerance the whole
 mesh is bisected and the point re-evaluated (budget: 6 halvings).
 
-R, K, X can also be reduced at extra temperatures in the same pass, reusing
-each time point's trigonometric arrays and accepted mesh, so the shifted
+An engine can also carry extra temperatures, fixed when it is built: R, K, X
+at each of them are reduced in the same pass, against the same trigonometric
+arrays and on the mesh accepted at the base temperature, so the shifted
 kernels are smooth in T (as a finite-difference temperature stencil needs).
+Each band stacks its node coefficients, for every temperature, into one
+matrix paired with sin(t w) and one paired with cos(t w); each is reduced in
+cache-sized blocks of time rows, every entry a fixed-order length-N sum.
 """
 
 from __future__ import annotations
@@ -77,9 +81,12 @@ _PROJ = np.stack([
 
 _OSC_INFLATE = 8.0        # modulation allowance on the pure-oscillation error
 _MAX_HALVINGS = 6
-# times x nodes per chunk: 2 MB per (nt, N) array, so the t*w, sin and cos
-# work arrays of one thread take ~6 MB
+# times x nodes per chunk: 2 MB per (nt, N) array, so the sin and cos work
+# arrays of one thread take ~4 MB
 _CHUNK_ELEMENTS = 262_144
+# time rows x coefficient rows x nodes per stacked reduction: the products
+# go through a 256 kB buffer that stays in cache (at least one time row)
+_ROW_BLOCK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,11 @@ class KernelSet:
     at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
     record the mesh-refinement depth used per time.  ``shifted`` holds one set
     per extra temperature requested from ``precompute``: its R, K, X were
-    evaluated on this set's mesh, and its L, F, G are this set's arrays.  A
-    set from ``metrology.stencil_kernel_sets`` is the temperature-stencil
-    bundle: its four shifted sets sit at T-2d, T-d, T+d, T+2d.
+    reduced in the same pass and on this set's mesh, and its L, F, G are this
+    set's arrays.  Adding temperatures never changes this set's values or
+    levels.  A set from ``metrology.stencil_kernel_sets`` is the
+    temperature-stencil bundle: its four shifted sets sit at T-2d, T-d, T+d,
+    T+2d.
     """
 
     grid: np.ndarray
@@ -171,23 +180,39 @@ def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
     return coth
 
 
-def _sum_nodes(vec: np.ndarray, trig: np.ndarray, buf: np.ndarray = None) -> np.ndarray:
-    # (N,) x (nt, N) -> (nt,), the product going through ``buf`` when given;
-    # reduction order along the node axis is fixed, so results do not depend
-    # on how times are batched.
-    return np.multiply(vec, trig, out=buf).sum(axis=1)
+def _sum_nodes(vec: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    # (N,) x (nt, N) -> (nt,); reduction order along the node axis is fixed,
+    # so results do not depend on how times are batched.
+    return (vec * trig).sum(axis=1)
+
+
+def _reduce_rows(trig: np.ndarray, rows: np.ndarray, out: np.ndarray, buf: np.ndarray):
+    """out[i, r] = sum_j rows[r, j] * trig[i, j] for (nt, N) ``trig`` and
+    (m, N) ``rows``, a block of time rows at a time through the flat
+    ``buf``; each entry is the same length-N sum as ``_sum_nodes`` gives."""
+    m, n = rows.shape
+    k = max(1, _ROW_BLOCK_ELEMENTS // (m * n))
+    for lo in range(0, trig.shape[0], k):
+        blk = trig[lo:lo + k, None, :]
+        prod = buf[:blk.shape[0] * m * n].reshape(blk.shape[0], m, n)
+        np.multiply(blk, rows[None], out=prod).sum(axis=2, out=out[lo:lo + k])
 
 
 class _Band:
-    """Node set and folded coefficient data for one mesh-refinement level."""
+    """Node set and folded coefficient data for one mesh-refinement level.
+
+    ``rows_S`` holds the node coefficients reduced against sin(t w): R and the
+    K/X cross term Q at each engine temperature (base first), then G.
+    ``rows_C`` holds those reduced against cos(t w): the K/X term P at each
+    temperature, then L and F.
+    """
 
     __slots__ = (
-        "n_panels", "omega", "wq", "E", "i2_sum", "i2_dif", "p_idx", "th",
-        "vL", "vF", "vG", "const_L", "const_F",
+        "omega", "rows_S", "rows_C", "const_X", "const_L", "const_F",
         "class_h", "mass_L", "mass_KX", "mass_FG",
         "mass_R_inv", "mass_R_flat",
         "stat_L", "stat_KX", "stat_FG", "stat_R_inv", "stat_R_flat",
-        "p_wq", "p_jtil", "p_vm", "p_vp", "p_hmax",
+        "p_wq", "p_jtil", "p_btil", "p_vm", "p_vp", "p_hmax",
     )
 
 
@@ -227,15 +252,20 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 class _KernelEngine:
     """Evaluates the six kernels at arbitrary times for one (params, quad)
-    pair, caching per-band geometry."""
+    pair, and R, K, X at each of the extra temperatures ``temps``, caching
+    per-band geometry and coefficients."""
 
-    def __init__(self, params: KernelParams, quad: QuadratureConfig):
+    def __init__(self, params: KernelParams, quad: QuadratureConfig, temps=()):
         self.params = params
         self.quad = quad
         self.omega_c = params.sd.omega_c
         self.eta = params.sd.eta
         self.eps = params.epsilon
         self.T = params.T
+        self.temps = tuple(float(T) for T in temps)
+        for T in self.temps:
+            if not (T > 0.0):
+                raise DomainError(f"shifted temperature must be > 0, got {T}")
         self.w0 = self.omega_c / 4.0
         self.w_near = max(quad.resonance_guard, self.omega_c / 16.0)
         self._bands: dict = {}
@@ -301,8 +331,6 @@ class _KernelEngine:
         wq = (halfw[:, None] * _GL_W[None, :]).ravel()
 
         E = self.eta * np.exp(-omega / self.omega_c)
-        coth = _thermal_weight(omega, self.T, self.omega_c)
-        btil = E * omega * coth          # J * coth
         jtil = E * omega                 # J
         eps = self.eps
         vm = eps - omega
@@ -317,28 +345,26 @@ class _KernelEngine:
         i2vp = np.zeros_like(omega)
         i2vm[main] = 1.0 / (2.0 * vm[main])
         i2vp[main] = 1.0 / (2.0 * vp[main])
+        i2_sum = i2vm + i2vp
+        i2_dif = i2vp - i2vm
+        idx = np.nonzero(patch_node)[0]
 
         b = _Band()
-        b.n_panels = P
         b.omega = omega
-        b.wq = wq
-        b.E = E
-        b.i2_sum = i2vm + i2vp
-        b.i2_dif = i2vp - i2vm
-        b.p_idx = np.nonzero(patch_node)[0]
-        b.th = self._thermal(b, self.T)
-
+        # (E*coth, J*coth) at the base temperature, then at each of ``temps``
+        th = [self._thermal(omega, E, T) for T in (self.T,) + self.temps]
+        btil = th[0][1]                  # J * coth at T
         sL = E
-        sP = btil * b.i2_sum
-        sQ = btil * b.i2_dif
+        sP = btil * i2_sum
+        sQ = btil * i2_dif
         sF = jtil * (i2vm - i2vp)
-        sG = jtil * b.i2_sum
-        b.vL = wq * sL
-        b.vF = wq * sF
-        b.vG = wq * sG
-        ones = np.ones((1, omega.size))
-        b.const_L = float(_sum_nodes(b.vL, ones)[0])
-        b.const_F = -float(_sum_nodes(b.vF, ones)[0])
+        sG = jtil * i2_sum
+        b.rows_S = np.stack([v for r, bt in th for v in (wq * r, wq * (bt * i2_dif))]
+                            + [wq * sG])
+        b.rows_C = np.stack([wq * (bt * i2_sum) for _, bt in th] + [wq * sL, wq * sF])
+        *b.const_X, b.const_L, sum_F = (float(c) for c in b.rows_C.sum(axis=1))
+        b.const_F = -sum_F
+        b.p_btil = [bt[idx] for _, bt in th]
 
         # per-panel Legendre projections of the smooth factors -> oscillation
         # masses per width class and static truncation terms
@@ -376,7 +402,6 @@ class _KernelEngine:
         b.mass_KX, b.stat_KX = mP + mQ, sPst + sQst
         b.mass_FG, b.stat_FG = mF + mG, sFst + sGst
 
-        idx = b.p_idx
         b.p_wq = wq[idx]
         b.p_jtil = jtil[idx]
         b.p_vm = vm[idx]
@@ -386,15 +411,11 @@ class _KernelEngine:
         self._bands[k] = b
         return b
 
-    def _thermal(self, band: _Band, T: float) -> tuple:
-        """(vR, vP, vQ, const_X, p_btil): the coefficients of R, K, X on
-        ``band`` with the occupation factor at T; p_btil = J*coth on the
-        resonance-window nodes."""
-        coth = _thermal_weight(band.omega, T, self.omega_c)
-        btil = band.E * band.omega * coth
-        vP = band.wq * (btil * band.i2_sum)
-        return (band.wq * (band.E * coth), vP, band.wq * (btil * band.i2_dif),
-                float(_sum_nodes(vP, np.ones((1, vP.size)))[0]), btil[band.p_idx])
+    def _thermal(self, omega: np.ndarray, E: np.ndarray, T: float) -> tuple:
+        """(E*coth, J*coth) on the nodes ``omega`` with the occupation factor
+        at T: the smooth factors of R and of the K/X terms."""
+        coth = _thermal_weight(omega, T, self.omega_c)
+        return E * coth, E * omega * coth
 
     # -- per-chunk evaluation ----------------------------------------------------
 
@@ -414,25 +435,25 @@ class _KernelEngine:
             h = np.where(small, hs, h)
         return g, h
 
-    def _eval_chunk(self, band: _Band, ts: np.ndarray, shifted, work):
+    def _eval_chunk(self, band: _Band, ts: np.ndarray, work):
         """(sets, errs, bad) for times sharing one band: ``sets`` holds the
-        six kernel values, then R, K, X for each ``_thermal`` tuple in
-        ``shifted``; ``errs`` the error estimates; ``bad`` the rejected rows.
+        six kernel values, then R, K, X at each of ``temps``; ``errs`` the
+        error estimates; ``bad`` the rejected rows.
 
-        ``work`` holds three flat arrays of at least ts.size * N elements that
-        receive t*w, sin(t w) and cos(t w).  The shifted kernels reuse these
-        trigonometric arrays; they are reduced only when some row is accepted
-        at this level.
+        ``work`` holds two flat arrays of at least ts.size * N elements that
+        receive sin(t w) and cos(t w) (t*w is written into the cos array
+        first), and the flat product buffer of the stacked reductions, of at
+        least max(_ROW_BLOCK_ELEMENTS, rows_S.size) elements.
         """
         shape = (ts.size, band.omega.size)
-        tw, S, C = (w[:math.prod(shape)].reshape(shape) for w in work)
-        np.multiply(ts[:, None], band.omega[None, :], out=tw)
-        np.sin(tw, out=S)
-        np.cos(tw, out=C)
-        # tw is spent: reuse it for every node product of this chunk rather
-        # than allocating a fresh (nt, N) temporary per reduction, which
-        # fragments the heap and raised peak memory by ~12 MB on fig2
-        buf = tw
+        S, C = (w[:math.prod(shape)].reshape(shape) for w in work[:2])
+        np.multiply(ts[:, None], band.omega[None, :], out=C)
+        np.sin(C, out=S)
+        np.cos(C, out=C)
+        red_S = np.empty((ts.size, len(band.rows_S)))
+        red_C = np.empty((ts.size, len(band.rows_C)))
+        _reduce_rows(S, band.rows_S, red_S, work[2])
+        _reduce_rows(C, band.rows_C, red_C, work[2])
         st = np.sin(self.eps * ts)
         ct = np.cos(self.eps * ts)
         # resonance-window factors: of J*coth for K, X and of J for F, G
@@ -446,23 +467,22 @@ class _KernelEngine:
             p_th = {"K": gm + gp, "X": hm + hp}
             p_j = {"F": hp - hm, "G": gm - gp}
 
-        def thermal(th):
-            vR, vP, vQ, const_X, p_btil = th
-            rP = _sum_nodes(vP, C, buf)
-            rQ = _sum_nodes(vQ, S, buf)
-            vals = {"R": _sum_nodes(vR, S, buf),
+        sets, pieces = [], {}
+        for j, const_X in enumerate(band.const_X):
+            rP, rQ = red_C[:, j], red_S[:, 2 * j + 1]
+            vals = {"R": red_S[:, 2 * j],
                     "K": st * rP + ct * rQ,
                     "X": const_X - ct * rP + st * rQ}
-            pieces = {}
             for name, fac in p_th.items():
-                pieces[name] = f = p_btil * fac
+                f = band.p_btil[j] * fac
                 vals[name] = vals[name] + _sum_nodes(band.p_wq, f)
-            return vals, pieces
-
-        vals, pieces = thermal(band.th)
-        vals["L"] = band.const_L - _sum_nodes(band.vL, C, buf)
-        rF = _sum_nodes(band.vF, C, buf)
-        rG = _sum_nodes(band.vG, S, buf)
+                if j == 0:
+                    pieces[name] = f
+            sets.append(vals)
+        vals = sets[0]
+        nT = len(band.const_X)
+        vals["L"] = band.const_L - red_C[:, nT]
+        rF, rG = red_C[:, nT + 1], red_S[:, 2 * nT]
         vals["F"] = band.const_F + ct * rF + st * rG
         vals["G"] = st * rF - ct * rG
         for name, fac in p_j.items():
@@ -495,37 +515,33 @@ class _KernelEngine:
                 err = err + p_err * (band.p_wq * np.abs(pieces[name])).sum(axis=1)
             errs[name] = err
             bad |= err > np.maximum(q.abs_tol, q.rel_tol * np.abs(vals[name]))
-        sets = [vals] + ([thermal(th)[0] for th in shifted] if not bad.all() else [])
         return sets, errs, bad
 
     # -- public evaluation ---------------------------------------------------------
 
-    def evaluate(self, ts, temps=()):
+    def evaluate(self, ts):
         """Evaluate at times ``ts``, bisecting the mesh until every kernel
         meets its tolerance.
 
         Returns (sets, levels): ``sets[0]`` maps each kernel to an array over
         ts, and ``sets[1 + j]`` maps R, K, X to arrays at ``temps[j]``,
         evaluated on the mesh accepted at the base temperature; ``levels``
-        records the refinement depth used.
+        records the refinement depth used.  Each value is a fixed-order sum
+        over the nodes of its band, so it does not depend on which other
+        times or temperatures share the call.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0.0)):
             raise DomainError("kernel times must be finite and >= 0")
-        for T in temps:
-            if not (T > 0.0):
-                raise DomainError(f"shifted temperature must be > 0, got {T}")
         out = [{n: np.empty(ts.shape) for n in names}
-               for names in (KERNEL_NAMES,) + (THERMAL_KERNELS,) * len(temps)]
+               for names in (KERNEL_NAMES,) + (THERMAL_KERNELS,) * len(self.temps)]
         levels = np.zeros(ts.shape, dtype=np.int64)
         base_k = np.array([self._width_exponent(t) for t in ts.tolist()], dtype=np.int64)
         pending = np.arange(ts.size)
-        # per-band coefficients at ``temps``; released when this call returns
-        thermal = {}
-        # flat t*w, sin and cos arrays shared by every chunk of this call.
-        # Fresh arrays per chunk go back to the system and are faulted in
-        # again: a t_end = 200 precompute on two threads took 38x the minor
-        # page faults and 1.8 s of system time that way.
+        # flat sin and cos arrays and the product buffer, shared by every
+        # chunk of this call.  Fresh arrays per chunk go back to the system
+        # and are faulted in again: a t_end = 200 precompute on two threads
+        # took 38x the minor page faults and 1.8 s of system time that way.
         work = []
 
         while pending.size:
@@ -534,17 +550,18 @@ class _KernelEngine:
             for k in np.unique(keys):
                 idx = pending[keys == k]
                 band = self._band(int(k))
-                if temps and k not in thermal:
-                    thermal[k] = [self._thermal(band, T) for T in temps]
-                chunk = max(1, _CHUNK_ELEMENTS // len(band.omega))
+                nodes = len(band.omega)
+                chunk = max(1, _CHUNK_ELEMENTS // nodes)
                 for lo in range(0, idx.size, chunk):
                     sel = idx[lo:lo + chunk]
                     tsel = ts[sel]
-                    need = sel.size * len(band.omega)
-                    if not work or work[0].size < need:
-                        work = [np.empty(max(need, _CHUNK_ELEMENTS)) for _ in range(3)]
-                    sets, errs, bad = self._eval_chunk(
-                        band, tsel, thermal.get(k, ()), work)
+                    need = sel.size * nodes
+                    row = len(band.rows_S) * nodes
+                    if not work or work[0].size < need or work[2].size < row:
+                        trig = max(need, _CHUNK_ELEMENTS)
+                        work = [np.empty(trig), np.empty(trig),
+                                np.empty(max(row, _ROW_BLOCK_ELEMENTS))]
+                    sets, errs, bad = self._eval_chunk(band, tsel, work)
                     good = ~bad
                     for dst, src in zip(out, sets):
                         for n, arr in dst.items():
@@ -607,23 +624,25 @@ def precompute(params: KernelParams, t_end: float, dt: float,
     ``workers`` > 1 splits the time axis across threads (numpy releases the
     GIL); the output does not depend on the worker count.
 
-    For each temperature in ``shifted_T`` the same pass also evaluates R, K, X
-    with coth at that temperature on the mesh accepted at ``params.T``; these
-    sets are returned in ``KernelSet.shifted``, sharing L, F, G and the levels
-    with the base set.  Freezing the mesh keeps the kernels smooth in T, which
-    the finite-difference temperature stencil relies on.
+    For each temperature in ``shifted_T`` (all > 0) the same pass also
+    evaluates R, K, X with coth at that temperature on the mesh accepted at
+    ``params.T``: their node coefficients are stacked with the base ones, so
+    each trigonometric array is reduced once for all temperatures.  These sets
+    are returned in ``KernelSet.shifted``, sharing L, F, G and the levels with
+    the base set, whose values do not depend on ``shifted_T``.  Freezing the
+    mesh keeps the kernels smooth in T, which the finite-difference
+    temperature stencil relies on.
     """
     grid = _uniform_grid(t_end, dt)
     # grid points and midpoints interleaved, evaluated in one pass
     ts = np.empty(2 * grid.size - 1)
     ts[0::2] = grid
     ts[1::2] = grid[:-1] + 0.5 * dt
-    eng = _KernelEngine(params, quad)
-    temps = tuple(float(T) for T in shifted_T)
+    eng = _KernelEngine(params, quad, shifted_T)
     threads = workers if workers and workers > 1 and grid.size > 64 else 1
     n_parts = 1 if threads == 1 else min(threads * 8, ts.size)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix], temps),
+        sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix]),
                                            np.array_split(np.arange(ts.size), n_parts))))
     grid.flags.writeable = False
     on_grid, on_half = slice(0, None, 2), slice(1, None, 2)
@@ -640,4 +659,4 @@ def precompute(params: KernelParams, t_end: float, dt: float,
     return kernel_set(params, g_vals, m_vals, tuple(
         kernel_set(KernelParams(sd=params.sd, epsilon=params.epsilon, T=T),
                    {**g_vals, **gs}, {**m_vals, **ms})
-        for T, (gs, ms) in zip(temps, shifted)))
+        for T, (gs, ms) in zip(eng.temps, shifted)))

@@ -159,7 +159,8 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     """Born-Markov steady-state benchmark: (Fisher value, minimal dT^2).
 
     F_BM = eps^2 e^{-eps/T} / (2 T^4) and dT^2_min = 2 T^4 e^{eps/T} /
-    (M eps^2); undefined for a gapless probe.
+    (M eps^2); undefined for a gapless probe.  Where eps^2 underflows to 0
+    or e^{eps/T} overflows, F_BM is (nearly) 0 and the bound is infinite.
     """
     if epsilon <= 0.0:
         raise DomainError("the Markovian benchmark is undefined at epsilon = 0")
@@ -168,7 +169,10 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     if shots < 1:
         raise DomainError(f"shot count must be >= 1, got {shots}")
     fisher = epsilon**2 * math.exp(-epsilon / T) / (2.0 * T**4)
-    bound = 2.0 * T**4 * math.exp(epsilon / T) / (shots * epsilon**2)
+    try:
+        bound = 2.0 * T**4 * math.exp(epsilon / T) / (shots * epsilon**2)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
     return fisher, bound
 
 

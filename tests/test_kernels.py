@@ -354,19 +354,34 @@ def test_shifted_sets_independent_of_worker_count(params, quad):
 
 
 def test_chunk_size_does_not_change_values(params, quad, monkeypatch):
-    # one time row per chunk against the default chunking, 0 ulp
+    # one time row per chunk, then one time row per stacked reduction block,
+    # against the default blocking, 0 ulp
     temps = _stencil_temps(params.T)
     a = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
-    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 1)
-    b = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
     assert a.levels.max() > 0 and a.half_levels.max() > 0  # refined rows covered
-    assert np.array_equal(a.levels, b.levels)
-    assert np.array_equal(a.half_levels, b.half_levels)
-    for sa, sb in zip((a, *a.shifted), (b, *b.shifted)):
-        assert sa.params == sb.params
-        for name in KERNEL_NAMES:
-            assert np.array_equal(sa.values[name], sb.values[name])
-            assert np.array_equal(sa.half_values[name], sb.half_values[name])
+    for constant in ("_CHUNK_ELEMENTS", "_ROW_BLOCK_ELEMENTS"):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, constant, 1)
+            b = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
+        assert np.array_equal(a.levels, b.levels)
+        assert np.array_equal(a.half_levels, b.half_levels)
+        for sa, sb in zip((a, *a.shifted), (b, *b.shifted)):
+            assert sa.params == sb.params
+            for name in KERNEL_NAMES:
+                assert np.array_equal(sa.values[name], sb.values[name])
+                assert np.array_equal(sa.half_values[name], sb.half_values[name])
+
+
+def test_base_set_independent_of_shifted_temperatures(params, quad):
+    # stacking the shifted rows into the reductions never changes a base sum
+    plain = precompute(params, 10.0, 0.01, quad)
+    stencil = precompute(params, 10.0, 0.01, quad, shifted_T=_stencil_temps(params.T))
+    assert plain.levels.max() > 0 and plain.half_levels.max() > 0  # refined rows covered
+    assert np.array_equal(plain.levels, stencil.levels)
+    assert np.array_equal(plain.half_levels, stencil.half_levels)
+    for name in KERNEL_NAMES:
+        assert np.array_equal(plain.values[name], stencil.values[name])
+        assert np.array_equal(plain.half_values[name], stencil.half_values[name])
 
 
 def test_shifted_value_independent_of_companion_temperatures(params, quad):

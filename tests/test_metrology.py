@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qubit_thermometry import (
+    KERNEL_NAMES,
     ConfigurationError,
     DomainError,
     NumericError,
@@ -14,11 +16,12 @@ from qubit_thermometry import (
     SpectralDensity,
     cfi,
     integrate,
+    kernels_at,
     markov_comparator,
     qcrb,
     qfi,
 )
-from qubit_thermometry.dynamics import kernels_for
+from qubit_thermometry.dynamics import PHYSICALITY_SLACK, kernels_for
 from qubit_thermometry.metrology import (
     MetrologyResult,
     bloch_T_derivative,
@@ -116,6 +119,9 @@ def test_markov_comparator():
     assert fisher == pytest.approx(1.0 / bound, rel=1e-12)
     # exponential suppression toward T = 0
     assert markov_comparator(0.5, 0.01)[0] < 1e-14
+    # eps^2 underflowing, and eps/T beyond exp's range: no information, no crash
+    assert markov_comparator(5e-324, 0.5) == (0.0, math.inf)
+    assert markov_comparator(2.0, 1e-3) == (0.0, math.inf)
     with pytest.raises(DomainError):
         markov_comparator(0.0, 0.2)
     with pytest.raises(DomainError):
@@ -215,6 +221,28 @@ def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
     ks = kernels_for(cfg)
     with pytest.raises(ConfigurationError):
         metrology_scan(integrate(cfg, ks), (1.0,), ks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.floats(0.0, 2.0), T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1),
+       alpha=st.floats(0.0, 1.0), steps=st.integers(3, 40))
+def test_stencil_pipeline_properties(eps, T, eta, alpha, steps):
+    # across the validated envelope at short horizons: every stencil
+    # trajectory stays in the unit ball, no measurement beats the QFI, and
+    # the batched stencil set equals direct kernel calls to 0 ulp
+    cfg = ProbeConfig(epsilon=eps, alpha=alpha, T=T, sd=SpectralDensity(eta=eta),
+                      t_end=steps * 0.05, dt=0.05)
+    ks = stencil_kernel_sets(cfg)
+    base = integrate(cfg, ks)
+    for traj in (base, *(integrate(replace(cfg, T=s.params.T), s) for s in ks.shifted)):
+        assert np.max(np.sum(traj.states**2, axis=1)) <= 1.0 + PHYSICALITY_SLACK
+    idx = (steps // 3, (2 * steps) // 3, steps)
+    for i, r in zip(idx, metrology_scan(base, [ks.grid[i] for i in idx], ks)):
+        assert r.cfi_x <= r.qfi * (1 + 1e-8)
+        assert r.cfi_z <= r.qfi * (1 + 1e-8)
+        direct = kernels_at(ks.params, float(ks.grid[i]))
+        for name in KERNEL_NAMES:
+            assert direct[name] == ks.values[name][i]
 
 
 def test_loglog_slope():
