@@ -12,7 +12,6 @@ from .kernels import (
     KERNEL_NAMES,
     KernelParams,
     KernelSet,
-    QuadratureConfig,
     kernels_at,
     precompute,
 )

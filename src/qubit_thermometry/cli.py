@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import ProbeConfig, integrate, kernels_for
 from .errors import ConfigurationError
-from .kernels import KERNEL_NAMES, QuadratureConfig, precompute
+from .kernels import KERNEL_NAMES, precompute
 from .metrology import (
     loglog_slope,
     markov_comparator,
@@ -63,13 +63,6 @@ class RunConfig:
     temp_log: bool = True
     times: tuple = (1.0, 5.0, 20.0, 50.0)
     window_frac: float = 0.2
-    conv_tol: float = 1e-4
-    rise_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    omega_max_factor: float = 60.0
-    panels_per_oscillation: int = 4
-    resonance_guard: float = 1e-4
     slope_fit_tmax: float = 0.05
     out_dir: str = "."
     workers: int = 1
@@ -90,14 +83,6 @@ class RunConfig:
     @property
     def sd(self) -> SpectralDensity:
         return SpectralDensity(eta=self.eta, omega_c=self.omega_c)
-
-    @property
-    def quad(self) -> QuadratureConfig:
-        return QuadratureConfig(
-            rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-            omega_max_factor=self.omega_max_factor,
-            panels_per_oscillation=self.panels_per_oscillation,
-            resonance_guard=self.resonance_guard)
 
     def probe(self, alpha=None, T=None) -> ProbeConfig:
         return ProbeConfig(
@@ -174,6 +159,8 @@ def _write_csv(path, header, rows, footer_lines=()):
 
 def _check_times(cfg: RunConfig):
     for t in cfg.times:
+        if not (t >= 0.0):
+            raise ConfigurationError(f"probing time {t} must be >= 0")
         if t > cfg.t_end + 1e-9:
             raise ConfigurationError(f"probing time {t} lies beyond t_end={cfg.t_end}")
         i = round(t / cfg.dt)
@@ -190,9 +177,9 @@ def _alpha_task(cfg: RunConfig, ks, times, with_steady: bool, alpha: float):
     probe = cfg.probe(alpha=alpha)
     traj = integrate(probe, ks)
     C = coherence(traj)
-    n_c = non_markovianity(C, rise_tol=cfg.rise_tol)
+    n_c = non_markovianity(C)
     if with_steady:
-        steady, conv = steady_coherence(traj, cfg.window_frac, cfg.conv_tol)
+        steady, conv = steady_coherence(traj, cfg.window_frac)
     else:
         steady, conv = math.nan, False
     row = [alpha, n_c, steady, int(conv)]
@@ -203,7 +190,7 @@ def _alpha_task(cfg: RunConfig, ks, times, with_steady: bool, alpha: float):
 
 def _temp_task(cfg: RunConfig, times, T: float):
     probe = cfg.probe(T=T)
-    ks = stencil_kernel_sets(probe, cfg.quad)
+    ks = stencil_kernel_sets(probe)
     results = metrology_scan(integrate(probe, ks), times, ks)
     return [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
             for r in results]
@@ -225,7 +212,7 @@ def _run_tasks(task, points, workers: int) -> list:
 
 def cmd_trajectory(cfg: RunConfig) -> int:
     probe = cfg.probe()
-    ks = kernels_for(probe, cfg.quad, workers=cfg.workers)
+    ks = kernels_for(probe, workers=cfg.workers)
     traj = integrate(probe, ks)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"), "t,dx,dy,dz",
@@ -250,7 +237,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 
 def cmd_dump_kernels(cfg: RunConfig) -> int:
     params = cfg.probe().kernel_params
-    ks = precompute(params, cfg.t_end, cfg.dt, cfg.quad, workers=cfg.workers)
+    ks = precompute(params, cfg.t_end, cfg.dt, workers=cfg.workers)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "kernels.csv"), "t," + ",".join(KERNEL_NAMES),
                np.column_stack([ks.grid] + [ks.values[n] for n in KERNEL_NAMES]))
@@ -268,7 +255,7 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
     times = _check_times(cfg)
     if ks is None:
         build = stencil_kernel_sets if times else kernels_for
-        ks = build(cfg.probe(alpha=0.0), cfg.quad, workers=cfg.workers)
+        ks = build(cfg.probe(alpha=0.0), workers=cfg.workers)
     task = partial(_alpha_task, cfg, ks, times, _steady_window_ok(cfg))
     rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
     header = "alpha,N_C,steady_dx_abs,converged"
@@ -351,7 +338,7 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
         fig_cfg = replace(cfg, t_end=200.0, window_frac=0.65, times=(),
                           emit_svg=True)
         probe0 = fig_cfg.probe(alpha=0.0)
-        ks = kernels_for(probe0, fig_cfg.quad, workers=fig_cfg.workers)
+        ks = kernels_for(probe0, workers=fig_cfg.workers)
         rc = cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", ks=ks)
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
         for alpha in (0.0, 0.5, 1.0):

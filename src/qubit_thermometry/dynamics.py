@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError, NumericError
-from .kernels import KernelParams, KernelSet, QuadratureConfig, precompute
+from .kernels import KernelParams, KernelSet, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -217,8 +217,7 @@ def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
     return Trajectory(grid=grid, states=np.array(rows), config=cfg)
 
 
-def kernels_for(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
-                workers: int = None) -> KernelSet:
+def kernels_for(cfg: ProbeConfig, workers: int = None) -> KernelSet:
     """Precompute the kernel set matching ``cfg``'s grid and parameters."""
-    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers)
+    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, workers=workers)
 

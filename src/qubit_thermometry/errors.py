@@ -12,8 +12,7 @@ class ConfigurationError(ValueError):
 class QuadratureError(RuntimeError):
     """A frequency integral did not converge within the panel budget.
 
-    Carries the achieved error estimate so callers can decide whether to
-    retry with a finer configuration.
+    Carries the achieved error estimate, the kernel and the time.
     """
 
     def __init__(self, message, achieved_error=None, kernel=None, t=None):

@@ -20,12 +20,14 @@ with v = e - w or v = e + w, and both g and h are entire in v:
     K-factor = g(e-w) + g(e+w)        X-factor = h(e-w) + h(e+w)
     G-factor = g(e-w) - g(e+w)        F-factor = h(e+w) - h(e-w)
 
-Quadrature is composite 8-point Gauss-Legendre.  Panel width is capped by
-min(omega_c/4, (2 pi / t) / panels_per_oscillation), halved in quantized
-steps as t grows so any time can be re-evaluated bit-identically on its own;
-the first panel is geometrically refined below the thermal scale min(T,
-omega_c); a boundary is pinned at w = e; the exponential envelope bounds the
-neglected tail analytically.  Away from the resonance window the g/h factors
+Quadrature is composite 8-point Gauss-Legendre at one fixed configuration
+(the ``_REL_TOL`` ... ``_RESONANCE_GUARD`` constants below).  Panel width is
+capped by min(omega_c/4, (2 pi / t) / 4), four panels per oscillation, and
+halved in quantized steps as t grows so any time can be re-evaluated
+bit-identically on its own; the first panel is geometrically refined below
+the thermal scale min(T, omega_c); a boundary is pinned at w = e; the
+exponential envelope bounds the neglected tail analytically, and the range
+ends by 60 omega_c.  Away from the resonance window the g/h factors
 are assembled from sin(t w), cos(t w) by angle addition, so all six kernels
 share two trigonometric arrays per time point; panels inside the window
 evaluate g/h directly in series-guarded form.
@@ -59,7 +61,6 @@ from .spectral import SpectralDensity
 
 __all__ = [
     "KernelParams",
-    "QuadratureConfig",
     "KernelSet",
     "KERNEL_NAMES",
     "THERMAL_KERNELS",
@@ -79,6 +80,17 @@ _PROJ = np.stack([
     for k in range(8)
 ])
 
+# Per-kernel tolerance: err <= max(_ABS_TOL, _REL_TOL * |value|).
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+# Hard upper truncation of the frequency range, in units of omega_c.
+_OMEGA_MAX_FACTOR = 60.0
+# Minimum panels per period 2 pi / t of the integrand.
+_PANELS_PER_OSCILLATION = 4
+# Half-width around w = eps evaluated by the series-guarded direct path
+# (floored at omega_c/16 so the partial-fraction coefficients stay well
+# conditioned).
+_RESONANCE_GUARD = 1e-4
 _OSC_INFLATE = 8.0        # modulation allowance on the pure-oscillation error
 _MAX_HALVINGS = 6
 # times x nodes per chunk: 2 MB per (nt, N) array, so the sin and cos work
@@ -87,35 +99,6 @@ _CHUNK_ELEMENTS = 262_144
 # time rows x coefficient rows x nodes per stacked reduction: the products
 # go through a 256 kB buffer that stays in cache (at least one time row)
 _ROW_BLOCK_ELEMENTS = 32_768
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the frequency integrals.
-
-    rel_tol / abs_tol: per-kernel tolerance, err <= max(abs_tol, rel_tol*|value|).
-    omega_max_factor: hard upper truncation at omega_max_factor * omega_c.
-    panels_per_oscillation: minimum panels per period 2 pi / t of the integrand.
-    resonance_guard: half-width around w = eps evaluated by the series-guarded
-        direct path (floored internally at omega_c/16 so the partial-fraction
-        coefficients stay well conditioned).
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    omega_max_factor: float = 60.0
-    panels_per_oscillation: int = 4
-    resonance_guard: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
-        if not (self.omega_max_factor >= 10.0):
-            raise DomainError("omega_max_factor must be >= 10")
-        if not (self.panels_per_oscillation >= 2):
-            raise DomainError("panels_per_oscillation must be >= 2")
-        if not (self.resonance_guard > 0.0):
-            raise DomainError("resonance_guard must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,7 +135,6 @@ class KernelSet:
     values: dict
     half_values: dict
     params: KernelParams
-    quad: QuadratureConfig
     levels: np.ndarray = field(repr=False, default=None)
     half_levels: np.ndarray = field(repr=False, default=None)
     shifted: tuple = field(repr=False, default=())
@@ -251,13 +233,12 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 
 class _KernelEngine:
-    """Evaluates the six kernels at arbitrary times for one (params, quad)
-    pair, and R, K, X at each of the extra temperatures ``temps``, caching
-    per-band geometry and coefficients."""
+    """Evaluates the six kernels at arbitrary times for one ``params``, and
+    R, K, X at each of the extra temperatures ``temps``, caching per-band
+    geometry and coefficients."""
 
-    def __init__(self, params: KernelParams, quad: QuadratureConfig, temps=()):
+    def __init__(self, params: KernelParams, temps=()):
         self.params = params
-        self.quad = quad
         self.omega_c = params.sd.omega_c
         self.eta = params.sd.eta
         self.eps = params.epsilon
@@ -267,24 +248,24 @@ class _KernelEngine:
             if not (T > 0.0):
                 raise DomainError(f"shifted temperature must be > 0, got {T}")
         self.w0 = self.omega_c / 4.0
-        self.w_near = max(quad.resonance_guard, self.omega_c / 16.0)
+        self.w_near = max(_RESONANCE_GUARD, self.omega_c / 16.0)
         self._bands: dict = {}
         self._cut, self.tail_bound = self._choose_cut()
 
     # -- mesh geometry -------------------------------------------------------
 
     def _choose_cut(self):
-        """Truncation point a with analytic tail bound <= abs_tol/4.
+        """Truncation point a with analytic tail bound <= _ABS_TOL/4.
 
         Every integrand is bounded by 3 coth(a/2T) eta e^{-w/omega_c} for
         w >= a >= max(2 eps, 3 omega_c), which integrates to
         3 coth(a/2T) eta omega_c e^{-a/omega_c}.
         """
         oc = self.omega_c
-        w_max = self.quad.omega_max_factor * oc
+        w_max = _OMEGA_MAX_FACTOR * oc
         j_min = max(3, math.ceil(2.0 * self.eps / oc) + 1)
-        budget = 0.25 * self.quad.abs_tol
-        for j in range(j_min, int(self.quad.omega_max_factor) + 1):
+        budget = 0.25 * _ABS_TOL
+        for j in range(j_min, int(_OMEGA_MAX_FACTOR) + 1):
             a = j * oc
             coth_a = 1.0 if self.T == 0.0 else 1.0 / math.tanh(a / (2.0 * self.T))
             bound = 3.0 * coth_a * self.eta * oc * math.exp(-a / oc)
@@ -296,7 +277,7 @@ class _KernelEngine:
     def _width_exponent(self, t: float) -> int:
         if t <= 0.0:
             return 0
-        need = (2.0 * math.pi / t) / self.quad.panels_per_oscillation
+        need = (2.0 * math.pi / t) / _PANELS_PER_OSCILLATION
         if need >= self.w0:
             return 0
         return math.ceil(math.log2(self.w0 / need))
@@ -493,9 +474,8 @@ class _KernelEngine:
         # every basis function is bounded by min(1, t*w) on the range
         amp_t = np.minimum(1.0, ts * self._cut)
         p_err = _OSC_INFLATE * _osc_error(ts * band.p_hmax) if pieces else None
-        q = self.quad
         errs = {}
-        # rows where any kernel misses max(abs_tol, rel_tol*|value|)
+        # rows where any kernel misses max(_ABS_TOL, _REL_TOL*|value|)
         bad = np.zeros(ts.size, dtype=bool)
         for name in KERNEL_NAMES:
             if name == "R":
@@ -514,7 +494,7 @@ class _KernelEngine:
             if name in pieces:
                 err = err + p_err * (band.p_wq * np.abs(pieces[name])).sum(axis=1)
             errs[name] = err
-            bad |= err > np.maximum(q.abs_tol, q.rel_tol * np.abs(vals[name]))
+            bad |= err > np.maximum(_ABS_TOL, _REL_TOL * np.abs(vals[name]))
         return sets, errs, bad
 
     # -- public evaluation ---------------------------------------------------------
@@ -572,12 +552,12 @@ class _KernelEngine:
                         if exhausted.any():
                             i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
                             name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
-                            t, err, q = float(tsel[i0]), float(errs[name][i0]), self.quad
+                            t, err = float(tsel[i0]), float(errs[name][i0])
                             raise QuadratureError(
                                 f"kernel {name} did not reach tolerance at t={t:g} after "
                                 f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
                                 f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
-                                f"rel_tol={q.rel_tol:g}, abs_tol={q.abs_tol:g}; "
+                                f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
                                 f"error estimate {err:.3g})",
                                 achieved_error=err, kernel=name, t=t)
                         levels[over] += 1
@@ -586,11 +566,11 @@ class _KernelEngine:
         return out, levels
 
 
-def kernels_at(params, t, quad=QuadratureConfig()) -> dict:
+def kernels_at(params, t) -> dict:
     """All six kernels at one time (they share the quadrature mesh)."""
     if not (t >= 0.0):
         raise DomainError(f"kernel time must be >= 0, got {t}")
-    (vals,), _ = _KernelEngine(params, quad).evaluate([t])
+    (vals,), _ = _KernelEngine(params).evaluate([t])
     return {n: float(vals[n][0]) for n in KERNEL_NAMES}
 
 
@@ -616,7 +596,6 @@ def _joined(parts):
 
 
 def precompute(params: KernelParams, t_end: float, dt: float,
-               quad: QuadratureConfig = QuadratureConfig(),
                workers: int = None, shifted_T=()) -> KernelSet:
     """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints.
 
@@ -638,7 +617,7 @@ def precompute(params: KernelParams, t_end: float, dt: float,
     ts = np.empty(2 * grid.size - 1)
     ts[0::2] = grid
     ts[1::2] = grid[:-1] + 0.5 * dt
-    eng = _KernelEngine(params, quad, shifted_T)
+    eng = _KernelEngine(params, shifted_T)
     threads = workers if workers and workers > 1 and grid.size > 64 else 1
     n_parts = 1 if threads == 1 else min(threads * 8, ts.size)
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -653,7 +632,7 @@ def precompute(params: KernelParams, t_end: float, dt: float,
 
     def kernel_set(p, values, half_values, shifted=()):
         return KernelSet(grid=grid, values=values, half_values=half_values,
-                         params=p, quad=quad, levels=g_lv, half_levels=m_lv,
+                         params=p, levels=g_lv, half_levels=m_lv,
                          shifted=shifted)
 
     return kernel_set(params, g_vals, m_vals, tuple(

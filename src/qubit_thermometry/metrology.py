@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate
 from .errors import ConfigurationError, DomainError, NumericError
-from .kernels import KernelSet, QuadratureConfig, precompute
+from .kernels import KernelSet, precompute
 
 __all__ = [
     "MetrologyResult",
@@ -79,8 +79,7 @@ class MetrologyResult:
             raise NumericError("qcrb must equal 1/sqrt(qfi)")
 
 
-def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureConfig(),
-                        workers: int = None) -> KernelSet:
+def stencil_kernel_sets(cfg: ProbeConfig, workers: int = None) -> KernelSet:
     """Kernel set at ``cfg.T`` whose ``shifted`` sets sit at (T-2d, T-d,
     T+d, T+2d), from one pass.
 
@@ -91,7 +90,7 @@ def stencil_kernel_sets(cfg: ProbeConfig, quad: QuadratureConfig = QuadratureCon
     if not (T > 0.0):
         raise DomainError(f"stencil needs T > 0, got T={T}")
     delta = _REL_STEP * T
-    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, quad, workers=workers,
+    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, workers=workers,
                       shifted_T=(T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta))
 
 

@@ -8,7 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from qubit_thermometry import (
     KernelParams,
     ProbeConfig,
-    QuadratureConfig,
     SpectralDensity,
     precompute,
 )
@@ -31,32 +30,27 @@ def params(sd):
 
 
 @pytest.fixture(scope="session")
-def quad():
-    return QuadratureConfig()
-
-
-@pytest.fixture(scope="session")
-def ks_short(params, quad):
+def ks_short(params):
     """Shared kernel set on a small grid for cheap integration tests."""
-    return precompute(params, 10.0, 0.01, quad)
+    return precompute(params, 10.0, 0.01)
 
 
 @pytest.fixture(scope="session")
-def ks_long(params, quad):
+def ks_long(params):
     """Figure-scale kernel set (t_end = 200), shared by the steady-state,
     Markov fixed-point and witness-sweep tests."""
-    return precompute(params, 200.0, 0.01, quad, workers=os.cpu_count())
+    return precompute(params, 200.0, 0.01, workers=os.cpu_count())
 
 
 @pytest.fixture(scope="session")
-def sk_fig2(sd, quad):
+def sk_fig2(sd):
     """Stencil kernel bundle at t_end = 50 shared by the metrology tests."""
     probe = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=50.0, dt=0.01)
-    return stencil_kernel_sets(probe, quad=quad, workers=os.cpu_count())
+    return stencil_kernel_sets(probe, workers=os.cpu_count())
 
 
 @pytest.fixture(scope="session")
-def sk_fig2_long(sd, quad):
+def sk_fig2_long(sd):
     """Stencil kernel bundle at t_end = 100 shared by the long-time fig2 tests."""
     probe = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=100.0, dt=0.01)
-    return stencil_kernel_sets(probe, quad=quad, workers=os.cpu_count())
+    return stencil_kernel_sets(probe, workers=os.cpu_count())

@@ -29,12 +29,12 @@ import pytest
 from qubit_thermometry import (
     KernelParams,
     ProbeConfig,
-    QuadratureConfig,
     SpectralDensity,
     integrate,
     kernels_at,
     precompute,
 )
+from qubit_thermometry import kernels
 from qubit_thermometry.cli import main as cli_main
 from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.metrology import (
@@ -49,19 +49,24 @@ from oracles import dephasing_oracle, five_point_derivative, gibbs_qfi, kernel_R
 
 EPS, TEMP, ETA = 0.5, 0.2, 0.05
 
-# oracle-validated fast quadrature for the dt = 1e-3 oracle runs (see
-# test_kernels.py::test_panel_density_consistency for the accuracy evidence)
-FAST_QUAD = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, panels_per_oscillation=2)
+
+@pytest.fixture
+def fast_quad(monkeypatch):
+    """Oracle-validated fast quadrature for the dt = 1e-3 oracle runs (see
+    test_kernels.py::test_panel_density_consistency for the accuracy evidence)."""
+    monkeypatch.setattr(kernels, "_REL_TOL", 1e-8)
+    monkeypatch.setattr(kernels, "_ABS_TOL", 1e-10)
+    monkeypatch.setattr(kernels, "_PANELS_PER_OSCILLATION", 2)
 
 
 def _report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
-def test_c1_dephasing_oracle_T0(sd):
+def test_c1_dephasing_oracle_T0(sd, fast_quad):
     start = time.perf_counter()
     cfg = ProbeConfig(epsilon=EPS, alpha=0.0, T=0.0, sd=sd, t_end=50.0, dt=1e-3)
-    ks = kernels_for(cfg, FAST_QUAD, workers=os.cpu_count())
+    ks = kernels_for(cfg, workers=os.cpu_count())
     traj = integrate(cfg, ks)
     ref = (1.0 + traj.grid**2) ** (-2.0 * ETA)
     err = float(np.max(np.abs(coherence(traj) - ref)))
@@ -71,10 +76,10 @@ def test_c1_dephasing_oracle_T0(sd):
     _report("C1 dephasing oracle T=0", f"max err {err:.2e}, {elapsed:.1f} s")
 
 
-def test_c2_dephasing_oracle_finite_T(sd):
+def test_c2_dephasing_oracle_finite_T(sd, fast_quad):
     start = time.perf_counter()
     cfg = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=50.0, dt=1e-3)
-    ks = kernels_for(cfg, FAST_QUAD, workers=os.cpu_count())
+    ks = kernels_for(cfg, workers=os.cpu_count())
     traj = integrate(cfg, ks)
     oracle = dephasing_oracle(cfg)
     err = float(np.max(np.abs(coherence(traj) - coherence(oracle))))
@@ -84,14 +89,14 @@ def test_c2_dephasing_oracle_finite_T(sd):
     _report("C2 dephasing oracle T=0.2", f"max err {err:.2e}, {elapsed:.1f} s")
 
 
-def test_c3_markov_fixed_point(sd, ks_long, quad):
+def test_c3_markov_fixed_point(sd, ks_long):
     target = -math.tanh(EPS / (2.0 * TEMP))
     # eta = 0.05 reuses the shared figure-scale kernel table
     cfg = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd, t_end=200.0, dt=0.01)
     dz_f = {0.05: float(integrate(cfg, ks_long).dz[-1])}
     sd_small = SpectralDensity(eta=0.01, omega_c=1.0)
     ks_small = precompute(KernelParams(sd=sd_small, epsilon=EPS, T=TEMP),
-                          200.0, 0.01, quad, workers=os.cpu_count())
+                          200.0, 0.01, workers=os.cpu_count())
     cfg_small = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd_small,
                             t_end=200.0, dt=0.01)
     dz_f[0.01] = float(integrate(cfg_small, ks_small).dz[-1])
@@ -102,14 +107,14 @@ def test_c3_markov_fixed_point(sd, ks_long, quad):
             f"{abs(dz_f[0.01]-target):.1e} (eta=0.01)")
 
 
-def test_c4_kernel_zero_time_and_closed_forms(params, quad, sd):
-    vals = kernels_at(params, 0.0, quad)
+def test_c4_kernel_zero_time_and_closed_forms(params, sd):
+    vals = kernels_at(params, 0.0)
     assert all(abs(v) < 1e-12 for v in vals.values())
     p0 = KernelParams(sd=sd, epsilon=EPS, T=0.0)
-    rel = max(abs(kernels_at(p0, t, quad)["R"] / kernel_R_T0(ETA, 1.0, t) - 1.0)
+    rel = max(abs(kernels_at(p0, t)["R"] / kernel_R_T0(ETA, 1.0, t) - 1.0)
               for t in (0.1, 1.0, 10.0))
     assert rel <= 1e-8
-    dL = abs(kernels_at(params, 1e3, quad)["L"] - ETA * 1.0)
+    dL = abs(kernels_at(params, 1e3)["L"] - ETA * 1.0)
     assert dL <= 1e-4
     _report("C4 kernel checks", f"t=0 exact, R(T=0) rel {rel:.1e}, L(1e3) {dL:.1e}")
 
@@ -206,14 +211,14 @@ def test_c6_supplement_long_time(fig2_long_qfi):
 
 
 @pytest.fixture(scope="module")
-def fig3_table(sd, quad):
+def fig3_table(sd):
     """Fisher quantities at t = 1 over the low-temperature range."""
     temps = np.geomspace(0.01, 0.05, 6)
     rows = []
     for T in temps:
         cfg = ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd,
                           t_end=1.0, dt=0.01)
-        ks = stencil_kernel_sets(cfg, quad=quad)
+        ks = stencil_kernel_sets(cfg)
         rows.append(metrology_scan(integrate(cfg, ks), (1.0,), ks)[0])
     return temps, rows
 

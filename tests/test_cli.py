@@ -8,6 +8,7 @@ import pytest
 
 import qubit_thermometry
 from qubit_thermometry import ConfigurationError
+from qubit_thermometry import cli
 from qubit_thermometry.cli import RunConfig, load_config, main
 
 from oracles import kernel_R_T0
@@ -46,6 +47,12 @@ def test_load_config_rejects_unknown_and_malformed(tmp_path):
     bad.write_text("temp_log = maybe\n")
     with pytest.raises(ConfigurationError):
         load_config(str(bad))
+    # the quadrature and witness tolerances are fixed, no longer settings
+    for key in ("rel_tol", "abs_tol", "omega_max_factor", "panels_per_oscillation",
+                "resonance_guard", "rise_tol", "conv_tol"):
+        bad.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            load_config(str(bad))
 
 
 def test_runconfig_validation():
@@ -262,6 +269,19 @@ def test_off_grid_probing_time_fails(tmp_path, capsys, args, named):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["sweep-alpha", "sweep-temperature"])
+def test_negative_probing_time_fails_before_kernels(tmp_path, capsys, monkeypatch, command):
+    def no_kernels(*args, **kwargs):
+        pytest.fail("kernels built for a negative probing time")
+
+    monkeypatch.setattr(cli, "kernels_for", no_kernels)
+    monkeypatch.setattr(cli, "stencil_kernel_sets", no_kernels)
+    rc = run_cli(command, "--t-end", "2", "--dt", "0.01", "--times=1,-1",
+                 "--temp-count", "2", "--out", str(tmp_path))
+    assert rc == 1
+    assert "probing time -1.0 must be >= 0" in capsys.readouterr().err
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_physicality_breach_detected(sd, ks_short):
                     np.zeros_like(ks_short.grid)) for n in ("R", "K", "L", "X", "F", "G")},
         half_values={n: (-0.1 * np.ones(len(ks_short.grid) - 1) if n == "R" else
                          np.zeros(len(ks_short.grid) - 1)) for n in ("R", "K", "L", "X", "F", "G")},
-        params=ks_short.params, quad=ks_short.quad)
+        params=ks_short.params)
     cfg = _probe(ks_short.params.sd, alpha=0.0)
     with pytest.raises(IntegrationError) as err:
         integrate(cfg, bad)

@@ -9,7 +9,6 @@ from qubit_thermometry import (
     DomainError,
     KERNEL_NAMES,
     KernelParams,
-    QuadratureConfig,
     QuadratureError,
     SpectralDensity,
     kernels_at,
@@ -54,8 +53,8 @@ GAMMA_T1 = 7.936864476889256e-02
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 5.0])
-def test_all_kernels_vanish_then_match_oracle(params, quad, t):
-    vals = kernels_at(params, t, quad)
+def test_all_kernels_vanish_then_match_oracle(params, t):
+    vals = kernels_at(params, t)
     if t == 0.0:
         for name in KERNEL_NAMES:
             assert abs(vals[name]) < 1e-12
@@ -65,61 +64,61 @@ def test_all_kernels_vanish_then_match_oracle(params, quad, t):
             assert vals[name] == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
-def test_frozen_oracle_values(params, quad):
-    v1 = kernels_at(params, 1.0, quad)
-    v2 = kernels_at(params, 2.7, quad)
+def test_frozen_oracle_values(params):
+    v1 = kernels_at(params, 1.0)
+    v2 = kernels_at(params, 2.7)
     for name in KERNEL_NAMES:
         assert v1[name] == pytest.approx(RIEMANN_T1[name], rel=1e-9)
         assert v2[name] == pytest.approx(RIEMANN_T27[name], rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
-def test_R_closed_form_at_T0(sd, quad, t):
+def test_R_closed_form_at_T0(sd, t):
     p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert kernels_at(p, t, quad)["R"] == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
+    assert kernels_at(p, t)["R"] == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
 
 
-def test_L_long_time_limit(params, quad):
+def test_L_long_time_limit(params):
     # L(t) -> eta * omega_c; the residual at t = 1e3 is ~ eta/t^2
-    assert kernels_at(params, 1e3, quad)["L"] == pytest.approx(0.05, abs=1e-4)
+    assert kernels_at(params, 1e3)["L"] == pytest.approx(0.05, abs=1e-4)
 
 
-def test_R_long_time_vanishes_at_T0(sd, quad):
+def test_R_long_time_vanishes_at_T0(sd):
     p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert abs(kernels_at(p, 1e3, quad)["R"]) < 1e-4
+    assert abs(kernels_at(p, 1e3)["R"]) < 1e-4
 
 
-def test_K_long_time_markov_average(params, quad):
+def test_K_long_time_markov_average(params):
     # tail average over one precession period approaches (pi/2) J(eps) coth(eps/2T);
     # the residual oscillation decays like 1/t
     from qubit_thermometry.kernels import _KernelEngine
-    eng = _KernelEngine(params, quad)
+    eng = _KernelEngine(params)
     ts = 200.0 + np.linspace(0.0, 2.0 * math.pi / 0.5, 41)
     (vals,), _ = eng.evaluate(ts)
     avg = float(np.trapezoid(vals["K"], ts) / (ts[-1] - ts[0]))
     assert avg == pytest.approx(markov_K_limit(0.05, 1.0, 0.5, 0.2), rel=2e-2)
 
 
-def test_eta_linearity(sd, quad):
+def test_eta_linearity(sd):
     p1 = KernelParams(sd=sd, epsilon=0.5, T=0.2)
     p2 = KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=0.2)
     for t in (0.4, 3.1, 17.0):
-        v1 = kernels_at(p1, t, quad)
-        v2 = kernels_at(p2, t, quad)
+        v1 = kernels_at(p1, t)
+        v2 = kernels_at(p2, t)
         for name in KERNEL_NAMES:
             assert v2[name] == pytest.approx(2.0 * v1[name], rel=1e-13, abs=1e-300)
 
 
-def test_zero_coupling(quad):
+def test_zero_coupling():
     p = KernelParams(sd=SpectralDensity(eta=0.0), epsilon=0.5, T=0.2)
-    vals = kernels_at(p, 3.0, quad)
+    vals = kernels_at(p, 3.0)
     assert all(vals[name] == 0.0 for name in KERNEL_NAMES)
 
 
-def test_gapless_probe(sd, quad):
+def test_gapless_probe(sd):
     # eps = 0: denominators become -w^2; X and G vanish identically, F = L
     p = KernelParams(sd=sd, epsilon=0.0, T=0.2)
-    vals = kernels_at(p, 2.0, quad)
+    vals = kernels_at(p, 2.0)
     assert vals["X"] == 0.0
     assert vals["G"] == 0.0
     assert vals["F"] == pytest.approx(vals["L"], rel=1e-13)
@@ -127,77 +126,72 @@ def test_gapless_probe(sd, quad):
     assert vals["K"] == pytest.approx(ref, rel=1e-7)
 
 
-def test_resonance_guard_insensitive(sd):
+def _kernels_with(monkeypatch, params, t, **constants):
+    """kernels_at with the named ``kernels`` module constants patched for
+    this one call."""
+    with monkeypatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(kernels, name, value)
+        return kernels_at(params, t)
+
+
+def test_resonance_guard_insensitive(sd, monkeypatch):
     # widening the direct-evaluation window 3x above the omega_c/16 floor
     # changes which panels take the direct path but must not move the values
     p = KernelParams(sd=sd, epsilon=0.5, T=0.2)
-    qa = QuadratureConfig(resonance_guard=0.1)
-    qb = QuadratureConfig(resonance_guard=0.3)
-    default = QuadratureConfig()
-    below = QuadratureConfig(resonance_guard=1e-5)
     for t in (1.0, 20.0):
-        va = kernels_at(p, t, qa)
-        vb = kernels_at(p, t, qb)
+        va = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.1)
+        vb = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.3)
         for name in KERNEL_NAMES:
-            assert abs(va[name] - vb[name]) <= 10.0 * qa.rel_tol * max(1.0, abs(va[name]))
+            assert abs(va[name] - vb[name]) <= 10.0 * kernels._REL_TOL * max(1.0, abs(va[name]))
         # any guard below the floor gives the default engine, bit for bit
-        assert kernels_at(p, t, below) == kernels_at(p, t, default)
+        below = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=1e-5)
+        assert below == kernels_at(p, t)
 
 
-def test_resonance_window_wider(sd, quad):
+def test_resonance_window_wider(sd, monkeypatch):
     # a much wider direct window changes the path but not the value
     p = KernelParams(sd=sd, epsilon=0.5, T=0.2)
-    qwide = QuadratureConfig(resonance_guard=0.3)
     for t in (1.0, 7.7):
-        va = kernels_at(p, t, quad)
-        vb = kernels_at(p, t, qwide)
+        va = kernels_at(p, t)
+        vb = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.3)
         for name in KERNEL_NAMES:
             assert vb[name] == pytest.approx(va[name], rel=1e-9, abs=1e-12)
 
 
-def test_truncation_consistency(params):
-    qa = QuadratureConfig(omega_max_factor=60)
-    qb = QuadratureConfig(omega_max_factor=120)
+def test_truncation_consistency(params, monkeypatch):
     for t in (1.0, 30.0):
-        va = kernels_at(params, t, qa)
-        vb = kernels_at(params, t, qb)
+        va = _kernels_with(monkeypatch, params, t, _OMEGA_MAX_FACTOR=60.0)
+        vb = _kernels_with(monkeypatch, params, t, _OMEGA_MAX_FACTOR=120.0)
         for name in KERNEL_NAMES:
-            assert abs(va[name] - vb[name]) < qa.abs_tol
+            assert abs(va[name] - vb[name]) < kernels._ABS_TOL
 
 
-def test_panel_density_consistency(params):
+def test_panel_density_consistency(params, monkeypatch):
     # doubling the panels-per-oscillation floor must not move the values
-    qa = QuadratureConfig()
-    qb = QuadratureConfig(panels_per_oscillation=8)
     for t in (5.0, 40.0):
-        va = kernels_at(params, t, qa)
-        vb = kernels_at(params, t, qb)
+        va = kernels_at(params, t)
+        vb = _kernels_with(monkeypatch, params, t, _PANELS_PER_OSCILLATION=8)
         for name in KERNEL_NAMES:
             assert vb[name] == pytest.approx(va[name], rel=1e-8, abs=1e-11)
 
 
-def test_negative_time_rejected(params, quad):
+def test_negative_time_rejected(params):
     with pytest.raises(DomainError):
-        kernels_at(params, -1.0, quad)
+        kernels_at(params, -1.0)
     with pytest.raises(DomainError):
-        kernels._KernelEngine(params, quad).evaluate([-0.5])
+        kernels._KernelEngine(params).evaluate([-0.5])
 
 
-def test_subnormal_time_evaluates_without_warning(params, quad):
+def test_subnormal_time_evaluates_without_warning(params):
     # 2 pi / t overflows to inf there; the mesh choice must still be silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = kernels_at(params, 5e-324, quad)
-    assert abs(vals["R"]) <= quad.abs_tol
+        vals = kernels_at(params, 5e-324)
+    assert abs(vals["R"]) <= kernels._ABS_TOL
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(omega_max_factor=5.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(panels_per_oscillation=1)
     with pytest.raises(DomainError):
         KernelParams(sd=SpectralDensity(eta=0.1), epsilon=-0.5, T=0.2)
     with pytest.raises(DomainError):
@@ -225,15 +219,15 @@ def test_closed_form_gamma_against_quadpack():
 
 # -- closed-form R and L ------------------------------------------------------------
 
-def _within_engine_tolerance(got, want, quad):
-    return abs(got - want) <= max(quad.abs_tol, quad.rel_tol * abs(got))
+def _within_engine_tolerance(got, want):
+    return abs(got - want) <= max(kernels._ABS_TOL, kernels._REL_TOL * abs(got))
 
 
-def test_R_L_closed_forms_at_headline(params, quad):
+def test_R_L_closed_forms_at_headline(params):
     # R = Gamma'/4 and L at T = 0.2, eta = 0.05, far tighter than the
     # 2M-point Riemann oracle (7e-13 to 3e-11 at these t)
     for t in (0.5, 1.0, 5.0, 20.0, 50.0, 200.0, 1000.0):
-        vals = kernels_at(params, t, quad)
+        vals = kernels_at(params, t)
         assert abs(vals["R"] - kernel_R_closed(0.05, 1.0, 0.2, t)) <= 1e-13
         assert abs(vals["L"] - kernel_L_closed(0.05, 1.0, t)) <= 1e-13
 
@@ -242,28 +236,27 @@ def test_R_L_closed_forms_at_headline(params, quad):
 @given(t=st.floats(0.0, 200.0), T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1),
        eps=st.floats(0.0, 2.0))
 def test_R_L_match_closed_forms(t, T, eta, eps):
-    quad = QuadratureConfig()
-    vals = kernels_at(KernelParams(sd=SpectralDensity(eta=eta), epsilon=eps, T=T), t, quad)
-    assert _within_engine_tolerance(vals["R"], kernel_R_closed(eta, 1.0, T, t), quad)
-    assert _within_engine_tolerance(vals["L"], kernel_L_closed(eta, 1.0, t), quad)
+    vals = kernels_at(KernelParams(sd=SpectralDensity(eta=eta), epsilon=eps, T=T), t)
+    assert _within_engine_tolerance(vals["R"], kernel_R_closed(eta, 1.0, T, t))
+    assert _within_engine_tolerance(vals["L"], kernel_L_closed(eta, 1.0, t))
 
 
 @pytest.mark.parametrize("T", [0.01, 0.2, 0.5])
-def test_long_horizon_meets_tolerance_or_raises(T, quad):
+def test_long_horizon_meets_tolerance_or_raises(T):
     # at t = 1e3 the quadrature may give up, but never return a wrong R or L
     p = KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=T)
     try:
-        vals = kernels_at(p, 1e3, quad)
+        vals = kernels_at(p, 1e3)
     except QuadratureError:
         return
-    assert _within_engine_tolerance(vals["R"], kernel_R_closed(0.1, 1.0, T, 1e3), quad)
-    assert _within_engine_tolerance(vals["L"], kernel_L_closed(0.1, 1.0, 1e3), quad)
+    assert _within_engine_tolerance(vals["R"], kernel_R_closed(0.1, 1.0, T, 1e3))
+    assert _within_engine_tolerance(vals["L"], kernel_L_closed(0.1, 1.0, 1e3))
 
 
 # -- precompute ---------------------------------------------------------------
 
-def test_precompute_grid_shape(params, quad):
-    ks = precompute(params, 5.0, 0.01, quad)
+def test_precompute_grid_shape(params):
+    ks = precompute(params, 5.0, 0.01)
     assert len(ks.grid) == 501
     assert len(ks.half_values["R"]) == 500
     assert ks.grid[0] == 0.0
@@ -272,40 +265,40 @@ def test_precompute_grid_shape(params, quad):
         assert len(ks.values[name]) == 501
 
 
-def test_precompute_matches_direct_calls_exactly(params, quad, ks_short):
+def test_precompute_matches_direct_calls_exactly(params, ks_short):
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(ks_short.grid), 20):
         t = float(ks_short.grid[i])
-        direct = kernels_at(params, t, quad)
+        direct = kernels_at(params, t)
         for name in KERNEL_NAMES:
             assert direct[name] == ks_short.values[name][i]  # same code path, 0 ulp
     for i in rng.integers(0, len(ks_short.grid) - 1, 5):
         t = float(ks_short.grid[i] + 0.005)
-        direct = kernels_at(params, t, quad)
+        direct = kernels_at(params, t)
         for name in KERNEL_NAMES:
             assert direct[name] == ks_short.half_values[name][i]
 
 
-def test_precompute_worker_count_invariance(params, quad):
-    a = precompute(params, 3.0, 0.01, quad)
-    b = precompute(params, 3.0, 0.01, quad, workers=4)
+def test_precompute_worker_count_invariance(params):
+    a = precompute(params, 3.0, 0.01)
+    b = precompute(params, 3.0, 0.01, workers=4)
     for name in KERNEL_NAMES:
         assert np.array_equal(a.values[name], b.values[name])
         assert np.array_equal(a.half_values[name], b.half_values[name])
 
 
-def test_precompute_validation(params, quad):
+def test_precompute_validation(params):
     with pytest.raises(DomainError):
-        precompute(params, 0.0, 0.01, quad)
+        precompute(params, 0.0, 0.01)
     with pytest.raises(DomainError):
-        precompute(params, 1.0, 0.3, quad)  # not an integer multiple
+        precompute(params, 1.0, 0.3)  # not an integer multiple
 
 
-def test_thermal_kernels_only_depend_on_T(sd, quad):
+def test_thermal_kernels_only_depend_on_T(sd):
     pa = KernelParams(sd=sd, epsilon=0.5, T=0.1)
     pb = KernelParams(sd=sd, epsilon=0.5, T=0.3)
-    ka = precompute(pa, 2.0, 0.05, quad)
-    kb = precompute(pb, 2.0, 0.05, quad)
+    ka = precompute(pa, 2.0, 0.05)
+    kb = precompute(pb, 2.0, 0.05)
     for name in ("L", "F", "G"):
         # same integrals; only the quadrature mesh differs with T
         np.testing.assert_allclose(ka.values[name], kb.values[name],
@@ -313,39 +306,39 @@ def test_thermal_kernels_only_depend_on_T(sd, quad):
     assert np.max(np.abs(ka.values["R"] - kb.values["R"])) > 1e-4
 
 
-def test_rebuild_for_temperature(params, quad):
+def test_rebuild_for_temperature(params):
     # thermal kernels at a shifted temperature, from the base pass on its mesh
-    ks = precompute(params, 10.0, 0.01, quad, shifted_T=(0.3,))
+    ks = precompute(params, 10.0, 0.01, shifted_T=(0.3,))
     kr = ks.shifted[0]
     assert kr.params.T == 0.3
     for name in ("L", "F", "G"):
         assert kr.values[name] is ks.values[name]
     fresh = precompute(KernelParams(sd=params.sd, epsilon=0.5, T=0.3),
-                       10.0, 0.01, quad)
+                       10.0, 0.01)
     for name in ("R", "K", "X"):
         np.testing.assert_allclose(kr.values[name], fresh.values[name],
                                    rtol=1e-9, atol=1e-12)
     for bad_T in (0.0, -0.1):
         with pytest.raises(DomainError):
-            precompute(params, 10.0, 0.01, quad, shifted_T=(0.3, bad_T))
+            precompute(params, 10.0, 0.01, shifted_T=(0.3, bad_T))
 
 
 def _stencil_temps(T):
     return tuple(T * (1.0 + r) for r in (-2e-7, -1e-7, 1e-7, 2e-7))
 
 
-def test_shift_at_base_temperature_is_bit_identical(params, quad):
-    ks = precompute(params, 10.0, 0.01, quad, shifted_T=(params.T,))
+def test_shift_at_base_temperature_is_bit_identical(params):
+    ks = precompute(params, 10.0, 0.01, shifted_T=(params.T,))
     assert ks.levels.max() > 0 and ks.half_levels.max() > 0  # refined rows covered
     for name in THERMAL_KERNELS:
         assert np.array_equal(ks.shifted[0].values[name], ks.values[name])
         assert np.array_equal(ks.shifted[0].half_values[name], ks.half_values[name])
 
 
-def test_shifted_sets_independent_of_worker_count(params, quad):
+def test_shifted_sets_independent_of_worker_count(params):
     temps = _stencil_temps(params.T)
-    a = precompute(params, 10.0, 0.01, quad, workers=1, shifted_T=temps)
-    b = precompute(params, 10.0, 0.01, quad, workers=4, shifted_T=temps)
+    a = precompute(params, 10.0, 0.01, workers=1, shifted_T=temps)
+    b = precompute(params, 10.0, 0.01, workers=4, shifted_T=temps)
     for sa, sb in zip(a.shifted, b.shifted):
         assert sa.params == sb.params
         for name in KERNEL_NAMES:
@@ -353,16 +346,16 @@ def test_shifted_sets_independent_of_worker_count(params, quad):
             assert np.array_equal(sa.half_values[name], sb.half_values[name])
 
 
-def test_chunk_size_does_not_change_values(params, quad, monkeypatch):
+def test_chunk_size_does_not_change_values(params, monkeypatch):
     # one time row per chunk, then one time row per stacked reduction block,
     # against the default blocking, 0 ulp
     temps = _stencil_temps(params.T)
-    a = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
+    a = precompute(params, 10.0, 0.05, shifted_T=temps)
     assert a.levels.max() > 0 and a.half_levels.max() > 0  # refined rows covered
     for constant in ("_CHUNK_ELEMENTS", "_ROW_BLOCK_ELEMENTS"):
         with monkeypatch.context() as patch:
             patch.setattr(kernels, constant, 1)
-            b = precompute(params, 10.0, 0.05, quad, shifted_T=temps)
+            b = precompute(params, 10.0, 0.05, shifted_T=temps)
         assert np.array_equal(a.levels, b.levels)
         assert np.array_equal(a.half_levels, b.half_levels)
         for sa, sb in zip((a, *a.shifted), (b, *b.shifted)):
@@ -372,10 +365,10 @@ def test_chunk_size_does_not_change_values(params, quad, monkeypatch):
                 assert np.array_equal(sa.half_values[name], sb.half_values[name])
 
 
-def test_base_set_independent_of_shifted_temperatures(params, quad):
+def test_base_set_independent_of_shifted_temperatures(params):
     # stacking the shifted rows into the reductions never changes a base sum
-    plain = precompute(params, 10.0, 0.01, quad)
-    stencil = precompute(params, 10.0, 0.01, quad, shifted_T=_stencil_temps(params.T))
+    plain = precompute(params, 10.0, 0.01)
+    stencil = precompute(params, 10.0, 0.01, shifted_T=_stencil_temps(params.T))
     assert plain.levels.max() > 0 and plain.half_levels.max() > 0  # refined rows covered
     assert np.array_equal(plain.levels, stencil.levels)
     assert np.array_equal(plain.half_levels, stencil.half_levels)
@@ -384,19 +377,20 @@ def test_base_set_independent_of_shifted_temperatures(params, quad):
         assert np.array_equal(plain.half_values[name], stencil.half_values[name])
 
 
-def test_shifted_value_independent_of_companion_temperatures(params, quad):
+def test_shifted_value_independent_of_companion_temperatures(params):
     temps = _stencil_temps(params.T)
-    among = precompute(params, 10.0, 0.01, quad, shifted_T=temps).shifted[2]
-    alone = precompute(params, 10.0, 0.01, quad, shifted_T=temps[2:3]).shifted[0]
+    among = precompute(params, 10.0, 0.01, shifted_T=temps).shifted[2]
+    alone = precompute(params, 10.0, 0.01, shifted_T=temps[2:3]).shifted[0]
     for name in THERMAL_KERNELS:
         assert np.array_equal(alone.values[name], among.values[name])
         assert np.array_equal(alone.half_values[name], among.half_values[name])
 
 
-def test_quadrature_error_names_parameters(params):
-    tight = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-30)
+def test_quadrature_error_names_parameters(params, monkeypatch):
+    monkeypatch.setattr(kernels, "_REL_TOL", 1e-30)
+    monkeypatch.setattr(kernels, "_ABS_TOL", 1e-30)
     with pytest.raises(QuadratureError) as info:
-        kernels_at(params, 1.0, tight)
+        kernels_at(params, 1.0)
     err = info.value
     assert err.kernel in KERNEL_NAMES and err.t == 1.0 and err.achieved_error > 1e-30
     msg = str(err)

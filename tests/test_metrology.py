@@ -11,7 +11,6 @@ from qubit_thermometry import (
     DomainError,
     NumericError,
     ProbeConfig,
-    QuadratureConfig,
     QuadratureError,
     SpectralDensity,
     cfi,
@@ -21,6 +20,7 @@ from qubit_thermometry import (
     qcrb,
     qfi,
 )
+from qubit_thermometry import kernels
 from qubit_thermometry.dynamics import PHYSICALITY_SLACK, kernels_for
 from qubit_thermometry.metrology import (
     MetrologyResult,
@@ -158,18 +158,18 @@ def test_derivative_grid_and_temperature_guards(sd):
         stencil_kernel_sets(cfg0)
 
 
-def test_derivative_against_richardson_oracle(sd, quad):
+def test_derivative_against_richardson_oracle(sd):
     # independent route: coarser step delta' = 1e-5 T, two central differences
     # Richardson-combined; both must agree to 1e-4 relative
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=20.0, dt=0.01)
-    ks = stencil_kernel_sets(cfg, quad=quad)
+    ks = stencil_kernel_sets(cfg)
     deriv = bloch_T_derivative(cfg, ks)
 
     from qubit_thermometry import integrate, precompute
 
     h = 1e-5 * cfg.T
     temps = (cfg.T - 2 * h, cfg.T - h, cfg.T + h, cfg.T + 2 * h)
-    oracle = precompute(cfg.kernel_params, 20.0, 0.01, quad, shifted_T=temps)
+    oracle = precompute(cfg.kernel_params, 20.0, 0.01, shifted_T=temps)
     sets = dict(zip(temps, oracle.shifted))
 
     def traj_at(T):
@@ -183,12 +183,13 @@ def test_derivative_against_richardson_oracle(sd, quad):
     assert np.linalg.norm(deriv[i] - richardson[i]) <= 1e-4 * np.linalg.norm(richardson[i])
 
 
-def test_stencil_raises_quadrature_error(sd):
+def test_stencil_raises_quadrature_error(sd, monkeypatch):
     # an unreachable tolerance fails the fused pass instead of returning shifted sets
-    tight = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-30)
+    monkeypatch.setattr(kernels, "_REL_TOL", 1e-30)
+    monkeypatch.setattr(kernels, "_ABS_TOL", 1e-30)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.5)
     with pytest.raises(QuadratureError) as info:
-        stencil_kernel_sets(cfg, quad=tight)
+        stencil_kernel_sets(cfg)
     assert ("after 6 mesh halvings (epsilon=0.5, T=0.2, eta=0.05, omega_c=1, "
             "rel_tol=1e-30, abs_tol=1e-30;") in str(info.value)
 
