@@ -11,7 +11,9 @@ Prints one ``<sha256>  <name>`` line per item:
 * every kernel array of the temperature-stencil bundle (the base set, its
   four shifted sets and the refinement levels, grid and midpoints) at the
   headline eps = 0.5, eta = 0.05, dt = 0.05, for T in {0.2, 0.02, 0.01},
-  workers in {1, 2, 4} and t_end in {20, 50, 200}.
+  workers in {1, 2, 4} and t_end in {20, 50, 200};
+* every kernel array of a plain ``precompute`` (no shifted temperatures,
+  grid and midpoints) at the same eps, eta, dt, T and t_end.
 
 Arrays are hashed as raw float64/int64 bytes, so two checkouts agree line
 for line exactly when every output is byte-identical and every kernel value
@@ -61,25 +63,31 @@ def figure_digests(src: str):
                             yield _sha(fh.read()), f"{fig}/w{w}/{name}"
 
 
+def _set_digests(ks, tag):
+    for name, arr in ks.values.items():
+        yield _sha(arr.tobytes()), f"{tag}/{name}"
+    for name, arr in ks.half_values.items():
+        yield _sha(arr.tobytes()), f"{tag}/half_{name}"
+
+
 def kernel_digests(src: str):
     sys.path.insert(0, src)
-    from qubit_thermometry import ProbeConfig, SpectralDensity
+    from qubit_thermometry import ProbeConfig, SpectralDensity, precompute
     from qubit_thermometry.metrology import stencil_kernel_sets
 
     sd = SpectralDensity(eta=0.05, omega_c=1.0)
     for T in TEMPERATURES:
         for t_end in T_ENDS:
             cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=t_end, dt=DT)
+            ks = precompute(cfg.kernel_params, t_end, DT)
+            yield from _set_digests(ks, f"T={T:g}/t_end={t_end:g}/plain")
             for w in KERNEL_WORKERS:
                 ks = stencil_kernel_sets(cfg, workers=w)
                 tag = f"T={T:g}/t_end={t_end:g}/w{w}"
                 yield _sha(ks.levels.tobytes()), f"{tag}/levels"
                 yield _sha(ks.half_levels.tobytes()), f"{tag}/half_levels"
                 for j, s in enumerate((ks, *ks.shifted)):
-                    for name, arr in s.values.items():
-                        yield _sha(arr.tobytes()), f"{tag}/set{j}/{name}"
-                    for name, arr in s.half_values.items():
-                        yield _sha(arr.tobytes()), f"{tag}/set{j}/half_{name}"
+                    yield from _set_digests(s, f"{tag}/set{j}")
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 """Coherence trapping and re-coherence vs the coupling mix (figure 1 pipeline).
 
 Writes fig1_sweep.csv, fig1_sweep_witness.svg and fig1_equator.svg under
-results/fig1 (about a minute on a laptop; pass --workers N to parallelize).
+results/fig1 (2.5 s on one core of a 2-vCPU VM; pass --workers N to spread
+the alpha sweep over processes).
 """
 import sys
 

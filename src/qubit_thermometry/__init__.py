@@ -12,7 +12,6 @@ from .kernels import (
     KERNEL_NAMES,
     KernelParams,
     KernelSet,
-    kernels_at,
     precompute,
 )
 from .dynamics import ProbeConfig, Trajectory, integrate, rhs

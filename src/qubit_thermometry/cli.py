@@ -212,7 +212,7 @@ def _run_tasks(task, points, workers: int) -> list:
 
 def cmd_trajectory(cfg: RunConfig) -> int:
     probe = cfg.probe()
-    ks = kernels_for(probe, workers=cfg.workers)
+    ks = kernels_for(probe)
     traj = integrate(probe, ks)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"), "t,dx,dy,dz",
@@ -237,7 +237,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 
 def cmd_dump_kernels(cfg: RunConfig) -> int:
     params = cfg.probe().kernel_params
-    ks = precompute(params, cfg.t_end, cfg.dt, workers=cfg.workers)
+    ks = precompute(params, cfg.t_end, cfg.dt)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "kernels.csv"), "t," + ",".join(KERNEL_NAMES),
                np.column_stack([ks.grid] + [ks.values[n] for n in KERNEL_NAMES]))
@@ -254,8 +254,11 @@ def _steady_window_ok(cfg: RunConfig) -> bool:
 def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
     times = _check_times(cfg)
     if ks is None:
-        build = stencil_kernel_sets if times else kernels_for
-        ks = build(cfg.probe(alpha=0.0), workers=cfg.workers)
+        probe0 = cfg.probe(alpha=0.0)
+        if times:
+            ks = stencil_kernel_sets(probe0, workers=cfg.workers)
+        else:
+            ks = kernels_for(probe0)
     task = partial(_alpha_task, cfg, ks, times, _steady_window_ok(cfg))
     rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
     header = "alpha,N_C,steady_dx_abs,converged"
@@ -338,7 +341,7 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
         fig_cfg = replace(cfg, t_end=200.0, window_frac=0.65, times=(),
                           emit_svg=True)
         probe0 = fig_cfg.probe(alpha=0.0)
-        ks = kernels_for(probe0, workers=fig_cfg.workers)
+        ks = kernels_for(probe0)
         rc = cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", ks=ks)
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
         for alpha in (0.0, 0.5, 1.0):

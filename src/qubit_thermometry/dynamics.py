@@ -217,7 +217,7 @@ def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
     return Trajectory(grid=grid, states=np.array(rows), config=cfg)
 
 
-def kernels_for(cfg: ProbeConfig, workers: int = None) -> KernelSet:
+def kernels_for(cfg: ProbeConfig) -> KernelSet:
     """Precompute the kernel set matching ``cfg``'s grid and parameters."""
-    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, workers=workers)
+    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt)
 

@@ -1,6 +1,4 @@
-"""Frequency-integral coefficients of the generalized Bloch equations.
-
-Six time-dependent kernels drive the probe dynamics:
+"""The six time-dependent kernels of the generalized Bloch equations.
 
     R(t) = int_0^inf J(w) coth(w/2T) sin(t w) / w dw
     K(t) = int_0^inf J(w) coth(w/2T) [e sin(e t) cos(t w) - w cos(e t) sin(t w)] / (e^2 - w^2) dw
@@ -9,9 +7,42 @@ Six time-dependent kernels drive the probe dynamics:
     F(t) = int_0^inf J(w) [e sin(e t) sin(t w) + w cos(e t) cos(t w) - w] / (e^2 - w^2) dw
     G(t) = int_0^inf J(w) [w sin(e t) cos(t w) - e cos(e t) sin(t w)] / (e^2 - w^2) dw
 
-with e the qubit splitting.  Each resonant numerator vanishes at w = e, so
-the singularity is removable.  We never evaluate the raw ratio: product-to-sum
-identities reduce every resonant integrand to combinations of
+with e the qubit splitting.  ``precompute`` samples them on a uniform grid
+and its midpoints by one of two passes.
+
+Time-domain pass (every set without temperature-shifted companions).
+Differentiated in t, each resonant denominator e^2 - w^2 cancels:
+
+    R' = nu,  K' = cos(e t) nu,  X' = sin(e t) nu,
+    L' = mu,  F' = cos(e t) mu,  G' = sin(e t) mu,
+
+all six kernels vanishing at t = 0, where nu(s) = int J coth(w/2T) cos(w s)
+dw and mu(s) = int J sin(w s) dw are the bath correlation functions.  For
+the Ohmic J = eta w e^{-w/omega_c}, expanding coth = 1 + 2 sum_n e^{-n w/T}
+termwise gives, with a = 1/omega_c (e.g. Weiss, Quantum Dissipative
+Systems, 4th ed., 2012),
+
+    mu(s) = eta Im (a - i s)^-2,
+    nu(s) = eta Re [(a - i s)^-2 + 2 T^2 psi'(1 + T (a - i s))],
+
+psi' being the trigamma function (``_trigamma``).  Each half step dt/2 is
+integrated by 8-point Gauss-Legendre on panels no wider than
+1/(2 max(omega_c, e)), which keeps the pole of (a - i s)^-2 at distance a
+from the real axis far outside every panel's convergence ellipse, and one
+cumulative sum per kernel gives the grid and midpoint values together.  The
+cost is linear in t_end.
+
+Frequency-domain pass (sets with ``shifted_T``, i.e. the temperature
+stencil of ``metrology``).  Each kernel is a frequency integral at every
+time, by composite 8-point Gauss-Legendre at one fixed configuration (the
+``_REL_TOL`` ... ``_RESONANCE_GUARD`` constants below).  The stencil
+divides kernel differences by a step of 1e-7 T, so any change in the
+kernels' bits moves its derivative by ~1e-6: it keeps this pass until an
+exact temperature derivative replaces the stencil and its reference
+outputs are re-frozen.  Every resonant numerator vanishes at w = e, so
+the singularity is removable.  We never evaluate the raw ratio:
+product-to-sum identities reduce every resonant integrand to combinations
+of
 
     g(v) = sin(v t) / (2 v),      h(v) = (1 - cos(v t)) / (2 v),
 
@@ -20,17 +51,15 @@ with v = e - w or v = e + w, and both g and h are entire in v:
     K-factor = g(e-w) + g(e+w)        X-factor = h(e-w) + h(e+w)
     G-factor = g(e-w) - g(e+w)        F-factor = h(e+w) - h(e-w)
 
-Quadrature is composite 8-point Gauss-Legendre at one fixed configuration
-(the ``_REL_TOL`` ... ``_RESONANCE_GUARD`` constants below).  Panel width is
-capped by min(omega_c/4, (2 pi / t) / 4), four panels per oscillation, and
-halved in quantized steps as t grows so any time can be re-evaluated
-bit-identically on its own; the first panel is geometrically refined below
-the thermal scale min(T, omega_c); a boundary is pinned at w = e; the
-exponential envelope bounds the neglected tail analytically, and the range
-ends by 60 omega_c.  Away from the resonance window the g/h factors
-are assembled from sin(t w), cos(t w) by angle addition, so all six kernels
-share two trigonometric arrays per time point; panels inside the window
-evaluate g/h directly in series-guarded form.
+Panel width is capped by min(omega_c/4, (2 pi / t) / 4), four panels per
+oscillation, and halved in quantized steps as t grows so any time can be
+re-evaluated bit-identically on its own; the first panel is geometrically
+refined below the thermal scale min(T, omega_c); a boundary is pinned at
+w = e; the exponential envelope bounds the neglected tail analytically, and
+the range ends by 60 omega_c.  Away from the resonance window the g/h
+factors are assembled from sin(t w), cos(t w) by angle addition, so all six
+kernels share two trigonometric arrays per time point; panels inside the
+window evaluate g/h directly in series-guarded form.
 
 The error estimate splits per panel into (a) the Gauss error of the pure
 oscillation exp(i kappa x), kappa = t * halfwidth, computed exactly from a
@@ -39,13 +68,12 @@ few scalars per time and multiplied by the panel's smooth-factor mass, and
 t-independent smooth factors.  If any kernel misses its tolerance the whole
 mesh is bisected and the point re-evaluated (budget: 6 halvings).
 
-An engine can also carry extra temperatures, fixed when it is built: R, K, X
-at each of them are reduced in the same pass, against the same trigonometric
-arrays and on the mesh accepted at the base temperature, so the shifted
-kernels are smooth in T (as a finite-difference temperature stencil needs).
-Each band stacks its node coefficients, for every temperature, into one
-matrix paired with sin(t w) and one paired with cos(t w); each is reduced in
-cache-sized blocks of time rows, every entry a fixed-order length-N sum.
+R, K, X at each extra temperature are reduced in the same pass, against the
+same trigonometric arrays and on the mesh accepted at the base temperature,
+so the shifted kernels are smooth in T (as the stencil needs).  Each band
+stacks its node coefficients, for every temperature, into one matrix paired
+with sin(t w) and one paired with cos(t w); each is reduced in cache-sized
+blocks of time rows, every entry a fixed-order length-N sum.
 """
 
 from __future__ import annotations
@@ -64,7 +92,6 @@ __all__ = [
     "KernelSet",
     "KERNEL_NAMES",
     "THERMAL_KERNELS",
-    "kernels_at",
     "precompute",
 ]
 
@@ -96,6 +123,8 @@ _MAX_HALVINGS = 6
 # times x nodes per chunk: 2 MB per (nt, N) array, so the sin and cos work
 # arrays of one thread take ~4 MB
 _CHUNK_ELEMENTS = 262_144
+# Gauss nodes per block of the time-domain pass: 512 kB per complex array
+_STEP_BLOCK_NODES = 32_768
 # time rows x coefficient rows x nodes per stacked reduction: the products
 # go through a 256 kB buffer that stays in cache (at least one time row)
 _ROW_BLOCK_ELEMENTS = 32_768
@@ -122,7 +151,8 @@ class KernelSet:
 
     ``values[name][i]`` is the kernel at ``grid[i]``; ``half_values[name][i]``
     at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
-    record the mesh-refinement depth used per time.  ``shifted`` holds one set
+    record the mesh-refinement depth used per time by the frequency-domain
+    pass, and are None for a time-domain set.  ``shifted`` holds one set
     per extra temperature requested from ``precompute``: its R, K, X were
     reduced in the same pass and on this set's mesh, and its L, F, G are this
     set's arrays.  Adding temperatures never changes this set's values or
@@ -146,6 +176,74 @@ class KernelSet:
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
+
+
+# B_2, B_4, ..., B_16: Bernoulli numbers of the asymptotic trigamma series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _trigamma(z) -> np.ndarray:
+    """psi'(z) for complex ``z`` with Re z >= 1.
+
+    The recurrence psi'(z) = psi'(z + 1) + 1/z^2 moves every argument to
+    Re z >= 11, where the asymptotic series 1/z + 1/(2 z^2) + sum_k B_2k /
+    z^(2k+1) (Abramowitz & Stegun 6.4.12), cut after B_16, is accurate to
+    ~1e-17 relative.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for _ in range(max(0, math.ceil(11.0 - float(z.real.min(initial=11.0))))):
+        out += 1.0 / (z * z)
+        z = z + 1.0
+    iz = 1.0 / z
+    iz2 = iz * iz
+    tail = 0.0
+    for b in reversed(_BERNOULLI):
+        tail = b + iz2 * tail
+    return out + iz * (1.0 + iz * (0.5 + iz * tail))
+
+
+def _correlations(s: np.ndarray, sd: SpectralDensity, T: float) -> tuple:
+    """(nu, mu) at times ``s``: the bath correlation functions
+    nu = int J coth(w/2T) cos(w s) dw and mu = int J sin(w s) dw."""
+    q = 1.0 / sd.omega_c - 1j * s
+    c = 1.0 / (q * q)
+    mu = sd.eta * c.imag
+    if T > 0.0:
+        c = c + 2.0 * T * T * _trigamma(1.0 + T * q)
+    return sd.eta * c.real, mu
+
+
+def _time_domain(params: KernelParams, n_half: int, h: float) -> dict:
+    """Each kernel at the n_half + 1 times j*h, as the cumulative sum of its
+    rate (nu or mu, times 1, cos(e s) or sin(e s)) integrated over every
+    step [j h, (j + 1) h] by Gauss-Legendre on equal panels."""
+    sd, eps = params.sd, params.epsilon
+    # panels no wider than 1/(2 max(omega_c, e)); one panel per half step
+    # misses by 3e-7 at dt = 5 and by 2.6e-3 at omega_c = 4, dt = 5
+    panels = math.ceil(2.0 * max(sd.omega_c, eps) * h)
+    width = h / panels
+    offsets = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) * width).ravel()
+    weights = np.tile(0.5 * width * _GL_W, panels)
+    steps = {name: np.empty(n_half) for name in KERNEL_NAMES}
+    # a block of steps at a time keeps the work arrays small; every step's
+    # sum is the same whatever the block size
+    block = max(1, _STEP_BLOCK_NODES // offsets.size)
+    for lo in range(0, n_half, block):
+        rows = slice(lo, min(lo + block, n_half))
+        s = np.arange(rows.start, rows.stop)[:, None] * h + offsets
+        nu, mu = (r * weights for r in _correlations(s, sd, params.T))
+        c, sn = np.cos(eps * s), np.sin(eps * s)
+        for name, rate in (("R", nu), ("K", c * nu), ("L", mu), ("X", sn * nu),
+                           ("F", c * mu), ("G", sn * mu)):
+            rate.sum(axis=1, out=steps[name][rows])
+    out = {}
+    for name in KERNEL_NAMES:
+        acc = np.zeros(n_half + 1)
+        np.cumsum(steps[name], out=acc[1:])
+        acc.flags.writeable = False
+        out[name] = acc
+    return out
 
 
 def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
@@ -566,14 +664,6 @@ class _KernelEngine:
         return out, levels
 
 
-def kernels_at(params, t) -> dict:
-    """All six kernels at one time (they share the quadrature mesh)."""
-    if not (t >= 0.0):
-        raise DomainError(f"kernel time must be >= 0, got {t}")
-    (vals,), _ = _KernelEngine(params).evaluate([t])
-    return {n: float(vals[n][0]) for n in KERNEL_NAMES}
-
-
 def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     if not (t_end > 0.0):
         raise DomainError(f"t_end must be > 0, got {t_end}")
@@ -599,20 +689,31 @@ def precompute(params: KernelParams, t_end: float, dt: float,
                workers: int = None, shifted_T=()) -> KernelSet:
     """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints.
 
-    Grid entries are bit-identical to direct kernels_at calls at the same times.
-    ``workers`` > 1 splits the time axis across threads (numpy releases the
-    GIL); the output does not depend on the worker count.
+    Without ``shifted_T`` the kernels are time integrals of the closed-form
+    bath correlation functions (the time-domain pass), at a cost linear in
+    t_end; ``workers`` is not used.
 
-    For each temperature in ``shifted_T`` (all > 0) the same pass also
-    evaluates R, K, X with coth at that temperature on the mesh accepted at
-    ``params.T``: their node coefficients are stacked with the base ones, so
-    each trigonometric array is reduced once for all temperatures.  These sets
-    are returned in ``KernelSet.shifted``, sharing L, F, G and the levels with
-    the base set, whose values do not depend on ``shifted_T``.  Freezing the
-    mesh keeps the kernels smooth in T, which the finite-difference
-    temperature stencil relies on.
+    For each temperature in ``shifted_T`` (all > 0) the frequency-domain
+    pass also evaluates R, K, X with coth at that temperature on the mesh
+    accepted at ``params.T``: their node coefficients are stacked with the
+    base ones, so each trigonometric array is reduced once for all
+    temperatures.  These sets are returned in ``KernelSet.shifted``, sharing
+    L, F, G and the levels with the base set, whose values do not depend on
+    which temperatures are in ``shifted_T``.  Freezing the mesh keeps the
+    kernels smooth in T, which the finite-difference temperature stencil
+    relies on.  Every value of this pass is bit-identical to a direct
+    evaluation at its time alone.  ``workers`` > 1 splits its time axis
+    across threads (numpy releases the GIL); the output does not depend on
+    the worker count.
     """
     grid = _uniform_grid(t_end, dt)
+    grid.flags.writeable = False
+    on_grid, on_half = slice(0, None, 2), slice(1, None, 2)
+    if not shifted_T:
+        vals = _time_domain(params, 2 * (grid.size - 1), 0.5 * dt)
+        return KernelSet(grid=grid, values={n: a[on_grid] for n, a in vals.items()},
+                         half_values={n: a[on_half] for n, a in vals.items()},
+                         params=params)
     # grid points and midpoints interleaved, evaluated in one pass
     ts = np.empty(2 * grid.size - 1)
     ts[0::2] = grid
@@ -623,8 +724,6 @@ def precompute(params: KernelParams, t_end: float, dt: float,
     with ThreadPoolExecutor(max_workers=threads) as ex:
         sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix]),
                                            np.array_split(np.arange(ts.size), n_parts))))
-    grid.flags.writeable = False
-    on_grid, on_half = slice(0, None, 2), slice(1, None, 2)
     g_lv, m_lv = levels[on_grid], levels[on_half]
     (g_vals, m_vals), *shifted = (
         ({n: a[on_grid] for n, a in d.items()}, {n: a[on_half] for n, a in d.items()})

@@ -45,7 +45,9 @@ __all__ = [
     "loglog_slope",
 ]
 
-_PURE_NORM2 = 1.0 - 1e-12
+# 1 - |D|^2 at or below this lies at the rounding floor of |D|^2 (a few
+# ulp), where only the pure-state limit of the QFI can be evaluated
+_PURE_GAP = 4.0 * np.finfo(float).eps
 _CFI_SLACK = 1e-8
 # Relative step of the temperature stencil, delta = _REL_STEP * T.  Much
 # smaller steps lose significance in the shifted simulations, which the
@@ -105,9 +107,11 @@ def bloch_T_derivative(cfg: ProbeConfig, ks: KernelSet) -> np.ndarray:
 def qfi(delta, ddelta) -> float:
     """Quantum Fisher information from the Bloch vector and its T-derivative.
 
-    Uses F_Q = |d|^2 + (D.d)^2 / (1 - |D|^2); on the pure-state shell the
-    derivative must stay tangent (|D.d| <= 1e-8 |d|) and the limit |d|^2
-    applies.
+    Uses F_Q = |d|^2 + (D.d)^2 / (1 - |D|^2) wherever 1 - |D|^2 stands
+    above the rounding floor of |D|^2, however close to the shell: a weakly
+    coupled probe mixes slowly, and its (D.d)^2 / (1 - |D|^2) can exceed
+    |d|^2 by orders of magnitude.  On the shell itself the derivative must
+    stay tangent (|D.d| <= 1e-8 |d|) and the limit |d|^2 applies.
     """
     D = np.asarray(delta, dtype=float)
     d = np.asarray(ddelta, dtype=float)
@@ -118,7 +122,7 @@ def qfi(delta, ddelta) -> float:
         raise DomainError(f"Bloch vector leaves the unit ball: |D|^2 = {n2}")
     d2 = float(d @ d)
     Dd = float(D @ d)
-    if n2 > _PURE_NORM2:
+    if 1.0 - n2 <= _PURE_GAP:
         if abs(Dd) > 1e-8 * math.sqrt(d2):
             raise NumericError(
                 "temperature derivative is not tangent to the pure-state shell "

@@ -6,11 +6,13 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from qubit_thermometry import (
+    KERNEL_NAMES,
     KernelParams,
     ProbeConfig,
     SpectralDensity,
     precompute,
 )
+from qubit_thermometry import kernels
 from qubit_thermometry.metrology import stencil_kernel_sets
 
 # headline scenario of the figures: T = 0.2, eps = 0.5, eta = 0.05 (omega_c units)
@@ -39,7 +41,19 @@ def ks_short(params):
 def ks_long(params):
     """Figure-scale kernel set (t_end = 200), shared by the steady-state,
     Markov fixed-point and witness-sweep tests."""
-    return precompute(params, 200.0, 0.01, workers=os.cpu_count())
+    return precompute(params, 200.0, 0.01)
+
+
+@pytest.fixture(scope="session")
+def engine_at():
+    """The six kernels at one time alone from the frequency-domain pass that
+    serves the temperature stencil (``precompute`` with ``shifted_T``)."""
+
+    def at(params, t):
+        (vals,), _ = kernels._KernelEngine(params).evaluate([t])
+        return {n: float(vals[n][0]) for n in KERNEL_NAMES}
+
+    return at
 
 
 @pytest.fixture(scope="session")

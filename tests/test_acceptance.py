@@ -31,10 +31,8 @@ from qubit_thermometry import (
     ProbeConfig,
     SpectralDensity,
     integrate,
-    kernels_at,
     precompute,
 )
-from qubit_thermometry import kernels
 from qubit_thermometry.cli import main as cli_main
 from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.metrology import (
@@ -50,23 +48,14 @@ from oracles import dephasing_oracle, five_point_derivative, gibbs_qfi, kernel_R
 EPS, TEMP, ETA = 0.5, 0.2, 0.05
 
 
-@pytest.fixture
-def fast_quad(monkeypatch):
-    """Oracle-validated fast quadrature for the dt = 1e-3 oracle runs (see
-    test_kernels.py::test_panel_density_consistency for the accuracy evidence)."""
-    monkeypatch.setattr(kernels, "_REL_TOL", 1e-8)
-    monkeypatch.setattr(kernels, "_ABS_TOL", 1e-10)
-    monkeypatch.setattr(kernels, "_PANELS_PER_OSCILLATION", 2)
-
-
 def _report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
-def test_c1_dephasing_oracle_T0(sd, fast_quad):
+def test_c1_dephasing_oracle_T0(sd):
     start = time.perf_counter()
     cfg = ProbeConfig(epsilon=EPS, alpha=0.0, T=0.0, sd=sd, t_end=50.0, dt=1e-3)
-    ks = kernels_for(cfg, workers=os.cpu_count())
+    ks = kernels_for(cfg)
     traj = integrate(cfg, ks)
     ref = (1.0 + traj.grid**2) ** (-2.0 * ETA)
     err = float(np.max(np.abs(coherence(traj) - ref)))
@@ -76,10 +65,10 @@ def test_c1_dephasing_oracle_T0(sd, fast_quad):
     _report("C1 dephasing oracle T=0", f"max err {err:.2e}, {elapsed:.1f} s")
 
 
-def test_c2_dephasing_oracle_finite_T(sd, fast_quad):
+def test_c2_dephasing_oracle_finite_T(sd):
     start = time.perf_counter()
     cfg = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=50.0, dt=1e-3)
-    ks = kernels_for(cfg, workers=os.cpu_count())
+    ks = kernels_for(cfg)
     traj = integrate(cfg, ks)
     oracle = dephasing_oracle(cfg)
     err = float(np.max(np.abs(coherence(traj) - coherence(oracle))))
@@ -95,8 +84,7 @@ def test_c3_markov_fixed_point(sd, ks_long):
     cfg = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd, t_end=200.0, dt=0.01)
     dz_f = {0.05: float(integrate(cfg, ks_long).dz[-1])}
     sd_small = SpectralDensity(eta=0.01, omega_c=1.0)
-    ks_small = precompute(KernelParams(sd=sd_small, epsilon=EPS, T=TEMP),
-                          200.0, 0.01, workers=os.cpu_count())
+    ks_small = precompute(KernelParams(sd=sd_small, epsilon=EPS, T=TEMP), 200.0, 0.01)
     cfg_small = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd_small,
                             t_end=200.0, dt=0.01)
     dz_f[0.01] = float(integrate(cfg_small, ks_small).dz[-1])
@@ -108,13 +96,13 @@ def test_c3_markov_fixed_point(sd, ks_long):
 
 
 def test_c4_kernel_zero_time_and_closed_forms(params, sd):
-    vals = kernels_at(params, 0.0)
-    assert all(abs(v) < 1e-12 for v in vals.values())
-    p0 = KernelParams(sd=sd, epsilon=EPS, T=0.0)
-    rel = max(abs(kernels_at(p0, t)["R"] / kernel_R_T0(ETA, 1.0, t) - 1.0)
-              for t in (0.1, 1.0, 10.0))
+    ks = precompute(params, 1e3, 0.5)
+    assert all(abs(ks.values[n][0]) < 1e-12 for n in ks.values)
+    ks0 = precompute(KernelParams(sd=sd, epsilon=EPS, T=0.0), 10.0, 0.1)
+    rel = max(abs(ks0.values["R"][i] / kernel_R_T0(ETA, 1.0, ks0.grid[i]) - 1.0)
+              for i in (1, 10, 100))
     assert rel <= 1e-8
-    dL = abs(kernels_at(params, 1e3)["L"] - ETA * 1.0)
+    dL = abs(ks.values["L"][-1] - ETA * 1.0)
     assert dL <= 1e-4
     _report("C4 kernel checks", f"t=0 exact, R(T=0) rel {rel:.1e}, L(1e3) {dL:.1e}")
 

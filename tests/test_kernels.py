@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from qubit_thermometry import (
     KernelParams,
     QuadratureError,
     SpectralDensity,
-    kernels_at,
     precompute,
 )
 from qubit_thermometry import kernels
@@ -52,9 +52,21 @@ RIEMANN_T27 = {
 GAMMA_T1 = 7.936864476889256e-02
 
 
+@pytest.fixture(scope="module")
+def ks_1e3(params):
+    """Time-domain set at the headline point out to t = 1000."""
+    return precompute(params, 1000.0, 0.5)
+
+
+def _at(ks, t):
+    """The six kernels of ``ks`` at its grid time nearest ``t``, and that time."""
+    i = int(round(t / ks.dt))
+    return {n: float(ks.values[n][i]) for n in KERNEL_NAMES}, float(ks.grid[i])
+
+
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 5.0])
-def test_all_kernels_vanish_then_match_oracle(params, t):
-    vals = kernels_at(params, t)
+def test_all_kernels_vanish_then_match_oracle(ks_short, t):
+    vals, t = _at(ks_short, t)
     if t == 0.0:
         for name in KERNEL_NAMES:
             assert abs(vals[name]) < 1e-12
@@ -64,9 +76,10 @@ def test_all_kernels_vanish_then_match_oracle(params, t):
             assert vals[name] == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
-def test_frozen_oracle_values(params):
-    v1 = kernels_at(params, 1.0)
-    v2 = kernels_at(params, 2.7)
+def test_frozen_oracle_values(ks_short):
+    v1, t1 = _at(ks_short, 1.0)
+    v2, t2 = _at(ks_short, 2.7)
+    assert (t1, t2) == (1.0, 2.7)
     for name in KERNEL_NAMES:
         assert v1[name] == pytest.approx(RIEMANN_T1[name], rel=1e-9)
         assert v2[name] == pytest.approx(RIEMANN_T27[name], rel=1e-9)
@@ -74,51 +87,55 @@ def test_frozen_oracle_values(params):
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
 def test_R_closed_form_at_T0(sd, t):
-    p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert kernels_at(p, t)["R"] == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
+    ks = precompute(KernelParams(sd=sd, epsilon=0.5, T=0.0), 10.0, 0.1)
+    vals, t = _at(ks, t)
+    assert vals["R"] == pytest.approx(kernel_R_T0(0.05, 1.0, t), rel=1e-8)
 
 
-def test_L_long_time_limit(params):
+def test_L_long_time_limit(ks_1e3):
     # L(t) -> eta * omega_c; the residual at t = 1e3 is ~ eta/t^2
-    assert kernels_at(params, 1e3)["L"] == pytest.approx(0.05, abs=1e-4)
+    assert ks_1e3.values["L"][-1] == pytest.approx(0.05, abs=1e-4)
 
 
 def test_R_long_time_vanishes_at_T0(sd):
-    p = KernelParams(sd=sd, epsilon=0.5, T=0.0)
-    assert abs(kernels_at(p, 1e3)["R"]) < 1e-4
+    ks = precompute(KernelParams(sd=sd, epsilon=0.5, T=0.0), 1000.0, 0.5)
+    assert abs(ks.values["R"][-1]) < 1e-4
 
 
 def test_K_long_time_markov_average(params):
     # tail average over one precession period approaches (pi/2) J(eps) coth(eps/2T);
     # the residual oscillation decays like 1/t
-    from qubit_thermometry.kernels import _KernelEngine
-    eng = _KernelEngine(params)
-    ts = 200.0 + np.linspace(0.0, 2.0 * math.pi / 0.5, 41)
-    (vals,), _ = eng.evaluate(ts)
-    avg = float(np.trapezoid(vals["K"], ts) / (ts[-1] - ts[0]))
+    dt = 2.0 * math.pi / 0.5 / 40
+    ks = precompute(params, 680 * dt, dt)
+    ts, K = ks.grid[640:], ks.values["K"][640:]  # t in [201, 213.6]
+    avg = float(np.trapezoid(K, ts) / (ts[-1] - ts[0]))
     assert avg == pytest.approx(markov_K_limit(0.05, 1.0, 0.5, 0.2), rel=2e-2)
 
 
 def test_eta_linearity(sd):
     p1 = KernelParams(sd=sd, epsilon=0.5, T=0.2)
     p2 = KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=0.2)
+    k1 = precompute(p1, 17.0, 0.1)
+    k2 = precompute(p2, 17.0, 0.1)
     for t in (0.4, 3.1, 17.0):
-        v1 = kernels_at(p1, t)
-        v2 = kernels_at(p2, t)
+        v1, _ = _at(k1, t)
+        v2, _ = _at(k2, t)
         for name in KERNEL_NAMES:
             assert v2[name] == pytest.approx(2.0 * v1[name], rel=1e-13, abs=1e-300)
 
 
 def test_zero_coupling():
     p = KernelParams(sd=SpectralDensity(eta=0.0), epsilon=0.5, T=0.2)
-    vals = kernels_at(p, 3.0)
-    assert all(vals[name] == 0.0 for name in KERNEL_NAMES)
+    ks = precompute(p, 3.0, 0.1)
+    for name in KERNEL_NAMES:
+        assert np.all(ks.values[name] == 0.0) and np.all(ks.half_values[name] == 0.0)
 
 
 def test_gapless_probe(sd):
     # eps = 0: denominators become -w^2; X and G vanish identically, F = L
     p = KernelParams(sd=sd, epsilon=0.0, T=0.2)
-    vals = kernels_at(p, 2.0)
+    vals, t = _at(precompute(p, 2.0, 0.1), 2.0)
+    assert t == 2.0
     assert vals["X"] == 0.0
     assert vals["G"] == 0.0
     assert vals["F"] == pytest.approx(vals["L"], rel=1e-13)
@@ -126,68 +143,70 @@ def test_gapless_probe(sd):
     assert vals["K"] == pytest.approx(ref, rel=1e-7)
 
 
-def _kernels_with(monkeypatch, params, t, **constants):
-    """kernels_at with the named ``kernels`` module constants patched for
+# -- the frequency-domain pass behind the temperature stencil ----------------------
+
+def _kernels_with(monkeypatch, engine_at, params, t, **constants):
+    """``engine_at`` with the named ``kernels`` module constants patched for
     this one call."""
     with monkeypatch.context() as patch:
         for name, value in constants.items():
             patch.setattr(kernels, name, value)
-        return kernels_at(params, t)
+        return engine_at(params, t)
 
 
-def test_resonance_guard_insensitive(sd, monkeypatch):
+def test_resonance_guard_insensitive(sd, monkeypatch, engine_at):
     # widening the direct-evaluation window 3x above the omega_c/16 floor
     # changes which panels take the direct path but must not move the values
     p = KernelParams(sd=sd, epsilon=0.5, T=0.2)
     for t in (1.0, 20.0):
-        va = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.1)
-        vb = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.3)
+        va = _kernels_with(monkeypatch, engine_at, p, t, _RESONANCE_GUARD=0.1)
+        vb = _kernels_with(monkeypatch, engine_at, p, t, _RESONANCE_GUARD=0.3)
         for name in KERNEL_NAMES:
             assert abs(va[name] - vb[name]) <= 10.0 * kernels._REL_TOL * max(1.0, abs(va[name]))
         # any guard below the floor gives the default engine, bit for bit
-        below = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=1e-5)
-        assert below == kernels_at(p, t)
+        below = _kernels_with(monkeypatch, engine_at, p, t, _RESONANCE_GUARD=1e-5)
+        assert below == engine_at(p, t)
 
 
-def test_resonance_window_wider(sd, monkeypatch):
+def test_resonance_window_wider(sd, monkeypatch, engine_at):
     # a much wider direct window changes the path but not the value
     p = KernelParams(sd=sd, epsilon=0.5, T=0.2)
     for t in (1.0, 7.7):
-        va = kernels_at(p, t)
-        vb = _kernels_with(monkeypatch, p, t, _RESONANCE_GUARD=0.3)
+        va = engine_at(p, t)
+        vb = _kernels_with(monkeypatch, engine_at, p, t, _RESONANCE_GUARD=0.3)
         for name in KERNEL_NAMES:
             assert vb[name] == pytest.approx(va[name], rel=1e-9, abs=1e-12)
 
 
-def test_truncation_consistency(params, monkeypatch):
+def test_truncation_consistency(params, monkeypatch, engine_at):
     for t in (1.0, 30.0):
-        va = _kernels_with(monkeypatch, params, t, _OMEGA_MAX_FACTOR=60.0)
-        vb = _kernels_with(monkeypatch, params, t, _OMEGA_MAX_FACTOR=120.0)
+        va = _kernels_with(monkeypatch, engine_at, params, t, _OMEGA_MAX_FACTOR=60.0)
+        vb = _kernels_with(monkeypatch, engine_at, params, t, _OMEGA_MAX_FACTOR=120.0)
         for name in KERNEL_NAMES:
             assert abs(va[name] - vb[name]) < kernels._ABS_TOL
 
 
-def test_panel_density_consistency(params, monkeypatch):
+def test_panel_density_consistency(params, monkeypatch, engine_at):
     # doubling the panels-per-oscillation floor must not move the values
     for t in (5.0, 40.0):
-        va = kernels_at(params, t)
-        vb = _kernels_with(monkeypatch, params, t, _PANELS_PER_OSCILLATION=8)
+        va = engine_at(params, t)
+        vb = _kernels_with(monkeypatch, engine_at, params, t, _PANELS_PER_OSCILLATION=8)
         for name in KERNEL_NAMES:
             assert vb[name] == pytest.approx(va[name], rel=1e-8, abs=1e-11)
 
 
-def test_negative_time_rejected(params):
+def test_negative_time_rejected(params, engine_at):
     with pytest.raises(DomainError):
-        kernels_at(params, -1.0)
+        engine_at(params, -1.0)
     with pytest.raises(DomainError):
         kernels._KernelEngine(params).evaluate([-0.5])
 
 
-def test_subnormal_time_evaluates_without_warning(params):
+def test_subnormal_time_evaluates_without_warning(params, engine_at):
     # 2 pi / t overflows to inf there; the mesh choice must still be silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = kernels_at(params, 5e-324)
+        vals = engine_at(params, 5e-324)
     assert abs(vals["R"]) <= kernels._ABS_TOL
 
 
@@ -220,37 +239,116 @@ def test_closed_form_gamma_against_quadpack():
 # -- closed-form R and L ------------------------------------------------------------
 
 def _within_engine_tolerance(got, want):
-    return abs(got - want) <= max(kernels._ABS_TOL, kernels._REL_TOL * abs(got))
+    return np.all(np.abs(got - want) <= np.maximum(kernels._ABS_TOL,
+                                                   kernels._REL_TOL * np.abs(got)))
 
 
-def test_R_L_closed_forms_at_headline(params):
+def test_R_L_closed_forms_at_headline(ks_1e3):
     # R = Gamma'/4 and L at T = 0.2, eta = 0.05, far tighter than the
     # 2M-point Riemann oracle (7e-13 to 3e-11 at these t)
     for t in (0.5, 1.0, 5.0, 20.0, 50.0, 200.0, 1000.0):
-        vals = kernels_at(params, t)
+        vals, t = _at(ks_1e3, t)
         assert abs(vals["R"] - kernel_R_closed(0.05, 1.0, 0.2, t)) <= 1e-13
         assert abs(vals["L"] - kernel_L_closed(0.05, 1.0, t)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
-@given(t=st.floats(0.0, 200.0), T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1),
-       eps=st.floats(0.0, 2.0))
-def test_R_L_match_closed_forms(t, T, eta, eps):
-    vals = kernels_at(KernelParams(sd=SpectralDensity(eta=eta), epsilon=eps, T=T), t)
-    assert _within_engine_tolerance(vals["R"], kernel_R_closed(eta, 1.0, T, t))
-    assert _within_engine_tolerance(vals["L"], kernel_L_closed(eta, 1.0, t))
+@given(t_end=st.floats(1e-6, 200.0), steps=st.integers(1, 400),
+       T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1), eps=st.floats(0.0, 2.0))
+def test_R_L_match_closed_forms(t_end, steps, T, eta, eps):
+    # every grid and midpoint value of a drawn grid
+    dt = t_end / steps
+    ks = precompute(KernelParams(sd=SpectralDensity(eta=eta), epsilon=eps, T=T), t_end, dt)
+    mid = ks.grid[:-1] + 0.5 * dt
+    for ts, vals in ((ks.grid, ks.values), (mid, ks.half_values)):
+        assert _within_engine_tolerance(vals["R"], kernel_R_closed(eta, 1.0, T, ts))
+        assert _within_engine_tolerance(vals["L"], kernel_L_closed(eta, 1.0, ts))
 
 
 @pytest.mark.parametrize("T", [0.01, 0.2, 0.5])
-def test_long_horizon_meets_tolerance_or_raises(T):
-    # at t = 1e3 the quadrature may give up, but never return a wrong R or L
+def test_long_horizon_meets_closed_forms(T):
     p = KernelParams(sd=SpectralDensity(eta=0.1), epsilon=0.5, T=T)
-    try:
-        vals = kernels_at(p, 1e3)
-    except QuadratureError:
-        return
-    assert _within_engine_tolerance(vals["R"], kernel_R_closed(0.1, 1.0, T, 1e3))
-    assert _within_engine_tolerance(vals["L"], kernel_L_closed(0.1, 1.0, 1e3))
+    ks = precompute(p, 1e3, 0.5)
+    assert ks.grid[-1] == 1e3
+    assert _within_engine_tolerance(ks.values["R"][-1], kernel_R_closed(0.1, 1.0, T, 1e3))
+    assert _within_engine_tolerance(ks.values["L"][-1], kernel_L_closed(0.1, 1.0, 1e3))
+
+
+# -- the time-domain pass -------------------------------------------------------
+
+def test_trigamma_against_mpmath():
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.uniform(1.0, 30.0, 200) + 1j * rng.uniform(-100.0, 100.0, 200),
+                        [1.0, 1.0 + 100j, 1.0 - 100j, 1.01 + 0.5j, 11.0, 10.99 + 3j]])
+    got = kernels._trigamma(z)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.psi(1, complex(v))) for v in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    # one argument at a time takes the same path
+    assert complex(kernels._trigamma(z[3])) == pytest.approx(want[3], rel=1e-15)
+
+
+def _interleaved(ks, name):
+    """``name`` at grid[0], grid[0] + dt/2, grid[1], ..., grid[-1]."""
+    out = np.empty(2 * ks.grid.size - 1)
+    out[0::2] = ks.values[name]
+    out[1::2] = ks.half_values[name]
+    return out
+
+
+@pytest.mark.parametrize("omega_c,eps,T,dt", [
+    (1.0, 0.5, 0.2, 0.01), (1.0, 2.0, 0.01, 1.0), (4.0, 0.5, 0.5, 5.0), (1.0, 0.0, 0.0, 0.2)])
+def test_gauss_legendre_8_against_16(monkeypatch, omega_c, eps, T, dt):
+    # the same panels under the 16-point rule: every half-step increment agrees
+    p = KernelParams(sd=SpectralDensity(eta=0.05, omega_c=omega_c), epsilon=eps, T=T)
+    a = precompute(p, 20.0, dt)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    monkeypatch.setattr(kernels, "_GL_X", x16)
+    monkeypatch.setattr(kernels, "_GL_W", w16)
+    b = precompute(p, 20.0, dt)
+    for name in KERNEL_NAMES:
+        gap = np.diff(_interleaved(a, name)) - np.diff(_interleaved(b, name))
+        assert np.max(np.abs(gap)) <= 1e-14
+
+
+def test_step_block_does_not_change_values(params, monkeypatch):
+    # one half step per block, then every step in one block, against the
+    # default blocking, 0 ulp
+    a = precompute(params, 50.0, 0.01)
+    for nodes in (1, 10**9):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_STEP_BLOCK_NODES", nodes)
+            b = precompute(params, 50.0, 0.01)
+        for name in KERNEL_NAMES:
+            assert np.array_equal(a.values[name], b.values[name])
+            assert np.array_equal(a.half_values[name], b.half_values[name])
+
+
+@pytest.mark.parametrize("omega_c,eps,T", [(1.0, 0.5, 0.2), (4.0, 2.0, 0.01), (1.0, 0.0, 0.5)])
+def test_dt_halving_invariance(omega_c, eps, T):
+    p = KernelParams(sd=SpectralDensity(eta=0.05, omega_c=omega_c), epsilon=eps, T=T)
+    for dt in (0.01, 0.05, 0.2, 1.0, 5.0):
+        a = precompute(p, 50.0, dt)
+        b = precompute(p, 50.0, dt / 2)
+        for name in KERNEL_NAMES:
+            assert np.max(np.abs(a.values[name] - b.values[name][::2])) <= 1e-13
+            assert np.max(np.abs(a.half_values[name] - b.values[name][1::2])) <= 1e-13
+
+
+@pytest.mark.parametrize("omega_c", [1.0, 4.0])
+@pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("T", [0.0, 0.01, 0.2, 0.5])
+def test_time_domain_matches_stencil_base_set(T, eps, omega_c):
+    # the base set of the stencil pass does not depend on its companion
+    # temperatures (checked to 0 ulp below), so one companion stands in
+    p = KernelParams(sd=SpectralDensity(eta=0.05, omega_c=omega_c), epsilon=eps, T=T)
+    for dt in (0.01, 0.05, 0.2, 1.0, 5.0):
+        a = precompute(p, 5.0, dt)
+        b = precompute(p, 5.0, dt, shifted_T=(0.2,))
+        assert a.levels is None and b.levels is not None
+        for name in KERNEL_NAMES:
+            assert np.max(np.abs(a.values[name] - b.values[name])) <= 1e-12
+            assert np.max(np.abs(a.half_values[name] - b.half_values[name])) <= 1e-12
 
 
 # -- precompute ---------------------------------------------------------------
@@ -265,26 +363,38 @@ def test_precompute_grid_shape(params):
         assert len(ks.values[name]) == 501
 
 
-def test_precompute_matches_direct_calls_exactly(params, ks_short):
+def _stencil_temps(T):
+    return tuple(T * (1.0 + r) for r in (-2e-7, -1e-7, 1e-7, 2e-7))
+
+
+@pytest.fixture(scope="module")
+def ks_stencil_short(params):
+    """Stencil-pass set on ks_short's grid."""
+    return precompute(params, 10.0, 0.01, shifted_T=_stencil_temps(params.T))
+
+
+def test_precompute_matches_direct_calls_exactly(params, ks_stencil_short, engine_at):
+    # the stencil pass evaluates every time on its own: batched == direct, 0 ulp
+    ks = ks_stencil_short
     rng = np.random.default_rng(3)
-    for i in rng.integers(0, len(ks_short.grid), 20):
-        t = float(ks_short.grid[i])
-        direct = kernels_at(params, t)
+    for i in rng.integers(0, len(ks.grid), 20):
+        direct = engine_at(params, float(ks.grid[i]))
         for name in KERNEL_NAMES:
-            assert direct[name] == ks_short.values[name][i]  # same code path, 0 ulp
-    for i in rng.integers(0, len(ks_short.grid) - 1, 5):
-        t = float(ks_short.grid[i] + 0.005)
-        direct = kernels_at(params, t)
+            assert direct[name] == ks.values[name][i]  # same code path, 0 ulp
+    for i in rng.integers(0, len(ks.grid) - 1, 5):
+        direct = engine_at(params, float(ks.grid[i] + 0.005))
         for name in KERNEL_NAMES:
-            assert direct[name] == ks_short.half_values[name][i]
+            assert direct[name] == ks.half_values[name][i]
 
 
 def test_precompute_worker_count_invariance(params):
-    a = precompute(params, 3.0, 0.01)
-    b = precompute(params, 3.0, 0.01, workers=4)
-    for name in KERNEL_NAMES:
-        assert np.array_equal(a.values[name], b.values[name])
-        assert np.array_equal(a.half_values[name], b.half_values[name])
+    # time-domain pass, then stencil pass
+    for shifted_T in ((), (0.2,)):
+        a = precompute(params, 3.0, 0.01, shifted_T=shifted_T)
+        b = precompute(params, 3.0, 0.01, workers=4, shifted_T=shifted_T)
+        for name in KERNEL_NAMES:
+            assert np.array_equal(a.values[name], b.values[name])
+            assert np.array_equal(a.half_values[name], b.half_values[name])
 
 
 def test_precompute_validation(params):
@@ -300,7 +410,7 @@ def test_thermal_kernels_only_depend_on_T(sd):
     ka = precompute(pa, 2.0, 0.05)
     kb = precompute(pb, 2.0, 0.05)
     for name in ("L", "F", "G"):
-        # same integrals; only the quadrature mesh differs with T
+        # time integrals of mu, which does not depend on T
         np.testing.assert_allclose(ka.values[name], kb.values[name],
                                    rtol=1e-12, atol=1e-15)
     assert np.max(np.abs(ka.values["R"] - kb.values["R"])) > 1e-4
@@ -321,10 +431,6 @@ def test_rebuild_for_temperature(params):
     for bad_T in (0.0, -0.1):
         with pytest.raises(DomainError):
             precompute(params, 10.0, 0.01, shifted_T=(0.3, bad_T))
-
-
-def _stencil_temps(T):
-    return tuple(T * (1.0 + r) for r in (-2e-7, -1e-7, 1e-7, 2e-7))
 
 
 def test_shift_at_base_temperature_is_bit_identical(params):
@@ -365,16 +471,16 @@ def test_chunk_size_does_not_change_values(params, monkeypatch):
                 assert np.array_equal(sa.half_values[name], sb.half_values[name])
 
 
-def test_base_set_independent_of_shifted_temperatures(params):
-    # stacking the shifted rows into the reductions never changes a base sum
-    plain = precompute(params, 10.0, 0.01)
-    stencil = precompute(params, 10.0, 0.01, shifted_T=_stencil_temps(params.T))
-    assert plain.levels.max() > 0 and plain.half_levels.max() > 0  # refined rows covered
-    assert np.array_equal(plain.levels, stencil.levels)
-    assert np.array_equal(plain.half_levels, stencil.half_levels)
+def test_base_set_independent_of_shifted_temperatures(params, ks_stencil_short):
+    # stacking more shifted rows into the reductions never changes a base sum
+    one = precompute(params, 10.0, 0.01, shifted_T=(params.T,))
+    stencil = ks_stencil_short
+    assert one.levels.max() > 0 and one.half_levels.max() > 0  # refined rows covered
+    assert np.array_equal(one.levels, stencil.levels)
+    assert np.array_equal(one.half_levels, stencil.half_levels)
     for name in KERNEL_NAMES:
-        assert np.array_equal(plain.values[name], stencil.values[name])
-        assert np.array_equal(plain.half_values[name], stencil.half_values[name])
+        assert np.array_equal(one.values[name], stencil.values[name])
+        assert np.array_equal(one.half_values[name], stencil.half_values[name])
 
 
 def test_shifted_value_independent_of_companion_temperatures(params):
@@ -386,11 +492,11 @@ def test_shifted_value_independent_of_companion_temperatures(params):
         assert np.array_equal(alone.half_values[name], among.half_values[name])
 
 
-def test_quadrature_error_names_parameters(params, monkeypatch):
+def test_quadrature_error_names_parameters(params, monkeypatch, engine_at):
     monkeypatch.setattr(kernels, "_REL_TOL", 1e-30)
     monkeypatch.setattr(kernels, "_ABS_TOL", 1e-30)
     with pytest.raises(QuadratureError) as info:
-        kernels_at(params, 1.0)
+        engine_at(params, 1.0)
     err = info.value
     assert err.kernel in KERNEL_NAMES and err.t == 1.0 and err.achieved_error > 1e-30
     msg = str(err)

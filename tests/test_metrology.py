@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qubit_thermometry import (
     KERNEL_NAMES,
@@ -15,7 +15,6 @@ from qubit_thermometry import (
     SpectralDensity,
     cfi,
     integrate,
-    kernels_at,
     markov_comparator,
     qcrb,
     qfi,
@@ -78,6 +77,16 @@ def test_qfi_pure_state_paths():
         qfi((1.0, 0.0, 0.0), (0.1, 0.0, 0.0))  # radial derivative is inconsistent
     with pytest.raises(DomainError):
         qfi((1.1, 0.0, 0.0), (0.1, 0.0, 0.0))
+
+
+def test_qfi_just_inside_the_shell_keeps_the_mixed_term():
+    # 1 - |D|^2 = 1e-12 stands far above the rounding floor of |D|^2, so a
+    # radial derivative is physical there and dominates the QFI
+    D = (math.sqrt(1.0 - 1e-12), 0.0, 0.0)
+    d = (1e-10, 1e-10, 0.0)
+    want = 2e-20 + (D[0] * 1e-10) ** 2 / (1.0 - D[0] * D[0])
+    assert want > 1e-9
+    assert qfi(D, d) == pytest.approx(want, rel=1e-12)
 
 
 def test_cfi_values_and_errors():
@@ -227,7 +236,10 @@ def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
 @settings(max_examples=20, deadline=None)
 @given(eps=st.floats(0.0, 2.0), T=st.floats(0.01, 0.5), eta=st.floats(0.0, 0.1),
        alpha=st.floats(0.0, 1.0), steps=st.integers(3, 40))
-def test_stencil_pipeline_properties(eps, T, eta, alpha, steps):
+# a weakly coupled probe 7.4e-13 inside the pure-state shell, where the
+# mixed-state QFI term exceeds |dD/dT|^2 by nine orders of magnitude
+@example(eps=0.28255745495205314, T=0.1875, eta=5.960464477539063e-08, alpha=1.0, steps=3)
+def test_stencil_pipeline_properties(engine_at, eps, T, eta, alpha, steps):
     # across the validated envelope at short horizons: every stencil
     # trajectory stays in the unit ball, no measurement beats the QFI, and
     # the batched stencil set equals direct kernel calls to 0 ulp
@@ -241,7 +253,7 @@ def test_stencil_pipeline_properties(eps, T, eta, alpha, steps):
     for i, r in zip(idx, metrology_scan(base, [ks.grid[i] for i in idx], ks)):
         assert r.cfi_x <= r.qfi * (1 + 1e-8)
         assert r.cfi_z <= r.qfi * (1 + 1e-8)
-        direct = kernels_at(ks.params, float(ks.grid[i]))
+        direct = engine_at(ks.params, float(ks.grid[i]))
         for name in KERNEL_NAMES:
             assert direct[name] == ks.values[name][i]
 
