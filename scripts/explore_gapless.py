@@ -9,8 +9,8 @@ gate.
 """
 import numpy as np
 
-from qubit_thermometry import ProbeConfig, SpectralDensity, integrate
-from qubit_thermometry.metrology import loglog_slope, metrology_scan, stencil_kernel_sets
+from qubit_thermometry import ProbeConfig, SpectralDensity
+from qubit_thermometry.metrology import loglog_slope, stencil_kernel_sets, stencil_scans
 
 
 def main():
@@ -21,8 +21,8 @@ def main():
     for T in temps:
         cfg = ProbeConfig(epsilon=0.0, alpha=0.5, T=float(T), sd=sd,
                           t_end=max(times), dt=0.01)
-        ks = stencil_kernel_sets(cfg)
-        for r in metrology_scan(integrate(cfg, ks), times, ks):
+        _, (scan,) = stencil_scans([cfg], [stencil_kernel_sets(cfg)], times)
+        for r in scan:
             qfi[r.t].append(r.qfi)
         print(f"T = {T:.4f}: " + "  ".join(
             f"F_Q(t={t:g}) = {qfi[t][-1]:.4g}" for t in times))

@@ -6,8 +6,9 @@
 Prints one ``<sha256>  <name>`` line per item:
 
 * every CSV and SVG that ``reproduce fig1|fig2|fig3 --dt 0.05`` writes at
-  ``--workers 1`` and ``2`` (each run in a fresh subprocess, into a
-  temporary directory that is removed afterwards);
+  ``--workers 1`` and ``2``, and the ``trajectory.csv`` of ``trajectory`` at
+  the CLI defaults (one integration lane; each run in a fresh subprocess,
+  into a temporary directory that is removed afterwards);
 * every kernel array of the temperature-stencil bundle (the base set, its
   four shifted sets and the refinement levels, grid and midpoints) at the
   headline eps = 0.5, eta = 0.05, dt = 0.05, for T in {0.2, 0.02, 0.01},
@@ -61,6 +62,11 @@ def figure_digests(src: str):
                     if name.endswith((".csv", ".svg")):
                         with open(os.path.join(out, name), "rb") as fh:
                             yield _sha(fh.read()), f"{fig}/w{w}/{name}"
+        out = os.path.join(tmp, "trajectory")
+        subprocess.run([sys.executable, "-m", "qubit_thermometry.cli", "trajectory",
+                        "--out", out], env=env, check=True, stdout=subprocess.DEVNULL)
+        with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+            yield _sha(fh.read()), "trajectory/trajectory.csv"
 
 
 def _set_digests(ks, tag):

@@ -10,9 +10,12 @@ reproduce           canonical fig1 | fig2 | fig3 pipelines (CSV + SVG)
 
 Configuration is a flat key=value text file (``--config``) plus per-parameter
 command-line overrides; all floats are written with 17 significant digits so
-runs are byte-reproducible.  Sweep points are independent tasks executed by a
-process pool (``--workers``); outputs are assembled in sweep order and do not
-depend on the worker count.
+runs are byte-reproducible.  A sweep integrates all its trajectories, with
+their temperature-shifted stencil lanes, in one ``integrate_lanes`` call in
+this process.  ``--workers`` sets the process pool in which the temperature
+sweep builds each temperature's kernels, and the threads of a stencil
+kernel pass; outputs are assembled in sweep order and do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -22,18 +25,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
-from .dynamics import ProbeConfig, integrate, kernels_for
+from .dynamics import ProbeConfig, integrate, integrate_lanes, kernels_for
 from .errors import ConfigurationError
 from .kernels import KERNEL_NAMES, precompute
 from .metrology import (
     loglog_slope,
     markov_comparator,
-    metrology_scan,
     stencil_kernel_sets,
+    stencil_scans,
 )
 from .spectral import SpectralDensity
 from .svg import LinePlot
@@ -169,35 +171,10 @@ def _check_times(cfg: RunConfig):
     return cfg.times
 
 
-# ----------------------------------------------------------------------------
-# sweep tasks; each takes its whole state as arguments, so pool workers
-# behave the same under any multiprocessing start method
-
-def _alpha_task(cfg: RunConfig, ks, times, with_steady: bool, alpha: float):
-    probe = cfg.probe(alpha=alpha)
-    traj = integrate(probe, ks)
-    C = coherence(traj)
-    n_c = non_markovianity(C)
-    if with_steady:
-        steady, conv = steady_coherence(traj, cfg.window_frac)
-    else:
-        steady, conv = math.nan, False
-    row = [alpha, n_c, steady, int(conv)]
-    if times:
-        row.extend(r.qfi for r in metrology_scan(traj, times, ks))
-    return row
-
-
-def _temp_task(cfg: RunConfig, times, T: float):
-    probe = cfg.probe(T=T)
-    ks = stencil_kernel_sets(probe)
-    results = metrology_scan(integrate(probe, ks), times, ks)
-    return [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
-            for r in results]
-
-
 def _run_tasks(task, points, workers: int) -> list:
-    """``task`` applied to each sweep point, results in sweep order."""
+    """``task`` applied to each sweep point, results in sweep order; ``task``
+    takes its whole state as arguments, so pool workers behave the same under
+    any multiprocessing start method."""
     if workers > 1 and len(points) > 1:
         # imported here: multiprocessing costs ~20 ms of every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -251,7 +228,9 @@ def _steady_window_ok(cfg: RunConfig) -> bool:
     return True
 
 
-def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
+def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
+    """Witness (and Fisher) columns per alpha, every lane integrated in one
+    call; returns each alpha's trajectory, in sweep order."""
     times = _check_times(cfg)
     if ks is None:
         probe0 = cfg.probe(alpha=0.0)
@@ -259,8 +238,20 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
             ks = stencil_kernel_sets(probe0, workers=cfg.workers)
         else:
             ks = kernels_for(probe0)
-    task = partial(_alpha_task, cfg, ks, times, _steady_window_ok(cfg))
-    rows = _run_tasks(task, [float(a) for a in cfg.alphas()], cfg.workers)
+    probes = [cfg.probe(alpha=float(a)) for a in cfg.alphas()]
+    if times:
+        trajs, scans = stencil_scans(probes, [ks] * len(probes), times)
+    else:
+        trajs, scans = integrate_lanes(probes, [ks] * len(probes)), [()] * len(probes)
+    with_steady = _steady_window_ok(cfg)
+    rows = []
+    for traj, scan in zip(trajs, scans):
+        if with_steady:
+            steady, conv = steady_coherence(traj, cfg.window_frac)
+        else:
+            steady, conv = math.nan, False
+        rows.append([traj.config.alpha, non_markovianity(coherence(traj)), steady,
+                     int(conv), *(r.qfi for r in scan)])
     header = "alpha,N_C,steady_dx_abs,converged"
     header += "".join(f",qfi_t_{t:g}" for t in times)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -281,16 +272,19 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> int:
             qplot.write(pq)
             print(f"wrote {pq}")
         print(f"wrote {p}")
-    return 0
+    return trajs
 
 
 def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
     times = _check_times(cfg)
     if not times:
         raise ConfigurationError("temperature sweep needs at least one probing time")
-    groups = _run_tasks(partial(_temp_task, cfg, times),
-                        [float(T) for T in cfg.temperatures()], cfg.workers)
-    rows = [row for group in groups for row in group]
+    probes = [cfg.probe(T=float(T)) for T in cfg.temperatures()]
+    # the pool builds each temperature's stencil bundle; the lanes step together
+    bundles = _run_tasks(stencil_kernel_sets, probes, cfg.workers)
+    _, scans = stencil_scans(probes, bundles, times)
+    rows = [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
+            for scan in scans for r in scan]
     footer = []
     temps = cfg.temperatures()
     t0 = min(times)
@@ -342,20 +336,26 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
                           emit_svg=True)
         probe0 = fig_cfg.probe(alpha=0.0)
         ks = kernels_for(probe0)
-        rc = cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", ks=ks)
+        shown = (0.0, 0.5, 1.0)
+        trajs = {traj.config.alpha: traj
+                 for traj in cmd_sweep_alpha(fig_cfg, tag="fig1_sweep", ks=ks)}
+        missing = [a for a in shown if a not in trajs]  # off a custom alpha grid
+        trajs.update(zip(missing, integrate_lanes(
+            [fig_cfg.probe(alpha=a) for a in missing], [ks] * len(missing))))
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
-        for alpha in (0.0, 0.5, 1.0):
-            traj = integrate(fig_cfg.probe(alpha=alpha), ks)
+        for alpha in shown:
+            traj = trajs[alpha]
             n_show = traj.index_of(50.0) + 1
             eq.add(traj.dx[:n_show], traj.dy[:n_show], label=f"alpha={alpha:g}")
         path = os.path.join(fig_cfg.out_dir, "fig1_equator.svg")
         eq.write(path)
         print(f"wrote {path}")
-        return rc
+        return 0
     if which == "fig2":
         fig_cfg = replace(cfg, t_end=50.0, times=(1.0, 5.0, 20.0, 50.0),
                           emit_svg=True)
-        return cmd_sweep_alpha(fig_cfg, tag="fig2_sweep")
+        cmd_sweep_alpha(fig_cfg, tag="fig2_sweep")
+        return 0
     if which == "fig3":
         fig_cfg = replace(cfg, alpha=0.5, t_end=20.0, times=(1.0, 5.0, 20.0),
                           emit_svg=True)
@@ -411,7 +411,8 @@ def main(argv=None) -> int:
         if args.command == "trajectory":
             return cmd_trajectory(cfg)
         if args.command == "sweep-alpha":
-            return cmd_sweep_alpha(cfg)
+            cmd_sweep_alpha(cfg)
+            return 0
         if args.command == "sweep-temperature":
             return cmd_sweep_temperature(cfg)
         if args.command == "dump-kernels":

@@ -13,7 +13,10 @@ The a(1-a) cross terms couple populations and coherences; they vanish
 identically at a = 0 (pure dephasing, Dz conserved) and a = 1 (pure
 dissipation).  Time stepping is classical RK4 with the stage times pinned to
 the kernel grid and its midpoints, so no kernel interpolation enters the
-error budget.
+error budget.  ``integrate_lanes`` steps any number of trajectories on one
+grid together (a sweep's alphas, or a stencil's temperatures), and each
+equals a stage-by-stage RK4 over ``rhs`` bit for bit; ``integrate`` is its
+one-lane call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError, NumericError
-from .kernels import KernelParams, KernelSet, precompute
+from .kernels import KERNEL_NAMES, KernelParams, KernelSet, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "Trajectory",
     "rhs",
     "integrate",
+    "integrate_lanes",
     "kernels_for",
     "PHYSICALITY_SLACK",
 ]
@@ -147,74 +151,154 @@ def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
             f"(dt={cfg.dt}, t_end={cfg.t_end})")
 
 
-def _step_tables(values: dict, eps: float, aa: float, am2: float, a2: float) -> list:
-    """Per-time kernel terms of ``rhs``, built in its association order so
-    each entry is the float its scalar expression forms: rows of
-    (R, K, X, aa*G, eps + a2*X, aa*(F - L), a2*K + am2*R, (-a2)*G)."""
-    R, K, L, X, F, G = (values[name] for name in ("R", "K", "L", "X", "F", "G"))
-    cols = (R, K, X, aa * G, eps + a2 * X, aa * (F - L), a2 * K + am2 * R, -a2 * G)
-    return list(zip(*(c.tolist() for c in cols)))
+# ``rhs`` as one product table per stage: the state rows (x, y, z, 1) are
+# gathered as [y, x, 1 | z, y, z | x, z, x] and multiplied by the coefficients
+# [-eps, eps + a2*X, -a2*G | aa, 1, a2 | am2, aa, aa]; the last six products
+# are then multiplied by the kernels [K, a2*K + am2*R, K | R, X, R].
+_GATHER = np.array([1, 0, 3, 2, 1, 2, 0, 2, 0])
+# steps per block of kernel-term tables and of norm checks
+_BLOCK = 32
 
 
-def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
-    """Classical fixed-step RK4 over the kernel grid.
+def _check_lanes(cfgs, kernel_sets):
+    if len(cfgs) != len(kernel_sets):
+        raise ConfigurationError(
+            f"{len(cfgs)} probe configs but {len(kernel_sets)} kernel sets")
+    for cfg, ks in zip(cfgs, kernel_sets):
+        _check_kernelset(cfg, ks)
+    grids = {(cfg.dt, cfg.t_end, len(ks.grid)) for cfg, ks in zip(cfgs, kernel_sets)}
+    if len(grids) > 1:
+        raise ConfigurationError(
+            f"lanes must share one grid, got (dt, t_end, points) in {sorted(grids)}")
 
-    Each stage evaluates ``rhs``'s expressions inline, with their kernel-only
-    terms read from tables built once per call (``_step_tables``).  The
-    floating-point operations and their order are those of ``rhs``, so the
-    states equal those of a stage-by-stage RK4 over ``rhs`` to the last bit.
 
-    Raises IntegrationError at the first step whose Bloch norm exceeds
-    1 + PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
-    renormalizing it away); the message names alpha, T, epsilon, eta and dt.
+def _term_tables(tables: list, idx: np.ndarray, steps: slice, eps, aa, am2, a2) -> tuple:
+    """Kernel terms of every lane at the times ``steps``, lane j reading the
+    kernel arrays ``tables[idx[j]]``: the coefficients (b, 9, lanes), kernels
+    (b, 6, lanes) and offsets [aa*G, -aa*(F - L), 0] (b, 3, lanes) of
+    ``_GATHER``'s products, each entry the float that ``rhs`` forms."""
+    R, K, L, X, F, G = (np.stack([vals[name][steps] for vals in tables])[idx].T
+                        for name in KERNEL_NAMES)
+    coef = np.stack(np.broadcast_arrays(-eps, eps + a2 * X, -a2 * G, aa, 1.0, a2,
+                                        am2, aa, aa), axis=1)
+    kern = np.stack((K, a2 * K + am2 * R, K, R, X, R), axis=1)
+    off = np.stack((aa * G, -(aa * (F - L)), np.zeros_like(G)), axis=1)
+    return coef, kern, off
+
+
+def integrate_lanes(cfgs, kernel_sets) -> list:
+    """Classical fixed-step RK4 of many lanes over one shared kernel grid.
+
+    Lane ``j`` integrates ``cfgs[j]`` on ``kernel_sets[j]``; lanes may differ
+    in alpha, epsilon, T, initial state and kernel set (a set shared by
+    several lanes is read once per block), but not in dt or t_end.  All lanes step together, a fixed
+    number of numpy calls per step, with ``rhs``'s kernel-only terms read
+    from tables built per block of steps.  Each call performs, lane by lane,
+    the floating-point operation of ``rhs`` on the same operands (the
+    reordering uses only a*b = b*a, 1*v = v, a - (-b) = a + b and h - 0 =
+    h), so every state equals that of a stage-by-stage RK4 over ``rhs`` to
+    the last bit, whatever the lanes and their order.
+
+    Raises IntegrationError if a lane's Bloch norm exceeds 1 +
+    PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
+    renormalizing it away): for the lowest-index such lane, at its first
+    such step, with a message naming its alpha, T, epsilon, eta and dt.
+    Raises ConfigurationError for a kernel set that does not match its lane
+    or for lanes on different grids.
     """
-    _check_kernelset(cfg, ks)
-    grid = ks.grid
-    alpha = cfg.alpha
-    eps = cfg.epsilon
-    meps = -eps
-    aa = 4.0 * alpha * (alpha - 1.0)
-    am2 = 4.0 * (alpha - 1.0) ** 2
-    a2 = 4.0 * alpha * alpha
-    dt = cfg.dt
+    cfgs, kernel_sets = list(cfgs), list(kernel_sets)
+    _check_lanes(cfgs, kernel_sets)
+    if not cfgs:
+        return []
+    uniq = {id(ks): ks for ks in kernel_sets}  # each set once, in first-use order
+    idx = np.array([list(uniq).index(id(ks)) for ks in kernel_sets])
+    on_grid = [ks.values for ks in uniq.values()]
+    on_half = [ks.half_values for ks in uniq.values()]
+    # rhs's coefficients per lane, each formed as rhs forms it
+    alpha = [cfg.alpha for cfg in cfgs]
+    coefs = (np.array([cfg.epsilon for cfg in cfgs]),
+             np.array([4.0 * a * (a - 1.0) for a in alpha]),
+             np.array([4.0 * (a - 1.0) ** 2 for a in alpha]),
+             np.array([4.0 * a * a for a in alpha]))
+
+    dt = cfgs[0].dt
     half = 0.5 * dt
     sixth = dt / 6.0
     limit = 1.0 + PHYSICALITY_SLACK
-    on_grid = _step_tables(ks.values, eps, aa, am2, a2)
-    on_half = _step_tables(ks.half_values, eps, aa, am2, a2)
+    n_lanes, n_steps = len(cfgs), len(kernel_sets[0].grid) - 1
+    states = np.empty((n_lanes, n_steps + 1, 3))
+    at = states.transpose(1, 2, 0)  # at[i] is the (3, lanes) state at grid[i]
+    s = np.ones((4, n_lanes))
+    s[:3] = np.array([[float(c) for c in cfg.initial] for cfg in cfgs]).T
+    at[0] = s[:3]
+    u = np.ones((4, n_lanes))
+    now, mid = s[:3], u[:3]  # the state and a stage's input
+    k1, k2, k3, k4, tmp = (np.empty((3, n_lanes)) for _ in range(5))
+    p = np.empty((9, n_lanes))
+    p0, p1, p2, p12 = p[:3], p[3:6], p[6:], p[3:]
 
-    x, y, z = (float(c) for c in cfg.initial)
-    rows = [(x, y, z)]
-    for (R1, K1, X1, g1, e1, f1, q1, h1), (Rm, Km, Xm, gm, em, fm, qm, hm), \
-            (R4, K4, X4, g4, e4, f4, q4, h4) in zip(on_grid, on_half, on_grid[1:]):
-        # R, K, X and g = aa*G, e = eps + a2*X, f = aa*(F - L), q = a2*K + am2*R,
-        # h = -a2*G at grid[i] (1), the midpoint (m) and grid[i+1] (4)
-        k1x = meps * y - g1 - aa * z * K1 - am2 * x * R1
-        k1y = x * e1 + f1 - y * q1 - aa * z * X1
-        k1z = h1 - a2 * z * K1 - aa * x * R1
-        u, v, w = x + half * k1x, y + half * k1y, z + half * k1z
-        k2x = meps * v - gm - aa * w * Km - am2 * u * Rm
-        k2y = u * em + fm - v * qm - aa * w * Xm
-        k2z = hm - a2 * w * Km - aa * u * Rm
-        u, v, w = x + half * k2x, y + half * k2y, z + half * k2z
-        k3x = meps * v - gm - aa * w * Km - am2 * u * Rm
-        k3y = u * em + fm - v * qm - aa * w * Xm
-        k3z = hm - a2 * w * Km - aa * u * Rm
-        u, v, w = x + dt * k3x, y + dt * k3y, z + dt * k3z
-        k4x = meps * v - g4 - aa * w * K4 - am2 * u * R4
-        k4y = u * e4 + f4 - v * q4 - aa * w * X4
-        k4z = h4 - a2 * w * K4 - aa * u * R4
-        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
-        if not (x * x + y * y + z * z <= limit):
-            t = float(grid[len(rows)])
-            raise IntegrationError(
-                f"Bloch norm left the unit ball at t={t:g} "
-                f"(|D|^2 = {x*x + y*y + z*z:.6g}; alpha={alpha:g}, T={cfg.T:g}, "
-                f"epsilon={eps:g}, eta={cfg.sd.eta:g}, dt={dt:g})", t=t)
-        rows.append((x, y, z))
-    return Trajectory(grid=grid, states=np.array(rows), config=cfg)
+    def stage(w, coef, kern, off, k):
+        # k = rhs(w) for every lane: ((P0 - off) - P1) - P2 from the products
+        np.take(w, _GATHER, axis=0, out=p, mode="clip")
+        np.multiply(p, coef, out=p)
+        np.multiply(p12, kern, out=p12)
+        np.subtract(p0, off, out=k)
+        np.subtract(k, p1, out=k)
+        np.subtract(k, p2, out=k)
+
+    failed = None  # (lane, step, |D|^2) of the lowest-index lane out of the ball
+    with np.errstate(all="ignore"):
+        for i0 in range(0, n_steps, _BLOCK):
+            i1 = min(i0 + _BLOCK, n_steps)
+            on_g = list(zip(*_term_tables(on_grid, idx, slice(i0, i1 + 1), *coefs)))
+            on_h = zip(*_term_tables(on_half, idx, slice(i0, i1), *coefs))
+            # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4)
+            for i, (t1, tm, t4) in enumerate(zip(on_g, on_h, on_g[1:]), start=i0 + 1):
+                stage(s, *t1, k1)
+                np.multiply(k1, half, out=tmp)
+                np.add(now, tmp, out=mid)
+                stage(u, *tm, k2)
+                np.multiply(k2, half, out=tmp)
+                np.add(now, tmp, out=mid)
+                stage(u, *tm, k3)
+                np.multiply(k3, dt, out=tmp)
+                np.add(now, tmp, out=mid)
+                stage(u, *t4, k4)
+                np.add(k2, k3, out=k2)
+                np.multiply(k2, 2.0, out=k2)
+                np.add(k1, k2, out=k1)
+                np.add(k1, k4, out=k1)
+                np.multiply(k1, sixth, out=k1)
+                np.add(now, k1, out=now)
+                at[i] = now
+            block = states[:, i0 + 1:i1 + 1]
+            x, y, z = block[..., 0], block[..., 1], block[..., 2]
+            n2 = x * x + y * y + z * z
+            bad = ~(n2 <= limit)
+            lanes = np.flatnonzero(bad.any(axis=1))
+            if lanes.size and (failed is None or lanes[0] < failed[0]):
+                # a lane below every earlier failure fails first in this block
+                m = int(lanes[0])
+                j = int(np.argmax(bad[m]))
+                failed = (m, i0 + 1 + j, float(n2[m, j]))
+                if m == 0:
+                    break
+    if failed is not None:
+        m, i, norm2 = failed
+        cfg = cfgs[m]
+        t = float(kernel_sets[m].grid[i])
+        raise IntegrationError(
+            f"Bloch norm left the unit ball at t={t:g} "
+            f"(|D|^2 = {norm2:.6g}; alpha={cfg.alpha:g}, T={cfg.T:g}, "
+            f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})", t=t)
+    return [Trajectory(grid=ks.grid, states=states[m], config=cfg)
+            for m, (cfg, ks) in enumerate(zip(cfgs, kernel_sets))]
+
+
+def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:
+    """Classical fixed-step RK4 of one probe over the kernel grid: the
+    one-lane ``integrate_lanes``, with its bit-exactness and its errors."""
+    return integrate_lanes([cfg], [ks])[0]
 
 
 def kernels_for(cfg: ProbeConfig) -> KernelSet:

@@ -29,19 +29,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate
+from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate_lanes
 from .errors import ConfigurationError, DomainError, NumericError
 from .kernels import KernelSet, precompute
 
 __all__ = [
     "MetrologyResult",
     "stencil_kernel_sets",
+    "stencil_lanes",
     "bloch_T_derivative",
     "qfi",
     "cfi",
     "qcrb",
     "markov_comparator",
     "metrology_scan",
+    "stencil_scans",
     "loglog_slope",
 ]
 
@@ -96,11 +98,18 @@ def stencil_kernel_sets(cfg: ProbeConfig, workers: int = None) -> KernelSet:
                       shifted_T=(T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta))
 
 
-def bloch_T_derivative(cfg: ProbeConfig, ks: KernelSet) -> np.ndarray:
-    """dD/dT on the whole grid from the four temperature-shifted trajectories."""
-    m2, m1, p1, p2 = (integrate(replace(cfg, T=s.params.T), s).states
-                      for s in ks.shifted)
-    delta = ks.shifted[2].params.T - cfg.T
+def stencil_lanes(cfg: ProbeConfig, ks: KernelSet) -> tuple:
+    """The five lanes of a stencil bundle for ``integrate_lanes``: configs
+    and kernel sets at T, T-2d, T-d, T+d and T+2d."""
+    return ([cfg] + [replace(cfg, T=s.params.T) for s in ks.shifted],
+            [ks, *ks.shifted])
+
+
+def bloch_T_derivative(cfg: ProbeConfig, shifted) -> np.ndarray:
+    """dD/dT on the whole grid from the four trajectories at T-2d, T-d,
+    T+d and T+2d (the last four lanes of ``stencil_lanes``)."""
+    m2, m1, p1, p2 = (traj.states for traj in shifted)
+    delta = shifted[2].config.T - cfg.T
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * delta)
 
 
@@ -179,13 +188,15 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     return fisher, bound
 
 
-def metrology_scan(traj: Trajectory, times, ks: KernelSet) -> list:
+def metrology_scan(traj: Trajectory, times, ks: KernelSet, shifted) -> list:
     """MetrologyResult at each probing time of the base trajectory ``traj``.
 
-    ``ks`` comes from ``stencil_kernel_sets`` and ``traj`` from ``integrate``
-    on it; the caller keeps the trajectory for its own use (the alpha sweep
-    reads the witnesses from it).  ``ks`` does not depend on alpha, so sweeps
-    over the mixing parameter share one stencil bundle.
+    ``ks`` comes from ``stencil_kernel_sets``; ``traj`` and the four
+    ``shifted`` trajectories are the lanes of ``stencil_lanes(cfg, ks)``
+    integrated by ``integrate_lanes``.  The caller keeps the trajectories
+    for its own use (the alpha sweep reads the witnesses from the base one).
+    ``ks`` does not depend on alpha, so sweeps over the mixing parameter
+    share one stencil bundle.
     """
     cfg = traj.config
     _check_kernelset(cfg, ks)
@@ -193,7 +204,13 @@ def metrology_scan(traj: Trajectory, times, ks: KernelSet) -> list:
         raise ConfigurationError(
             f"metrology needs a kernel set from stencil_kernel_sets with four "
             f"temperature-shifted sets, got {len(ks.shifted)}")
-    deriv = bloch_T_derivative(cfg, ks)
+    got = [other.config for other in shifted]
+    if got != stencil_lanes(cfg, ks)[0][1:]:
+        raise ConfigurationError(
+            f"shifted trajectories must be the last four lanes of stencil_lanes "
+            f"at alpha={cfg.alpha:g}, initial={cfg.initial}; got (alpha, T, initial) "
+            f"{[(c.alpha, c.T, c.initial) for c in got]}")
+    deriv = bloch_T_derivative(cfg, shifted)
     try:
         mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
     except DomainError:
@@ -209,6 +226,21 @@ def metrology_scan(traj: Trajectory, times, ks: KernelSet) -> list:
             cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d),
             qcrb=qcrb(f_q, 1), markov_fisher=mk_fisher))
     return out
+
+
+def stencil_scans(probes, bundles, times) -> tuple:
+    """Base trajectories and ``metrology_scan`` results of each probe on its
+    stencil bundle, with the five lanes of every probe integrated in one
+    ``integrate_lanes`` call."""
+    cfgs, sets = [], []
+    for probe, ks in zip(probes, bundles):
+        lane_cfgs, lane_sets = stencil_lanes(probe, ks)
+        cfgs += lane_cfgs
+        sets += lane_sets
+    trajs = integrate_lanes(cfgs, sets)
+    scans = [metrology_scan(trajs[5 * j], times, ks, trajs[5 * j + 1:5 * j + 5])
+             for j, ks in enumerate(bundles)]
+    return trajs[::5], scans
 
 
 def loglog_slope(x, y) -> float:

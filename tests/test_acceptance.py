@@ -31,6 +31,7 @@ from qubit_thermometry import (
     ProbeConfig,
     SpectralDensity,
     integrate,
+    integrate_lanes,
     precompute,
 )
 from qubit_thermometry.cli import main as cli_main
@@ -38,8 +39,8 @@ from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.metrology import (
     loglog_slope,
     markov_comparator,
-    metrology_scan,
     stencil_kernel_sets,
+    stencil_scans,
 )
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
 
@@ -82,12 +83,12 @@ def test_c3_markov_fixed_point(sd, ks_long):
     target = -math.tanh(EPS / (2.0 * TEMP))
     # eta = 0.05 reuses the shared figure-scale kernel table
     cfg = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd, t_end=200.0, dt=0.01)
-    dz_f = {0.05: float(integrate(cfg, ks_long).dz[-1])}
     sd_small = SpectralDensity(eta=0.01, omega_c=1.0)
     ks_small = precompute(KernelParams(sd=sd_small, epsilon=EPS, T=TEMP), 200.0, 0.01)
     cfg_small = ProbeConfig(epsilon=EPS, alpha=1.0, T=TEMP, sd=sd_small,
                             t_end=200.0, dt=0.01)
-    dz_f[0.01] = float(integrate(cfg_small, ks_small).dz[-1])
+    dz_f = {traj.config.sd.eta: float(traj.dz[-1])
+            for traj in integrate_lanes([cfg, cfg_small], [ks_long, ks_small])}
     for eta, dz in dz_f.items():
         assert abs(dz - target) <= 5.0 * eta
     _report("C3 Markov fixed point",
@@ -112,10 +113,9 @@ def test_c5_fig1_witness_structure(sd, ks_long):
     alphas = np.linspace(0.0, 1.0, 21)
     n_c = np.empty(21)
     steady = np.empty(21)
-    for i, a in enumerate(alphas):
-        cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
-                          t_end=200.0, dt=0.01)
-        traj = integrate(cfg, ks_long)
+    cfgs = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=200.0, dt=0.01)
+            for a in alphas]
+    for i, traj in enumerate(integrate_lanes(cfgs, [ks_long] * len(cfgs))):
         n_c[i] = non_markovianity(coherence(traj))
         steady[i], _ = steady_coherence(traj, window_frac=0.65)
     elapsed = time.perf_counter() - start
@@ -133,12 +133,10 @@ def test_c5_fig1_witness_structure(sd, ks_long):
 @pytest.fixture(scope="module")
 def fig2_table(sd, sk_fig2):
     """QFI at t in {1, 50} for the 21-point mixing grid (t_end = 50)."""
-    table = {}
-    for a in np.linspace(0.0, 1.0, 21):
-        cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
-                          t_end=50.0, dt=0.01)
-        table[float(a)] = metrology_scan(integrate(cfg, sk_fig2), (1.0, 50.0), sk_fig2)
-    return table
+    cfgs = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=50.0, dt=0.01)
+            for a in np.linspace(0.0, 1.0, 21)]
+    _, scans = stencil_scans(cfgs, [sk_fig2] * len(cfgs), (1.0, 50.0))
+    return {cfg.alpha: scan for cfg, scan in zip(cfgs, scans)}
 
 
 def test_c6_fig2_short_time_dephasing_dominates(fig2_table):
@@ -153,13 +151,10 @@ def test_c6_fig2_short_time_dephasing_dominates(fig2_table):
 def fig2_long_qfi(sd, sk_fig2_long):
     """QFI at t = 100 on the 21-point mixing grid (t_end = 100)."""
     alphas = np.linspace(0.0, 1.0, 21)
-    qfi_100 = []
-    for a in alphas:
-        cfg = ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd,
-                          t_end=100.0, dt=0.01)
-        traj = integrate(cfg, sk_fig2_long)
-        qfi_100.append(metrology_scan(traj, (100.0,), sk_fig2_long)[0].qfi)
-    return alphas, qfi_100
+    cfgs = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=100.0, dt=0.01)
+            for a in alphas]
+    _, scans = stencil_scans(cfgs, [sk_fig2_long] * len(cfgs), (100.0,))
+    return alphas, [scan[0].qfi for scan in scans]
 
 
 def test_c6_fig2_long_time_argmax_interior(fig2_long_qfi):
@@ -202,13 +197,10 @@ def test_c6_supplement_long_time(fig2_long_qfi):
 def fig3_table(sd):
     """Fisher quantities at t = 1 over the low-temperature range."""
     temps = np.geomspace(0.01, 0.05, 6)
-    rows = []
-    for T in temps:
-        cfg = ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd,
-                          t_end=1.0, dt=0.01)
-        ks = stencil_kernel_sets(cfg)
-        rows.append(metrology_scan(integrate(cfg, ks), (1.0,), ks)[0])
-    return temps, rows
+    cfgs = [ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd, t_end=1.0, dt=0.01)
+            for T in temps]
+    _, scans = stencil_scans(cfgs, [stencil_kernel_sets(cfg) for cfg in cfgs], (1.0,))
+    return temps, [scan[0] for scan in scans]
 
 
 def test_c7_fig3_low_T_scaling(fig3_table):

@@ -201,7 +201,10 @@ def test_workers_byte_identical_under_start_method(tmp_path, command, method):
          "--workers", "2"],
         env=_package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "pools=1" in proc.stdout
+    # the alpha sweep steps its lanes in one process; the temperature sweep
+    # builds each temperature's stencil bundle in the pool
+    pools = 0 if command == "sweep-alpha" else 1
+    assert f"pools={pools}" in proc.stdout
     assert _sweep_csv(par, command) == _sweep_csv(seq, command)
 
 
@@ -294,6 +297,17 @@ def test_missing_config_file_fails(tmp_path, capsys):
 def test_bad_figure_name_rejected():
     with pytest.raises(SystemExit):
         run_cli("reproduce", "fig9")
+
+
+def test_fig1_equator_off_the_alpha_grid(tmp_path):
+    # the equator plot shows alpha = 0, 0.5 and 1 from the sweep's own lanes;
+    # a 4-point sweep lacks 0.5, which is then integrated on its own, to the
+    # same bytes
+    for count in ("21", "4"):
+        assert run_cli("reproduce", "fig1", "--dt", "0.5", "--alpha-count", count,
+                       "--out", str(tmp_path / count)) == 0
+    assert ((tmp_path / "21" / "fig1_equator.svg").read_bytes()
+            == (tmp_path / "4" / "fig1_equator.svg").read_bytes())
 
 
 def test_svg_output_is_valid_xml(tmp_path):

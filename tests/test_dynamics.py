@@ -3,17 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qubit_thermometry import (
     ConfigurationError,
     DomainError,
     IntegrationError,
+    KERNEL_NAMES,
+    KernelParams,
     KernelSet,
     NumericError,
     ProbeConfig,
     SpectralDensity,
     integrate,
+    integrate_lanes,
     rhs,
 )
 from qubit_thermometry.cli import main
@@ -194,6 +197,91 @@ def test_integrate_matches_staged_rk4_bit_for_bit(sd, ks_stencil, alpha, shifted
     ks = ks_stencil.shifted[0] if shifted else ks_stencil
     cfg = _probe(sd, alpha=alpha, T=ks.params.T, initial=(0.6, 0.0, 0.8))
     assert np.array_equal(integrate(cfg, ks).states, staged_rk4(cfg, ks))
+
+
+@pytest.fixture(scope="module")
+def lane_sets(sd):
+    """Kernel sets on one 40-step grid (two table blocks): a stencil bundle at
+    eps = 0.5, T = 0.2 with its two shifted sets, and plain sets at
+    (eps, T) = (0, 0.3) and (1.3, 0)."""
+    bundle = precompute(KernelParams(sd=sd, epsilon=0.5, T=0.2), 2.0, 0.05,
+                        shifted_T=(0.2 - 2e-8, 0.2 + 2e-8))
+    return (bundle, *bundle.shifted,
+            precompute(KernelParams(sd=sd, epsilon=0.0, T=0.3), 2.0, 0.05),
+            precompute(KernelParams(sd=sd, epsilon=1.3, T=0.0), 2.0, 0.05))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lanes=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0),
+                                st.tuples(_unit, _unit, _unit)), min_size=1, max_size=6),
+       data=st.data())
+def test_integrate_lanes_matches_staged_rk4_bit_for_bit(lane_sets, lanes, data):
+    # mixed alpha, eps, T, initial states and shared or shifted sets in one
+    # batch: every lane equals its own staged RK4, and any permutation or
+    # split of the lanes gives the same bits
+    cfgs, sets = [], []
+    for j, alpha, v in lanes:
+        ks = lane_sets[j]
+        D = 0.9 * np.array(v) / max(1.0, float(np.linalg.norm(v)))
+        cfgs.append(ProbeConfig(epsilon=ks.params.epsilon, alpha=alpha, T=ks.params.T,
+                                sd=ks.params.sd, initial=tuple(D), t_end=2.0, dt=0.05))
+        sets.append(ks)
+    trajs = integrate_lanes(cfgs, sets)
+    for cfg, ks, traj in zip(cfgs, sets, trajs):
+        assert traj.config is cfg and traj.grid is ks.grid
+        assert np.array_equal(traj.states, staged_rk4(cfg, ks))
+    order = data.draw(st.permutations(range(len(lanes))))
+    cut = data.draw(st.integers(0, len(lanes)))
+    for part in (order[:cut], order[cut:]):
+        again = integrate_lanes([cfgs[m] for m in part], [sets[m] for m in part])
+        for m, traj in zip(part, again):
+            assert np.array_equal(traj.states, trajs[m].states)
+
+
+def _growing_set(ks, T, rate):
+    """Kernel set on ``ks``'s grid at temperature T whose only kernel is a
+    constant R = rate; rate < 0 makes the coherences grow as e^(-4 rate t)."""
+    n = len(ks.grid)
+    return KernelSet(
+        grid=ks.grid,
+        values={name: np.full(n, rate if name == "R" else 0.0) for name in KERNEL_NAMES},
+        half_values={name: np.full(n - 1, rate if name == "R" else 0.0)
+                     for name in KERNEL_NAMES},
+        params=KernelParams(sd=ks.params.sd, epsilon=0.5, T=T))
+
+
+def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short):
+    # lane 1 leaves the unit ball at t = ln 2 / 0.4 ~ 1.73 (in its sixth block
+    # of steps); lane 2 leaves it at t = dt and then overflows to inf and nan.
+    # The error is lane 1's, as if the lanes were integrated one by one, and
+    # no floating-point warning escapes.
+    sets = [ks_short, _growing_set(ks_short, 0.3, -0.1), _growing_set(ks_short, 0.2, -100.0)]
+    cfgs = [_probe(sd, alpha=0.5), _probe(sd, alpha=0.0, T=0.3, initial=(0.5, 0.0, 0.0)),
+            _probe(sd, alpha=0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            integrate_lanes(cfgs, sets)
+        with pytest.raises(IntegrationError) as alone:
+            integrate(cfgs[1], sets[1])
+        with pytest.raises(IntegrationError) as last:
+            integrate(cfgs[2], sets[2])
+    assert 1.7 < err.value.t < 1.8
+    assert err.value.t == alone.value.t and str(err.value) == str(alone.value)
+    assert f"at t={err.value.t:g} " in str(err.value)
+    assert "alpha=0, T=0.3, epsilon=0.5, eta=0.05, dt=0.01)" in str(err.value)
+    assert last.value.t == 0.01
+
+
+def test_integrate_lanes_on_different_grids_rejected(sd, ks_short):
+    for other in (_probe(sd, alpha=0.5, t_end=5.0), _probe(sd, alpha=0.5, dt=0.02)):
+        ks = precompute(ks_short.params, other.t_end, other.dt)
+        assert integrate_lanes([other], [ks])[0].config is other  # fine alone
+        with pytest.raises(ConfigurationError, match="lanes must share one grid"):
+            integrate_lanes([_probe(sd, alpha=0.5), other], [ks_short, ks])
+    with pytest.raises(ConfigurationError):
+        integrate_lanes([_probe(sd, alpha=0.5)], [])
+    assert integrate_lanes([], []) == []
 
 
 def test_markov_fixed_point(sd, ks_long):

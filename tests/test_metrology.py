@@ -15,6 +15,7 @@ from qubit_thermometry import (
     SpectralDensity,
     cfi,
     integrate,
+    integrate_lanes,
     markov_comparator,
     qcrb,
     qfi,
@@ -27,6 +28,8 @@ from qubit_thermometry.metrology import (
     loglog_slope,
     metrology_scan,
     stencil_kernel_sets,
+    stencil_lanes,
+    stencil_scans,
 )
 
 from oracles import five_point_derivative
@@ -153,8 +156,8 @@ def test_metrology_result_invariants():
 def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
-    ks = stencil_kernel_sets(cfg)
-    d = bloch_T_derivative(cfg, ks)[integrate(cfg, ks).index_of(1.0)]
+    base, *shifted = integrate_lanes(*stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    d = bloch_T_derivative(cfg, shifted)[base.index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
 
@@ -171,22 +174,18 @@ def test_derivative_against_richardson_oracle(sd):
     # independent route: coarser step delta' = 1e-5 T, two central differences
     # Richardson-combined; both must agree to 1e-4 relative
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=20.0, dt=0.01)
-    ks = stencil_kernel_sets(cfg)
-    deriv = bloch_T_derivative(cfg, ks)
+    _, *shifted = integrate_lanes(*stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    deriv = bloch_T_derivative(cfg, shifted)
 
-    from qubit_thermometry import integrate, precompute
+    from qubit_thermometry import precompute
 
     h = 1e-5 * cfg.T
     temps = (cfg.T - 2 * h, cfg.T - h, cfg.T + h, cfg.T + 2 * h)
     oracle = precompute(cfg.kernel_params, 20.0, 0.01, shifted_T=temps)
-    sets = dict(zip(temps, oracle.shifted))
-
-    def traj_at(T):
-        c = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=20.0, dt=0.01)
-        return integrate(c, sets[T]).states
-
-    c1 = (traj_at(cfg.T + h) - traj_at(cfg.T - h)) / (2 * h)
-    c2 = (traj_at(cfg.T + 2 * h) - traj_at(cfg.T - 2 * h)) / (4 * h)
+    m2, m1, p1, p2 = (traj.states for traj in integrate_lanes(
+        [replace(cfg, T=T) for T in temps], oracle.shifted))
+    c1 = (p1 - m1) / (2 * h)
+    c2 = (p2 - m2) / (4 * h)
     richardson = (4.0 * c1 - c2) / 3.0
     i = 2000  # t = 20
     assert np.linalg.norm(deriv[i] - richardson[i]) <= 1e-4 * np.linalg.norm(richardson[i])
@@ -205,7 +204,7 @@ def test_stencil_raises_quadrature_error(sd, monkeypatch):
 
 def test_metrology_scan_structure(sd, sk_fig2):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=50.0, dt=0.01)
-    results = metrology_scan(integrate(cfg, sk_fig2), (0.0, 1.0, 20.0), sk_fig2)
+    (_,), (results,) = stencil_scans([cfg], [sk_fig2], (0.0, 1.0, 20.0))
     assert [r.t for r in results] == [0.0, 1.0, 20.0]
     assert results[0].qfi == 0.0  # initial state carries no information yet
     assert results[0].qcrb == math.inf
@@ -216,13 +215,23 @@ def test_metrology_scan_structure(sd, sk_fig2):
         assert r.qcrb == pytest.approx(1.0 / math.sqrt(r.qfi), rel=1e-12)
 
 
-def test_metrology_scan_rejects_trajectory_of_other_kernels(sd, sk_fig2):
+def test_metrology_scan_rejects_trajectory_of_other_kernels(sd):
+    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
+    ks = stencil_kernel_sets(cfg)
+    base, *shifted = integrate_lanes(*stencil_lanes(cfg, ks))
     # a trajectory at a shifted temperature would pair D(T + d) with dD/dT at T
-    other = ProbeConfig(epsilon=0.5, alpha=0.5, T=sk_fig2.shifted[2].params.T, sd=sd,
-                        t_end=50.0, dt=0.01)
-    traj = integrate(other, sk_fig2.shifted[2])
     with pytest.raises(ConfigurationError):
-        metrology_scan(traj, (1.0,), sk_fig2)
+        metrology_scan(shifted[2], (1.0,), ks, shifted)
+    # shifted trajectories out of stencil order, or at another alpha or
+    # initial state, would give a wrong derivative
+    with pytest.raises(ConfigurationError):
+        metrology_scan(base, (1.0,), ks, shifted[::-1])
+    for other in (replace(cfg, alpha=0.6), replace(cfg, initial=(0.0, 0.0, 1.0))):
+        _, *wrong = integrate_lanes(*stencil_lanes(other, ks))
+        with pytest.raises(ConfigurationError):
+            metrology_scan(base, (1.0,), ks, wrong)
+    with pytest.raises(ConfigurationError):
+        metrology_scan(base, (1.0,), ks, shifted[:3])
 
 
 def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
@@ -230,7 +239,7 @@ def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     ks = kernels_for(cfg)
     with pytest.raises(ConfigurationError):
-        metrology_scan(integrate(cfg, ks), (1.0,), ks)
+        metrology_scan(integrate(cfg, ks), (1.0,), ks, ())
 
 
 @settings(max_examples=20, deadline=None)
@@ -246,11 +255,11 @@ def test_stencil_pipeline_properties(engine_at, eps, T, eta, alpha, steps):
     cfg = ProbeConfig(epsilon=eps, alpha=alpha, T=T, sd=SpectralDensity(eta=eta),
                       t_end=steps * 0.05, dt=0.05)
     ks = stencil_kernel_sets(cfg)
-    base = integrate(cfg, ks)
-    for traj in (base, *(integrate(replace(cfg, T=s.params.T), s) for s in ks.shifted)):
+    base, *shifted = integrate_lanes(*stencil_lanes(cfg, ks))
+    for traj in (base, *shifted):
         assert np.max(np.sum(traj.states**2, axis=1)) <= 1.0 + PHYSICALITY_SLACK
     idx = (steps // 3, (2 * steps) // 3, steps)
-    for i, r in zip(idx, metrology_scan(base, [ks.grid[i] for i in idx], ks)):
+    for i, r in zip(idx, metrology_scan(base, [ks.grid[i] for i in idx], ks, shifted)):
         assert r.cfi_x <= r.qfi * (1 + 1e-8)
         assert r.cfi_z <= r.qfi * (1 + 1e-8)
         direct = engine_at(ks.params, float(ks.grid[i]))

@@ -8,7 +8,7 @@ from qubit_thermometry import (
     DomainError,
     ProbeConfig,
     SpectralDensity,
-    integrate,
+    integrate_lanes,
 )
 from qubit_thermometry.dynamics import Trajectory
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
@@ -130,11 +130,10 @@ def test_steady_decaying_envelope_not_converged():
 def test_steady_trapped_coherence(sd, ks_long):
     # interference of the two coupling channels leaves |Dx(inf)| pinned at a
     # nonzero value at alpha = 1/2, while either pure coupling erases it
-    vals = {}
-    for alpha in (0.0, 0.5, 1.0):
-        cfg = ProbeConfig(epsilon=0.5, alpha=alpha, T=0.2, sd=sd, t_end=200.0, dt=0.01)
-        traj = integrate(cfg, ks_long)
-        vals[alpha], _ = steady_coherence(traj, window_frac=0.65)
+    cfgs = [ProbeConfig(epsilon=0.5, alpha=alpha, T=0.2, sd=sd, t_end=200.0, dt=0.01)
+            for alpha in (0.0, 0.5, 1.0)]
+    vals = {traj.config.alpha: steady_coherence(traj, window_frac=0.65)[0]
+            for traj in integrate_lanes(cfgs, [ks_long] * 3)}
     assert vals[0.0] < 1e-2
     assert vals[1.0] < 1e-2
     assert vals[0.5] > 0.01
