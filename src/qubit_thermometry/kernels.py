@@ -91,7 +91,6 @@ __all__ = [
     "KernelParams",
     "KernelSet",
     "KERNEL_NAMES",
-    "THERMAL_KERNELS",
     "precompute",
 ]
 

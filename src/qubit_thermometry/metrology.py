@@ -29,20 +29,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ProbeConfig, Trajectory, _check_kernelset, integrate_lanes
+from .dynamics import ProbeConfig, integrate_lanes
 from .errors import ConfigurationError, DomainError, NumericError
 from .kernels import KernelSet, precompute
 
 __all__ = [
     "MetrologyResult",
     "stencil_kernel_sets",
-    "stencil_lanes",
-    "bloch_T_derivative",
     "qfi",
     "cfi",
     "qcrb",
     "markov_comparator",
-    "metrology_scan",
     "stencil_scans",
     "loglog_slope",
 ]
@@ -98,16 +95,9 @@ def stencil_kernel_sets(cfg: ProbeConfig, workers: int = None) -> KernelSet:
                       shifted_T=(T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta))
 
 
-def stencil_lanes(cfg: ProbeConfig, ks: KernelSet) -> tuple:
-    """The five lanes of a stencil bundle for ``integrate_lanes``: configs
-    and kernel sets at T, T-2d, T-d, T+d and T+2d."""
-    return ([cfg] + [replace(cfg, T=s.params.T) for s in ks.shifted],
-            [ks, *ks.shifted])
-
-
-def bloch_T_derivative(cfg: ProbeConfig, shifted) -> np.ndarray:
-    """dD/dT on the whole grid from the four trajectories at T-2d, T-d,
-    T+d and T+2d (the last four lanes of ``stencil_lanes``)."""
+def _stencil_derivative(cfg: ProbeConfig, shifted) -> np.ndarray:
+    """dD/dT on the whole grid from the four trajectories of ``cfg`` on the
+    shifted sets of its stencil bundle, at T-2d, T-d, T+d and T+2d."""
     m2, m1, p1, p2 = (traj.states for traj in shifted)
     delta = shifted[2].config.T - cfg.T
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * delta)
@@ -188,58 +178,43 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     return fisher, bound
 
 
-def metrology_scan(traj: Trajectory, times, ks: KernelSet, shifted) -> list:
-    """MetrologyResult at each probing time of the base trajectory ``traj``.
-
-    ``ks`` comes from ``stencil_kernel_sets``; ``traj`` and the four
-    ``shifted`` trajectories are the lanes of ``stencil_lanes(cfg, ks)``
-    integrated by ``integrate_lanes``.  The caller keeps the trajectories
-    for its own use (the alpha sweep reads the witnesses from the base one).
-    ``ks`` does not depend on alpha, so sweeps over the mixing parameter
-    share one stencil bundle.
-    """
-    cfg = traj.config
-    _check_kernelset(cfg, ks)
-    if len(ks.shifted) != 4:
-        raise ConfigurationError(
-            f"metrology needs a kernel set from stencil_kernel_sets with four "
-            f"temperature-shifted sets, got {len(ks.shifted)}")
-    got = [other.config for other in shifted]
-    if got != stencil_lanes(cfg, ks)[0][1:]:
-        raise ConfigurationError(
-            f"shifted trajectories must be the last four lanes of stencil_lanes "
-            f"at alpha={cfg.alpha:g}, initial={cfg.initial}; got (alpha, T, initial) "
-            f"{[(c.alpha, c.T, c.initial) for c in got]}")
-    deriv = bloch_T_derivative(cfg, shifted)
-    try:
-        mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
-    except DomainError:
-        mk_fisher = math.nan
-    out = []
-    for t in times:
-        i = traj.index_of(t)
-        D = traj.states[i]
-        d = deriv[i]
-        f_q = qfi(D, d)
-        out.append(MetrologyResult(
-            t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=f_q,
-            cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d),
-            qcrb=qcrb(f_q, 1), markov_fisher=mk_fisher))
-    return out
-
-
 def stencil_scans(probes, bundles, times) -> tuple:
-    """Base trajectories and ``metrology_scan`` results of each probe on its
-    stencil bundle, with the five lanes of every probe integrated in one
-    ``integrate_lanes`` call."""
+    """Base trajectory and ``MetrologyResult`` at each probing time of every
+    probe on its stencil bundle from ``stencil_kernel_sets``.
+
+    The five lanes of every probe are integrated in one ``integrate_lanes``
+    call.  A bundle does not depend on alpha, so probes that differ only in
+    the mixing parameter share one.
+    """
+    for ks in bundles:
+        if len(ks.shifted) != 4:
+            raise ConfigurationError(
+                f"metrology needs a kernel set from stencil_kernel_sets with four "
+                f"temperature-shifted sets, got {len(ks.shifted)}")
     cfgs, sets = [], []
-    for probe, ks in zip(probes, bundles):
-        lane_cfgs, lane_sets = stencil_lanes(probe, ks)
-        cfgs += lane_cfgs
-        sets += lane_sets
+    for probe, ks in zip(probes, bundles):  # lanes at T, T-2d, T-d, T+d, T+2d
+        cfgs += [probe] + [replace(probe, T=s.params.T) for s in ks.shifted]
+        sets += [ks, *ks.shifted]
     trajs = integrate_lanes(cfgs, sets)
-    scans = [metrology_scan(trajs[5 * j], times, ks, trajs[5 * j + 1:5 * j + 5])
-             for j, ks in enumerate(bundles)]
+    scans = []
+    for j in range(0, len(trajs), 5):
+        base = trajs[j]
+        cfg = base.config
+        deriv = _stencil_derivative(cfg, trajs[j + 1:j + 5])
+        try:
+            mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
+        except DomainError:
+            mk_fisher = math.nan
+        scan = []
+        for t in times:
+            i = base.index_of(t)
+            D, d = base.states[i], deriv[i]
+            f_q = qfi(D, d)
+            scan.append(MetrologyResult(
+                t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=f_q,
+                cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d),
+                qcrb=qcrb(f_q, 1), markov_fisher=mk_fisher))
+        scans.append(scan)
     return trajs[::5], scans
 
 

@@ -127,7 +127,7 @@ def dephasing_oracle(cfg):
 def five_point_derivative(f, x, delta):
     """Five-point central stencil (-f(x+2d) + 8f(x+d) - 8f(x-d) + f(x-2d)) / (12d).
 
-    Grouped as differences of symmetric pairs, as ``bloch_T_derivative``
+    Grouped as differences of symmetric pairs, as ``metrology.stencil_scans``
     groups its shifted trajectories.
     """
     if not (delta > 0.0):

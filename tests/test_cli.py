@@ -25,12 +25,12 @@ def test_load_config_file_and_overrides(tmp_path):
     path.write_text(
         "# comment\n"
         "epsilon = 0.7\n"
-        "temp_log = false\n"
+        "emit_svg = yes\n"
         "times = 1, 2\n"
         "alpha_count = 5   # inline comment\n")
     cfg = load_config(str(path), {"eta": 0.02, "epsilon": None})
     assert cfg.epsilon == 0.7
-    assert cfg.temp_log is False
+    assert cfg.emit_svg is True
     assert cfg.times == (1.0, 2.0)
     assert cfg.alpha_count == 5
     assert cfg.eta == 0.02
@@ -44,12 +44,14 @@ def test_load_config_rejects_unknown_and_malformed(tmp_path):
     bad.write_text("epsilon 0.5\n")
     with pytest.raises(ConfigurationError):
         load_config(str(bad))
-    bad.write_text("temp_log = maybe\n")
+    bad.write_text("emit_svg = maybe\n")
     with pytest.raises(ConfigurationError):
         load_config(str(bad))
-    # the quadrature and witness tolerances are fixed, no longer settings
+    # the quadrature and witness tolerances, the sweep ranges' fixed ends and
+    # the fig3 slope window are no longer settings
     for key in ("rel_tol", "abs_tol", "omega_max_factor", "panels_per_oscillation",
-                "resonance_guard", "rise_tol", "conv_tol"):
+                "resonance_guard", "rise_tol", "conv_tol", "alpha_min", "alpha_max",
+                "temp_log", "slope_fit_tmax"):
         bad.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
             load_config(str(bad))
@@ -57,11 +59,21 @@ def test_load_config_rejects_unknown_and_malformed(tmp_path):
 
 def test_runconfig_validation():
     with pytest.raises(ConfigurationError):
-        RunConfig(alpha_min=0.5, alpha_max=0.1)
-    with pytest.raises(ConfigurationError):
         RunConfig(workers=0)
     with pytest.raises(ConfigurationError):
         RunConfig(temp_min=-0.1, temp_max=0.5)
+    # a single-point sweep reads temp_max too, so it must be a temperature
+    for temp_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="temp_max must be finite and > 0"):
+            RunConfig(temp_count=1, temp_max=temp_max)
+
+
+def test_single_point_sweeps():
+    # one point sits at the start of each range, to the bit
+    assert RunConfig(alpha_count=1).alphas().tolist() == [0.0]
+    assert RunConfig(temp_count=1, temp_min=0.03).temperatures().tolist() == [0.03]
+    # the start need not lie below temp_max when it is the only point
+    assert RunConfig(temp_count=1, temp_min=0.7).temperatures().tolist() == [0.7]
 
 
 # -- trajectory -----------------------------------------------------------------------

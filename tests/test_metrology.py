@@ -20,15 +20,13 @@ from qubit_thermometry import (
     qcrb,
     qfi,
 )
-from qubit_thermometry import kernels
+from qubit_thermometry import kernels, metrology
 from qubit_thermometry.dynamics import PHYSICALITY_SLACK, kernels_for
 from qubit_thermometry.metrology import (
     MetrologyResult,
-    bloch_T_derivative,
+    _stencil_derivative,
     loglog_slope,
-    metrology_scan,
     stencil_kernel_sets,
-    stencil_lanes,
     stencil_scans,
 )
 
@@ -153,11 +151,17 @@ def test_metrology_result_invariants():
 
 # -- temperature derivative -----------------------------------------------------------
 
+def _stencil_lanes(cfg, ks):
+    """Configs and kernel sets of the five lanes that ``stencil_scans``
+    integrates for ``cfg``: at T, T-2d, T-d, T+d and T+2d."""
+    return [cfg] + [replace(cfg, T=s.params.T) for s in ks.shifted], [ks, *ks.shifted]
+
+
 def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
-    base, *shifted = integrate_lanes(*stencil_lanes(cfg, stencil_kernel_sets(cfg)))
-    d = bloch_T_derivative(cfg, shifted)[base.index_of(1.0)]
+    base, *shifted = integrate_lanes(*_stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    d = _stencil_derivative(cfg, shifted)[base.index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
 
@@ -174,8 +178,8 @@ def test_derivative_against_richardson_oracle(sd):
     # independent route: coarser step delta' = 1e-5 T, two central differences
     # Richardson-combined; both must agree to 1e-4 relative
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=20.0, dt=0.01)
-    _, *shifted = integrate_lanes(*stencil_lanes(cfg, stencil_kernel_sets(cfg)))
-    deriv = bloch_T_derivative(cfg, shifted)
+    _, *shifted = integrate_lanes(*_stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    deriv = _stencil_derivative(cfg, shifted)
 
     from qubit_thermometry import precompute
 
@@ -215,31 +219,19 @@ def test_metrology_scan_structure(sd, sk_fig2):
         assert r.qcrb == pytest.approx(1.0 / math.sqrt(r.qfi), rel=1e-12)
 
 
-def test_metrology_scan_rejects_trajectory_of_other_kernels(sd):
-    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
-    ks = stencil_kernel_sets(cfg)
-    base, *shifted = integrate_lanes(*stencil_lanes(cfg, ks))
-    # a trajectory at a shifted temperature would pair D(T + d) with dD/dT at T
-    with pytest.raises(ConfigurationError):
-        metrology_scan(shifted[2], (1.0,), ks, shifted)
-    # shifted trajectories out of stencil order, or at another alpha or
-    # initial state, would give a wrong derivative
-    with pytest.raises(ConfigurationError):
-        metrology_scan(base, (1.0,), ks, shifted[::-1])
-    for other in (replace(cfg, alpha=0.6), replace(cfg, initial=(0.0, 0.0, 1.0))):
-        _, *wrong = integrate_lanes(*stencil_lanes(other, ks))
-        with pytest.raises(ConfigurationError):
-            metrology_scan(base, (1.0,), ks, wrong)
-    with pytest.raises(ConfigurationError):
-        metrology_scan(base, (1.0,), ks, shifted[:3])
+def test_metrology_scan_rejects_kernel_set_without_stencil(sd, monkeypatch):
+    # a plain kernel set carries no temperature-shifted sets to differentiate;
+    # the bundles are checked before any lane is integrated
+    def no_integration(*args):
+        raise AssertionError("integrated a bundle without a stencil")
 
-
-def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
-    # a plain kernel set carries no temperature-shifted sets to differentiate
+    monkeypatch.setattr(metrology, "integrate_lanes", no_integration)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     ks = kernels_for(cfg)
+    with pytest.raises(ConfigurationError, match="four temperature-shifted sets, got 0"):
+        stencil_scans([cfg], [ks], (1.0,))
     with pytest.raises(ConfigurationError):
-        metrology_scan(integrate(cfg, ks), (1.0,), ks, ())
+        stencil_scans([cfg, cfg], [stencil_kernel_sets(cfg), ks], (1.0,))
 
 
 @settings(max_examples=20, deadline=None)
@@ -250,16 +242,16 @@ def test_metrology_scan_rejects_kernel_set_without_stencil(sd):
 @example(eps=0.28255745495205314, T=0.1875, eta=5.960464477539063e-08, alpha=1.0, steps=3)
 def test_stencil_pipeline_properties(engine_at, eps, T, eta, alpha, steps):
     # across the validated envelope at short horizons: every stencil
-    # trajectory stays in the unit ball, no measurement beats the QFI, and
-    # the batched stencil set equals direct kernel calls to 0 ulp
+    # trajectory stays in the unit ball (``integrate_lanes`` raises for a
+    # shifted lane that leaves it), no measurement beats the QFI, and the
+    # batched stencil set equals direct kernel calls to 0 ulp
     cfg = ProbeConfig(epsilon=eps, alpha=alpha, T=T, sd=SpectralDensity(eta=eta),
                       t_end=steps * 0.05, dt=0.05)
     ks = stencil_kernel_sets(cfg)
-    base, *shifted = integrate_lanes(*stencil_lanes(cfg, ks))
-    for traj in (base, *shifted):
-        assert np.max(np.sum(traj.states**2, axis=1)) <= 1.0 + PHYSICALITY_SLACK
     idx = (steps // 3, (2 * steps) // 3, steps)
-    for i, r in zip(idx, metrology_scan(base, [ks.grid[i] for i in idx], ks, shifted)):
+    (base,), (scan,) = stencil_scans([cfg], [ks], [ks.grid[i] for i in idx])
+    assert np.max(np.sum(base.states**2, axis=1)) <= 1.0 + PHYSICALITY_SLACK
+    for i, r in zip(idx, scan):
         assert r.cfi_x <= r.qfi * (1 + 1e-8)
         assert r.cfi_z <= r.qfi * (1 + 1e-8)
         direct = engine_at(ks.params, float(ks.grid[i]))

@@ -81,10 +81,13 @@ def test_comparer_rejects_drift():
     assert csv_mismatch(ref[:-1], ref) is not None
 
 
-# fig1 runs at 2 workers, through the precompute thread pool and the process
-# pool over sweep points
-@pytest.mark.parametrize("figure,workers", [("fig1", 2), ("fig2", 1), ("fig3", 1)],
-                         ids=["fig1", "fig2", "fig3"])
+# fig1 builds no stencil and runs in one process at any worker count.  fig2
+# and fig3 also run at 2 workers: fig2 through the threads of its stencil
+# kernel pass, fig3 through the process pool over its temperatures' kernel
+# builds.
+@pytest.mark.parametrize("figure,workers",
+                         [("fig1", 1), ("fig2", 1), ("fig3", 1), ("fig2", 2), ("fig3", 2)],
+                         ids=["fig1", "fig2", "fig3", "fig2-w2", "fig3-w2"])
 def test_figure_matches_frozen_reference(tmp_path, figure, workers):
     argv = ["reproduce", figure, "--dt", "0.05", "--workers", str(workers),
             "--out", str(tmp_path)]
