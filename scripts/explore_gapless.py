@@ -10,18 +10,18 @@ gate.
 import numpy as np
 
 from qubit_thermometry import ProbeConfig, SpectralDensity
-from qubit_thermometry.metrology import loglog_slope, stencil_kernel_sets, stencil_scans
+from qubit_thermometry.metrology import loglog_slope, stencil_scans
 
 
 def main():
     sd = SpectralDensity(eta=0.05, omega_c=1.0)
     temps = np.geomspace(0.02, 0.2, 7)
     times = (5.0, 20.0, 50.0)
+    cfgs = [ProbeConfig(epsilon=0.0, alpha=0.5, T=float(T), sd=sd, t_end=max(times),
+                        dt=0.01) for T in temps]
+    _, scans = stencil_scans(cfgs, times)
     qfi = {t: [] for t in times}
-    for T in temps:
-        cfg = ProbeConfig(epsilon=0.0, alpha=0.5, T=float(T), sd=sd,
-                          t_end=max(times), dt=0.01)
-        _, (scan,) = stencil_scans([cfg], [stencil_kernel_sets(cfg)], times)
+    for T, scan in zip(temps, scans):
         for r in scan:
             qfi[r.t].append(r.qfi)
         print(f"T = {T:.4f}: " + "  ".join(

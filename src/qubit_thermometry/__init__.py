@@ -14,7 +14,7 @@ from .kernels import (
     KernelSet,
     precompute,
 )
-from .dynamics import ProbeConfig, Trajectory, integrate, integrate_lanes, rhs
+from .dynamics import ProbeConfig, Trajectory, integrate, integrate_lanes
 from .witness import coherence, non_markovianity, steady_coherence
 from .metrology import (
     MetrologyResult,

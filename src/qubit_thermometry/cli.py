@@ -12,10 +12,10 @@ Configuration is a flat key=value text file (``--config``) plus per-parameter
 command-line overrides; all floats are written with 17 significant digits so
 runs are byte-reproducible.  A sweep integrates all its trajectories, with
 their temperature-shifted stencil lanes, in one ``integrate_lanes`` call in
-this process.  ``--workers`` sets the process pool in which the temperature
-sweep builds each temperature's kernels, and the threads of a stencil
-kernel pass; outputs are assembled in sweep order and do not depend on the
-worker count.
+this process.  ``--workers`` is handed to ``metrology.stencil_scans``: the
+process pool in which the temperature sweep builds each temperature's
+kernels, or the threads of a lone stencil kernel pass; outputs are
+assembled in sweep order and do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -31,15 +31,10 @@ import numpy as np
 from .dynamics import ProbeConfig, integrate, integrate_lanes, kernels_for
 from .errors import ConfigurationError
 from .kernels import KERNEL_NAMES, precompute
-from .metrology import (
-    loglog_slope,
-    markov_comparator,
-    stencil_kernel_sets,
-    stencil_scans,
-)
+from .metrology import loglog_slope, markov_comparator, stencil_scans
 from .spectral import SpectralDensity
 from .svg import LinePlot
-from .witness import coherence, non_markovianity, steady_coherence
+from .witness import coherence, non_markovianity, steady_coherence, steady_window_ok
 
 __all__ = ["RunConfig", "main"]
 
@@ -79,6 +74,8 @@ class RunConfig:
                 raise ConfigurationError(f"{key} must be finite and > 0, got {T}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if not (0.0 < self.window_frac <= 1.0):
+            raise ConfigurationError(f"window_frac must lie in (0, 1], got {self.window_frac}")
 
     @property
     def sd(self) -> SpectralDensity:
@@ -163,19 +160,6 @@ def _check_times(cfg: RunConfig):
     return cfg.times
 
 
-def _run_tasks(task, points, workers: int) -> list:
-    """``task`` applied to each sweep point, results in sweep order; ``task``
-    takes its whole state as arguments, so pool workers behave the same under
-    any multiprocessing start method."""
-    if workers > 1 and len(points) > 1:
-        # imported here: multiprocessing costs ~20 ms of every CLI start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            return list(pool.map(task, points))
-    return [task(p) for p in points]
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 
@@ -213,32 +197,20 @@ def cmd_dump_kernels(cfg: RunConfig) -> int:
     return 0
 
 
-def _steady_window_ok(cfg: RunConfig) -> bool:
-    if cfg.epsilon > 0.0:
-        period = 2.0 * math.pi / cfg.epsilon
-        return cfg.window_frac * cfg.t_end >= 10.0 * period
-    return True
-
-
 def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
     """Witness (and Fisher) columns per alpha, every lane integrated in one
-    call; returns each alpha's trajectory, in sweep order."""
+    call; returns each alpha's trajectory, in sweep order.  ``ks`` is the
+    kernel set of a sweep without probing times (default: ``kernels_for``)."""
     times = _check_times(cfg)
-    if ks is None:
-        probe0 = cfg.probe(alpha=0.0)
-        if times:
-            ks = stencil_kernel_sets(probe0, workers=cfg.workers)
-        else:
-            ks = kernels_for(probe0)
     probes = [cfg.probe(alpha=float(a)) for a in cfg.alphas()]
     if times:
-        trajs, scans = stencil_scans(probes, [ks] * len(probes), times)
+        trajs, scans = stencil_scans(probes, times, cfg.workers)
     else:
+        ks = kernels_for(probes[0]) if ks is None else ks
         trajs, scans = integrate_lanes(probes, [ks] * len(probes)), [()] * len(probes)
-    with_steady = _steady_window_ok(cfg)
     rows = []
     for traj, scan in zip(trajs, scans):
-        if with_steady:
+        if steady_window_ok(traj, cfg.window_frac):
             steady, conv = steady_coherence(traj, cfg.window_frac)
         else:
             steady, conv = math.nan, False
@@ -272,9 +244,7 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
     if not times:
         raise ConfigurationError("temperature sweep needs at least one probing time")
     probes = [cfg.probe(T=float(T)) for T in cfg.temperatures()]
-    # the pool builds each temperature's stencil bundle; the lanes step together
-    bundles = _run_tasks(stencil_kernel_sets, probes, cfg.workers)
-    _, scans = stencil_scans(probes, bundles, times)
+    _, scans = stencil_scans(probes, times, cfg.workers)
     rows = [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
             for scan in scans for r in scan]
     footer = []

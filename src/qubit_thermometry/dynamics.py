@@ -15,26 +15,25 @@ dissipation).  Time stepping is classical RK4 with the stage times pinned to
 the kernel grid and its midpoints, so no kernel interpolation enters the
 error budget.  ``integrate_lanes`` steps any number of trajectories on one
 grid together (a sweep's alphas, or a stencil's temperatures), and each
-equals a stage-by-stage RK4 over ``rhs`` bit for bit; ``integrate`` is its
-one-lane call.
+equals bit for bit a stage-by-stage RK4 over ``rhs``, the right-hand side
+above written out one time at a time (``tests/oracles.py``); ``integrate``
+is its one-lane call.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, IntegrationError, NumericError
+from .errors import ConfigurationError, DomainError, IntegrationError
 from .kernels import KERNEL_NAMES, KernelParams, KernelSet, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
     "ProbeConfig",
     "Trajectory",
-    "rhs",
     "integrate",
     "integrate_lanes",
     "kernels_for",
@@ -116,29 +115,6 @@ class Trajectory:
         return i
 
 
-def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
-    """Right-hand side of the Bloch equations at one time.
-
-    ``state`` is the Bloch vector (Dx, Dy, Dz) and ``kernels_at_t`` the
-    6-tuple (R, K, L, X, F, G).  Returns (dDx/dt, dDy/dt, dDz/dt).
-    """
-    dx, dy, dz = (float(v) for v in state)
-    vals = tuple(float(v) for v in kernels_at_t)
-    if len(vals) != 6:
-        raise DomainError("kernels_at_t must supply the six values (R, K, L, X, F, G)")
-    probe = (dx, dy, dz) + vals + (epsilon, alpha)
-    if not all(math.isfinite(v) for v in probe):
-        raise NumericError("non-finite input to the Bloch equations")
-    R, K, L, X, F, G = vals
-    aa = 4.0 * alpha * (alpha - 1.0)
-    am2 = 4.0 * (alpha - 1.0) ** 2
-    a2 = 4.0 * alpha * alpha
-    fx = -epsilon * dy - aa * G - aa * dz * K - am2 * dx * R
-    fy = dx * (epsilon + a2 * X) + aa * (F - L) - dy * (a2 * K + am2 * R) - aa * dz * X
-    fz = -a2 * G - a2 * dz * K - aa * dx * R
-    return fx, fy, fz
-
-
 def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
     p = ks.params
     if p.sd != cfg.sd or p.epsilon != cfg.epsilon or p.T != cfg.T:
@@ -191,13 +167,15 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
 
     Lane ``j`` integrates ``cfgs[j]`` on ``kernel_sets[j]``; lanes may differ
     in alpha, epsilon, T, initial state and kernel set (a set shared by
-    several lanes is read once per block), but not in dt or t_end.  All lanes step together, a fixed
-    number of numpy calls per step, with ``rhs``'s kernel-only terms read
-    from tables built per block of steps.  Each call performs, lane by lane,
-    the floating-point operation of ``rhs`` on the same operands (the
-    reordering uses only a*b = b*a, 1*v = v, a - (-b) = a + b and h - 0 =
-    h), so every state equals that of a stage-by-stage RK4 over ``rhs`` to
-    the last bit, whatever the lanes and their order.
+    several lanes is read once per block), but not in dt or t_end.  All
+    lanes step together, a fixed number of numpy calls per step, with the
+    kernel-only terms of ``rhs`` (the one-time right-hand side in
+    ``tests/oracles.py``) read from tables built per block of steps.  Each
+    call performs, lane by lane, the floating-point operation of ``rhs`` on
+    the same operands (the reordering uses only a*b = b*a, 1*v = v, a - (-b)
+    = a + b and h - 0 = h), so every state equals that of a stage-by-stage
+    RK4 over ``rhs`` (``oracles.staged_rk4``) to the last bit, whatever the
+    lanes and their order.
 
     Raises IntegrationError if a lane's Bloch norm exceeds 1 +
     PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than

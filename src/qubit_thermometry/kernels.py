@@ -7,11 +7,11 @@
     F(t) = int_0^inf J(w) [e sin(e t) sin(t w) + w cos(e t) cos(t w) - w] / (e^2 - w^2) dw
     G(t) = int_0^inf J(w) [w sin(e t) cos(t w) - e cos(e t) sin(t w)] / (e^2 - w^2) dw
 
-with e the qubit splitting.  ``precompute`` samples them on a uniform grid
-and its midpoints by one of two passes.
+with e the qubit splitting.  Two passes sample them on a uniform grid and
+its midpoints.
 
-Time-domain pass (every set without temperature-shifted companions).
-Differentiated in t, each resonant denominator e^2 - w^2 cancels:
+Time-domain pass (``precompute``: every set that feeds no temperature
+stencil).  Differentiated in t, each resonant denominator e^2 - w^2 cancels:
 
     R' = nu,  K' = cos(e t) nu,  X' = sin(e t) nu,
     L' = mu,  F' = cos(e t) mu,  G' = sin(e t) mu,
@@ -32,8 +32,8 @@ from the real axis far outside every panel's convergence ellipse, and one
 cumulative sum per kernel gives the grid and midpoint values together.  The
 cost is linear in t_end.
 
-Frequency-domain pass (sets with ``shifted_T``, i.e. the temperature
-stencil of ``metrology``).  Each kernel is a frequency integral at every
+Frequency-domain pass (``frequency_pass``: the temperature stencil of
+``metrology``).  Each kernel is a frequency integral at every
 time, by composite 8-point Gauss-Legendre at one fixed configuration (the
 ``_REL_TOL`` ... ``_RESONANCE_GUARD`` constants below).  The stencil
 divides kernel differences by a step of 1e-7 T, so any change in the
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,13 +151,7 @@ class KernelSet:
     ``values[name][i]`` is the kernel at ``grid[i]``; ``half_values[name][i]``
     at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
     record the mesh-refinement depth used per time by the frequency-domain
-    pass, and are None for a time-domain set.  ``shifted`` holds one set
-    per extra temperature requested from ``precompute``: its R, K, X were
-    reduced in the same pass and on this set's mesh, and its L, F, G are this
-    set's arrays.  Adding temperatures never changes this set's values or
-    levels.  A set from ``metrology.stencil_kernel_sets`` is the
-    temperature-stencil bundle: its four shifted sets sit at T-2d, T-d, T+d,
-    T+2d.
+    pass, and are None for a time-domain set.
     """
 
     grid: np.ndarray
@@ -166,7 +160,6 @@ class KernelSet:
     params: KernelParams
     levels: np.ndarray = field(repr=False, default=None)
     half_levels: np.ndarray = field(repr=False, default=None)
-    shifted: tuple = field(repr=False, default=())
 
     @property
     def dt(self) -> float:
@@ -671,7 +664,9 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     n = int(round(t_end / dt))
     if n < 1 or abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise DomainError(f"t_end={t_end} is not an integer multiple of dt={dt}")
-    return np.arange(n + 1) * dt
+    grid = np.arange(n + 1) * dt
+    grid.flags.writeable = False
+    return grid
 
 
 def _joined(parts):
@@ -684,56 +679,48 @@ def _joined(parts):
     return sets, np.concatenate([p[1] for p in parts])
 
 
-def precompute(params: KernelParams, t_end: float, dt: float,
-               workers: int = None, shifted_T=()) -> KernelSet:
-    """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints.
+def precompute(params: KernelParams, t_end: float, dt: float) -> KernelSet:
+    """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints
+    as time integrals of the closed-form bath correlation functions (the
+    time-domain pass), at a cost linear in t_end."""
+    grid = _uniform_grid(t_end, dt)
+    vals = _time_domain(params, 2 * (grid.size - 1), 0.5 * dt)
+    return KernelSet(grid=grid, values={n: a[0::2] for n, a in vals.items()},
+                     half_values={n: a[1::2] for n, a in vals.items()}, params=params)
 
-    Without ``shifted_T`` the kernels are time integrals of the closed-form
-    bath correlation functions (the time-domain pass), at a cost linear in
-    t_end; ``workers`` is not used.
 
-    For each temperature in ``shifted_T`` (all > 0) the frequency-domain
-    pass also evaluates R, K, X with coth at that temperature on the mesh
-    accepted at ``params.T``: their node coefficients are stacked with the
-    base ones, so each trigonometric array is reduced once for all
-    temperatures.  These sets are returned in ``KernelSet.shifted``, sharing
-    L, F, G and the levels with the base set, whose values do not depend on
-    which temperatures are in ``shifted_T``.  Freezing the mesh keeps the
-    kernels smooth in T, which the finite-difference temperature stencil
-    relies on.  Every value of this pass is bit-identical to a direct
-    evaluation at its time alone.  ``workers`` > 1 splits its time axis
-    across threads (numpy releases the GIL); the output does not depend on
-    the worker count.
+def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
+                   workers: int = 1) -> tuple:
+    """The six kernels on the grid {0, dt, ..., t_end} and midpoints by the
+    frequency-domain pass, and R, K, X at each of ``temps`` (all > 0).
+
+    Returns the set at ``params.T``, then one set per temperature in
+    ``temps``, whose R, K, X use coth at that temperature on the mesh
+    accepted at ``params.T`` and whose L, F, G and levels are the first
+    set's.  Their node coefficients are stacked with the base ones, so each
+    trigonometric array is reduced once for all temperatures, and the first
+    set does not depend on ``temps``.  Freezing the mesh keeps the kernels
+    smooth in T, which the finite-difference temperature stencil relies on.
+    Every value is bit-identical to a direct evaluation at its time alone.
+    ``workers`` > 1 splits the time axis across threads (numpy releases the
+    GIL); the output does not depend on the worker count.
     """
     grid = _uniform_grid(t_end, dt)
-    grid.flags.writeable = False
-    on_grid, on_half = slice(0, None, 2), slice(1, None, 2)
-    if not shifted_T:
-        vals = _time_domain(params, 2 * (grid.size - 1), 0.5 * dt)
-        return KernelSet(grid=grid, values={n: a[on_grid] for n, a in vals.items()},
-                         half_values={n: a[on_half] for n, a in vals.items()},
-                         params=params)
     # grid points and midpoints interleaved, evaluated in one pass
     ts = np.empty(2 * grid.size - 1)
     ts[0::2] = grid
     ts[1::2] = grid[:-1] + 0.5 * dt
-    eng = _KernelEngine(params, shifted_T)
-    threads = workers if workers and workers > 1 and grid.size > 64 else 1
+    eng = _KernelEngine(params, temps)
+    threads = workers if workers > 1 and grid.size > 64 else 1
     n_parts = 1 if threads == 1 else min(threads * 8, ts.size)
     with ThreadPoolExecutor(max_workers=threads) as ex:
         sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix]),
                                            np.array_split(np.arange(ts.size), n_parts))))
-    g_lv, m_lv = levels[on_grid], levels[on_half]
+    g_lv, m_lv = levels[0::2], levels[1::2]
     (g_vals, m_vals), *shifted = (
-        ({n: a[on_grid] for n, a in d.items()}, {n: a[on_half] for n, a in d.items()})
+        ({n: a[0::2] for n, a in d.items()}, {n: a[1::2] for n, a in d.items()})
         for d in sets)
-
-    def kernel_set(p, values, half_values, shifted=()):
-        return KernelSet(grid=grid, values=values, half_values=half_values,
-                         params=p, levels=g_lv, half_levels=m_lv,
-                         shifted=shifted)
-
-    return kernel_set(params, g_vals, m_vals, tuple(
-        kernel_set(KernelParams(sd=params.sd, epsilon=params.epsilon, T=T),
-                   {**g_vals, **gs}, {**m_vals, **ms})
-        for T, (gs, ms) in zip(eng.temps, shifted)))
+    return tuple(
+        KernelSet(grid=grid, values={**g_vals, **gs}, half_values={**m_vals, **ms},
+                  params=replace(params, T=T), levels=g_lv, half_levels=m_lv)
+        for T, (gs, ms) in zip((params.T,) + eng.temps, [({}, {})] + shifted))

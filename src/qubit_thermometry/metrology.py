@@ -8,7 +8,8 @@ stencil
     df/dT = [-f(T+2d) + 8 f(T+d) - 8 f(T-d) + f(T-2d)] / (12 d),
 
 exact through quartic order.  The shifted R, K, X come from the base kernels'
-quadrature pass, on its mesh and sin/cos(t w) arrays (see ``precompute``).
+quadrature pass, on its mesh and sin/cos(t w) arrays (see
+``kernels.frequency_pass``).
 For a qubit with Bloch vector D the quantum
 Fisher information is
 
@@ -30,12 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import ProbeConfig, integrate_lanes
-from .errors import ConfigurationError, DomainError, NumericError
-from .kernels import KernelSet, precompute
+from .errors import DomainError, NumericError
+from .kernels import KernelParams, frequency_pass
 
 __all__ = [
     "MetrologyResult",
-    "stencil_kernel_sets",
     "qfi",
     "cfi",
     "qcrb",
@@ -80,19 +80,17 @@ class MetrologyResult:
             raise NumericError("qcrb must equal 1/sqrt(qfi)")
 
 
-def stencil_kernel_sets(cfg: ProbeConfig, workers: int = None) -> KernelSet:
-    """Kernel set at ``cfg.T`` whose ``shifted`` sets sit at (T-2d, T-d,
-    T+d, T+2d), from one pass.
-
-    Only the coth-bearing kernels are evaluated at the shifted temperatures,
-    on the base set's mesh.
-    """
-    T = cfg.T
+def _stencil_bundle(params: KernelParams, t_end: float, dt: float,
+                    workers: int = 1) -> tuple:
+    """Kernel sets at T, T-2d, T-d, T+d and T+2d from one frequency-domain
+    pass; only R, K, X are evaluated at the shifted temperatures, on the
+    mesh of the set at T."""
+    T = params.T
     if not (T > 0.0):
         raise DomainError(f"stencil needs T > 0, got T={T}")
     delta = _REL_STEP * T
-    return precompute(cfg.kernel_params, cfg.t_end, cfg.dt, workers=workers,
-                      shifted_T=(T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta))
+    return frequency_pass(params, t_end, dt,
+                          (T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta), workers)
 
 
 def _stencil_derivative(cfg: ProbeConfig, shifted) -> np.ndarray:
@@ -178,23 +176,34 @@ def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
     return fisher, bound
 
 
-def stencil_scans(probes, bundles, times) -> tuple:
+def stencil_scans(probes, times, workers: int = 1) -> tuple:
     """Base trajectory and ``MetrologyResult`` at each probing time of every
-    probe on its stencil bundle from ``stencil_kernel_sets``.
+    probe.
 
-    The five lanes of every probe are integrated in one ``integrate_lanes``
-    call.  A bundle does not depend on alpha, so probes that differ only in
-    the mixing parameter share one.
+    Probes that share their kernel parameters and grid (e.g. differ only in
+    alpha) share one stencil bundle.  With more than one bundle and
+    ``workers`` > 1 the bundles are built in a pool of ``workers``
+    processes; otherwise each pass splits its time axis over ``workers``
+    threads.  Either way the results do not depend on ``workers``.  The
+    five lanes of every probe are then integrated in one ``integrate_lanes``
+    call.
     """
-    for ks in bundles:
-        if len(ks.shifted) != 4:
-            raise ConfigurationError(
-                f"metrology needs a kernel set from stencil_kernel_sets with four "
-                f"temperature-shifted sets, got {len(ks.shifted)}")
+    keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]
+    uniq = list(dict.fromkeys(keys))
+    if workers > 1 and len(uniq) > 1:
+        # imported here: multiprocessing costs ~20 ms of every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(uniq))) as pool:
+            bundles = list(pool.map(_stencil_bundle, *zip(*uniq)))
+    else:
+        bundles = [_stencil_bundle(*key, workers=workers) for key in uniq]
+    bundle_of = dict(zip(uniq, bundles))
     cfgs, sets = [], []
-    for probe, ks in zip(probes, bundles):  # lanes at T, T-2d, T-d, T+d, T+2d
-        cfgs += [probe] + [replace(probe, T=s.params.T) for s in ks.shifted]
-        sets += [ks, *ks.shifted]
+    for probe, key in zip(probes, keys):  # lanes at T, T-2d, T-d, T+d, T+2d
+        bundle = bundle_of[key]
+        cfgs += [probe] + [replace(probe, T=s.params.T) for s in bundle[1:]]
+        sets += bundle
     trajs = integrate_lanes(cfgs, sets)
     scans = []
     for j in range(0, len(trajs), 5):

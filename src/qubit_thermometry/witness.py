@@ -19,7 +19,10 @@ import numpy as np
 from .dynamics import Trajectory
 from .errors import DomainError
 
-__all__ = ["coherence", "non_markovianity", "steady_coherence"]
+__all__ = ["coherence", "non_markovianity", "steady_coherence", "steady_window_ok"]
+
+# whole averaging blocks the trailing window must hold
+_MIN_BLOCKS = 10
 
 
 def coherence(traj: Trajectory) -> np.ndarray:
@@ -40,6 +43,28 @@ def non_markovianity(C: np.ndarray, rise_tol: float = 1e-10) -> float:
     return float(d[d > rise_tol].sum())
 
 
+def _window(traj: Trajectory, window_frac: float) -> tuple:
+    """(samples, samples per averaging block) of the trailing window: a
+    block is one precession period 2 pi / eps, or a tenth of the window at
+    eps = 0."""
+    if not (0.0 < window_frac <= 1.0):
+        raise DomainError(f"window_frac must lie in (0, 1], got {window_frac}")
+    n = len(traj.grid)
+    dt = float(traj.grid[1] - traj.grid[0])
+    win = int(math.floor(window_frac * (n - 1)))
+    eps = traj.config.epsilon if traj.config is not None else 0.0
+    if eps > 0.0:
+        return win, max(1, int(round(2.0 * math.pi / eps / dt)))
+    return win, max(1, win // _MIN_BLOCKS)
+
+
+def steady_window_ok(traj: Trajectory, window_frac: float = 0.2) -> bool:
+    """Whether the trailing window holds the 10 whole averaging blocks that
+    ``steady_coherence`` needs."""
+    win, m = _window(traj, window_frac)
+    return win // m >= _MIN_BLOCKS
+
+
 def steady_coherence(traj: Trajectory, window_frac: float = 0.2,
                      conv_tol: float = 1e-4) -> tuple:
     """Estimate |Dx(t -> infinity)| from the trailing window of a trajectory.
@@ -51,25 +76,15 @@ def steady_coherence(traj: Trajectory, window_frac: float = 0.2,
     their spread stays below ``conv_tol``.  The window must hold at least 10
     periods.  Returns (|Dx(inf)| estimate, converged flag).
     """
-    if not (0.0 < window_frac <= 1.0):
-        raise DomainError(f"window_frac must lie in (0, 1], got {window_frac}")
-    n = len(traj.grid)
-    dt = float(traj.grid[1] - traj.grid[0])
-    win = int(math.floor(window_frac * (n - 1)))
+    win, m = _window(traj, window_frac)
     if win < 2:
         raise DomainError("trailing window holds fewer than 2 samples")
-    eps = traj.config.epsilon if traj.config is not None else 0.0
-    if eps > 0.0:
-        period = 2.0 * math.pi / eps
-        m = max(1, int(round(period / dt)))
-    else:
-        m = max(1, win // 10)
     blocks = win // m
-    if blocks < 10:
+    if blocks < _MIN_BLOCKS:
         raise DomainError(
             f"trailing window holds {blocks} precession periods; need >= 10 "
             f"(increase t_end or window_frac)")
-    tail = np.abs(traj.dx[n - blocks * m:])
+    tail = np.abs(traj.dx[len(traj.grid) - blocks * m:])
     means = tail.reshape(blocks, m).mean(axis=1)
     spread = float(means.max() - means.min())
     return float(means.mean()), spread < conv_tol

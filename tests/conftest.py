@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -13,7 +14,7 @@ from qubit_thermometry import (
     precompute,
 )
 from qubit_thermometry import kernels
-from qubit_thermometry.metrology import stencil_kernel_sets
+from qubit_thermometry.metrology import stencil_scans
 
 # headline scenario of the figures: T = 0.2, eps = 0.5, eta = 0.05 (omega_c units)
 EPS = 0.5
@@ -47,7 +48,7 @@ def ks_long(params):
 @pytest.fixture(scope="session")
 def engine_at():
     """The six kernels at one time alone from the frequency-domain pass that
-    serves the temperature stencil (``precompute`` with ``shifted_T``)."""
+    serves the temperature stencil (``kernels.frequency_pass``)."""
 
     def at(params, t):
         (vals,), _ = kernels._KernelEngine(params).evaluate([t])
@@ -56,15 +57,25 @@ def engine_at():
     return at
 
 
-@pytest.fixture(scope="session")
-def sk_fig2(sd):
-    """Stencil kernel bundle at t_end = 50 shared by the metrology tests."""
-    probe = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=50.0, dt=0.01)
-    return stencil_kernel_sets(probe, workers=os.cpu_count())
+def _fig2_scans(sd, t_end, times):
+    """``MetrologyResult`` scans per alpha over Fig. 2's 21-point mixing grid
+    at the headline parameters: one stencil bundle, its pass split over
+    every core."""
+    probes = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=t_end, dt=0.01)
+              for a in np.linspace(0.0, 1.0, 21)]
+    _, scans = stencil_scans(probes, times, workers=os.cpu_count())
+    return {probe.alpha: scan for probe, scan in zip(probes, scans)}
 
 
 @pytest.fixture(scope="session")
-def sk_fig2_long(sd):
-    """Stencil kernel bundle at t_end = 100 shared by the long-time fig2 tests."""
-    probe = ProbeConfig(epsilon=EPS, alpha=0.0, T=TEMP, sd=sd, t_end=100.0, dt=0.01)
-    return stencil_kernel_sets(probe, workers=os.cpu_count())
+def fig2_scans(sd):
+    """Fig. 2's scans at t_end = 50, shared by the metrology and acceptance
+    tests."""
+    return _fig2_scans(sd, 50.0, (0.0, 1.0, 20.0, 50.0))
+
+
+@pytest.fixture(scope="session")
+def fig2_long_scans(sd):
+    """Fig. 2's scans at t = 100 (t_end = 100), shared by the long-time fig2
+    tests."""
+    return _fig2_scans(sd, 100.0, (100.0,))

@@ -8,16 +8,19 @@ the Ohmic density J(w) = eta w exp(-w/omega_c), expanding coth x = 1 +
 2 sum_n exp(-2 n x) termwise gives R, L and the dephasing exponent Gamma in
 closed form at any T (e.g. Breuer & Petruccione, The Theory of Open Quantum
 Systems, 2002); the exact alpha = 0 trajectory is built on that Gamma.  The
-Bloch equations are checked against the TCL2 generator acting on explicit 2x2
-density matrices, and the integrator against a textbook RK4 over ``rhs``.
+Bloch equations, written out one time at a time in ``rhs``, are checked
+against the TCL2 generator acting on explicit 2x2 density matrices, and the
+integrator against a textbook RK4 over ``rhs``.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate as sp_integrate
 from scipy import special
 
-from qubit_thermometry.dynamics import Trajectory, rhs
-from qubit_thermometry.errors import DomainError
+from qubit_thermometry.dynamics import Trajectory
+from qubit_thermometry.errors import DomainError, NumericError
 
 
 def spectral_density(sd, omega):
@@ -178,8 +181,33 @@ def tcl2_bloch_rhs(D, kernels, eps, alpha):
     return np.array([np.trace(drho @ s).real for s in (_SX, _SY, _SZ)])
 
 
+def rhs(state, kernels_at_t, epsilon: float, alpha: float) -> tuple:
+    """Right-hand side of the Bloch equations (``dynamics`` module docstring)
+    at one time, one float operation at a time: the reference that
+    ``dynamics.integrate_lanes`` reproduces bit for bit.
+
+    ``state`` is the Bloch vector (Dx, Dy, Dz) and ``kernels_at_t`` the
+    6-tuple (R, K, L, X, F, G).  Returns (dDx/dt, dDy/dt, dDz/dt).
+    """
+    dx, dy, dz = (float(v) for v in state)
+    vals = tuple(float(v) for v in kernels_at_t)
+    if len(vals) != 6:
+        raise DomainError("kernels_at_t must supply the six values (R, K, L, X, F, G)")
+    probe = (dx, dy, dz) + vals + (epsilon, alpha)
+    if not all(math.isfinite(v) for v in probe):
+        raise NumericError("non-finite input to the Bloch equations")
+    R, K, L, X, F, G = vals
+    aa = 4.0 * alpha * (alpha - 1.0)
+    am2 = 4.0 * (alpha - 1.0) ** 2
+    a2 = 4.0 * alpha * alpha
+    fx = -epsilon * dy - aa * G - aa * dz * K - am2 * dx * R
+    fy = dx * (epsilon + a2 * X) + aa * (F - L) - dy * (a2 * K + am2 * R) - aa * dz * X
+    fz = -a2 * G - a2 * dz * K - aa * dx * R
+    return fx, fy, fz
+
+
 def staged_rk4(cfg, ks):
-    """Classical RK4 over ``ks``'s grid, one ``dynamics.rhs`` call per stage.
+    """Classical RK4 over ``ks``'s grid, one ``rhs`` call per stage.
 
     ``rhs`` is tied to the TCL2 generator by ``test_rhs_matches_tcl2_generator``;
     stages 2 and 3 read the kernels at the midpoint, stage 4 at the next point.

@@ -36,12 +36,7 @@ from qubit_thermometry import (
 )
 from qubit_thermometry.cli import main as cli_main
 from qubit_thermometry.dynamics import kernels_for
-from qubit_thermometry.metrology import (
-    loglog_slope,
-    markov_comparator,
-    stencil_kernel_sets,
-    stencil_scans,
-)
+from qubit_thermometry.metrology import loglog_slope, markov_comparator, stencil_scans
 from qubit_thermometry.witness import coherence, non_markovianity, steady_coherence
 
 from oracles import dephasing_oracle, five_point_derivative, gibbs_qfi, kernel_R_T0
@@ -131,12 +126,10 @@ def test_c5_fig1_witness_structure(sd, ks_long):
 
 
 @pytest.fixture(scope="module")
-def fig2_table(sd, sk_fig2):
+def fig2_table(fig2_scans):
     """QFI at t in {1, 50} for the 21-point mixing grid (t_end = 50)."""
-    cfgs = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=50.0, dt=0.01)
-            for a in np.linspace(0.0, 1.0, 21)]
-    _, scans = stencil_scans(cfgs, [sk_fig2] * len(cfgs), (1.0, 50.0))
-    return {cfg.alpha: scan for cfg, scan in zip(cfgs, scans)}
+    return {alpha: [r for r in scan if r.t in (1.0, 50.0)]
+            for alpha, scan in fig2_scans.items()}
 
 
 def test_c6_fig2_short_time_dephasing_dominates(fig2_table):
@@ -148,13 +141,10 @@ def test_c6_fig2_short_time_dephasing_dominates(fig2_table):
 
 
 @pytest.fixture(scope="module")
-def fig2_long_qfi(sd, sk_fig2_long):
+def fig2_long_qfi(fig2_long_scans):
     """QFI at t = 100 on the 21-point mixing grid (t_end = 100)."""
     alphas = np.linspace(0.0, 1.0, 21)
-    cfgs = [ProbeConfig(epsilon=EPS, alpha=float(a), T=TEMP, sd=sd, t_end=100.0, dt=0.01)
-            for a in alphas]
-    _, scans = stencil_scans(cfgs, [sk_fig2_long] * len(cfgs), (100.0,))
-    return alphas, [scan[0].qfi for scan in scans]
+    return alphas, [fig2_long_scans[a][0].qfi for a in alphas.tolist()]
 
 
 def test_c6_fig2_long_time_argmax_interior(fig2_long_qfi):
@@ -199,7 +189,7 @@ def fig3_table(sd):
     temps = np.geomspace(0.01, 0.05, 6)
     cfgs = [ProbeConfig(epsilon=EPS, alpha=0.5, T=float(T), sd=sd, t_end=1.0, dt=0.01)
             for T in temps]
-    _, scans = stencil_scans(cfgs, [stencil_kernel_sets(cfg) for cfg in cfgs], (1.0,))
+    _, scans = stencil_scans(cfgs, (1.0,))
     return temps, [scan[0] for scan in scans]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import qubit_thermometry
 from qubit_thermometry import ConfigurationError
-from qubit_thermometry import cli
+from qubit_thermometry import cli, metrology
 from qubit_thermometry.cli import RunConfig, load_config, main
 
 from oracles import kernel_R_T0
@@ -66,6 +66,10 @@ def test_runconfig_validation():
     for temp_max in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="temp_max must be finite and > 0"):
             RunConfig(temp_count=1, temp_max=temp_max)
+    # the steady-state window is a nonempty share of the trajectory
+    for window_frac in (0.0, -1.0, 1.5, math.nan):
+        with pytest.raises(ConfigurationError, match=r"window_frac must lie in \(0, 1\]"):
+            RunConfig(window_frac=window_frac)
 
 
 def test_single_point_sweeps():
@@ -244,6 +248,38 @@ def test_sweep_alpha_zero_coupling(tmp_path):
         assert float(vals[5]) == 0.0
 
 
+@pytest.mark.parametrize("config,args", [
+    ("", ("--t-end", "628.4")),
+    ("window_frac = 1.0\n", ("--t-end", "125.7")),
+], ids=["default-window", "whole-trajectory"])
+def test_sweep_alpha_short_steady_window_writes_nan(tmp_path, config, args):
+    # each trailing window spans just over 10 precession periods of 4 pi but
+    # only 9 whole periods of 126 samples at dt = 0.1: no steady-state
+    # estimate, written as nan / 0, and the sweep succeeds
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert run_cli("sweep-alpha", "--config", str(path), *args, "--dt", "0.1",
+                   "--alpha-count", "1", "--times=", "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "sweep_alpha.csv").read_text().splitlines()
+    assert lines[0] == "alpha,N_C,steady_dx_abs,converged"
+    _, _, steady, converged = lines[1].split(",")
+    assert steady == "nan" and converged == "0"
+
+
+@pytest.mark.parametrize("window_frac", ["0", "-1", "1.5"])
+def test_window_frac_outside_unit_interval_fails_before_kernels(
+        tmp_path, capsys, monkeypatch, window_frac):
+    def no_kernels(*args, **kwargs):
+        pytest.fail("kernels built for a bad window_frac")
+
+    monkeypatch.setattr(cli, "kernels_for", no_kernels)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"window_frac = {window_frac}\n")
+    rc = run_cli("sweep-alpha", "--config", str(path), "--times=", "--out", str(tmp_path))
+    assert rc == 1
+    assert f"window_frac must lie in (0, 1], got {float(window_frac)}" in capsys.readouterr().err
+
+
 def test_sweep_temperature_output(tmp_path):
     out = str(tmp_path)
     assert run_cli("sweep-temperature", "--t-end", "2", "--dt", "0.01",
@@ -292,7 +328,7 @@ def test_negative_probing_time_fails_before_kernels(tmp_path, capsys, monkeypatc
         pytest.fail("kernels built for a negative probing time")
 
     monkeypatch.setattr(cli, "kernels_for", no_kernels)
-    monkeypatch.setattr(cli, "stencil_kernel_sets", no_kernels)
+    monkeypatch.setattr(metrology, "frequency_pass", no_kernels)
     rc = run_cli(command, "--t-end", "2", "--dt", "0.01", "--times=1,-1",
                  "--temp-count", "2", "--out", str(tmp_path))
     assert rc == 1

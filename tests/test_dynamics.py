@@ -17,17 +17,17 @@ from qubit_thermometry import (
     SpectralDensity,
     integrate,
     integrate_lanes,
-    rhs,
 )
 from qubit_thermometry.cli import main
 from qubit_thermometry.dynamics import kernels_for
-from qubit_thermometry.kernels import precompute
+from qubit_thermometry.kernels import frequency_pass, precompute
 from qubit_thermometry.witness import coherence
 
 from oracles import (
     dephasing_coherence_T0,
     dephasing_oracle,
     quad_gamma,
+    rhs,
     staged_rk4,
     tcl2_bloch_rhs,
 )
@@ -188,13 +188,13 @@ def test_physicality_breach_detected(sd, ks_short):
 @pytest.fixture(scope="module")
 def ks_stencil(params):
     """Base set plus one stencil-shifted set on a short grid."""
-    return precompute(params, 10.0, 0.01, shifted_T=(params.T * (1.0 + 1e-7),))
+    return frequency_pass(params, 10.0, 0.01, (params.T * (1.0 + 1e-7),))
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["base", "shifted"])
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
 def test_integrate_matches_staged_rk4_bit_for_bit(sd, ks_stencil, alpha, shifted):
-    ks = ks_stencil.shifted[0] if shifted else ks_stencil
+    ks = ks_stencil[1 if shifted else 0]
     cfg = _probe(sd, alpha=alpha, T=ks.params.T, initial=(0.6, 0.0, 0.8))
     assert np.array_equal(integrate(cfg, ks).states, staged_rk4(cfg, ks))
 
@@ -204,9 +204,8 @@ def lane_sets(sd):
     """Kernel sets on one 40-step grid (two table blocks): a stencil bundle at
     eps = 0.5, T = 0.2 with its two shifted sets, and plain sets at
     (eps, T) = (0, 0.3) and (1.3, 0)."""
-    bundle = precompute(KernelParams(sd=sd, epsilon=0.5, T=0.2), 2.0, 0.05,
-                        shifted_T=(0.2 - 2e-8, 0.2 + 2e-8))
-    return (bundle, *bundle.shifted,
+    return (*frequency_pass(KernelParams(sd=sd, epsilon=0.5, T=0.2), 2.0, 0.05,
+                            (0.2 - 2e-8, 0.2 + 2e-8)),
             precompute(KernelParams(sd=sd, epsilon=0.0, T=0.3), 2.0, 0.05),
             precompute(KernelParams(sd=sd, epsilon=1.3, T=0.0), 2.0, 0.05))
 

@@ -16,7 +16,7 @@ from qubit_thermometry import (
 )
 from qubit_thermometry import kernels
 from qubit_thermometry.cli import main
-from qubit_thermometry.kernels import THERMAL_KERNELS
+from qubit_thermometry.kernels import THERMAL_KERNELS, frequency_pass
 
 from oracles import (
     gamma_closed,
@@ -344,7 +344,7 @@ def test_time_domain_matches_stencil_base_set(T, eps, omega_c):
     p = KernelParams(sd=SpectralDensity(eta=0.05, omega_c=omega_c), epsilon=eps, T=T)
     for dt in (0.01, 0.05, 0.2, 1.0, 5.0):
         a = precompute(p, 5.0, dt)
-        b = precompute(p, 5.0, dt, shifted_T=(0.2,))
+        b = frequency_pass(p, 5.0, dt, (0.2,))[0]
         assert a.levels is None and b.levels is not None
         for name in KERNEL_NAMES:
             assert np.max(np.abs(a.values[name] - b.values[name])) <= 1e-12
@@ -369,13 +369,14 @@ def _stencil_temps(T):
 
 @pytest.fixture(scope="module")
 def ks_stencil_short(params):
-    """Stencil-pass set on ks_short's grid."""
-    return precompute(params, 10.0, 0.01, shifted_T=_stencil_temps(params.T))
+    """Stencil-pass sets on ks_short's grid: the base set, then the four
+    shifted ones."""
+    return frequency_pass(params, 10.0, 0.01, _stencil_temps(params.T))
 
 
 def test_precompute_matches_direct_calls_exactly(params, ks_stencil_short, engine_at):
     # the stencil pass evaluates every time on its own: batched == direct, 0 ulp
-    ks = ks_stencil_short
+    ks = ks_stencil_short[0]
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(ks.grid), 20):
         direct = engine_at(params, float(ks.grid[i]))
@@ -388,13 +389,16 @@ def test_precompute_matches_direct_calls_exactly(params, ks_stencil_short, engin
 
 
 def test_precompute_worker_count_invariance(params):
-    # time-domain pass, then stencil pass
-    for shifted_T in ((), (0.2,)):
-        a = precompute(params, 3.0, 0.01, shifted_T=shifted_T)
-        b = precompute(params, 3.0, 0.01, workers=4, shifted_T=shifted_T)
-        for name in KERNEL_NAMES:
-            assert np.array_equal(a.values[name], b.values[name])
-            assert np.array_equal(a.half_values[name], b.half_values[name])
+    # the stencil pass alone, then with a shifted temperature; the time-domain
+    # pass has no workers
+    for temps in ((), (0.2,)):
+        a = frequency_pass(params, 3.0, 0.01, temps)
+        b = frequency_pass(params, 3.0, 0.01, temps, workers=4)
+        assert len(a) == len(b) == 1 + len(temps)
+        for sa, sb in zip(a, b):
+            for name in KERNEL_NAMES:
+                assert np.array_equal(sa.values[name], sb.values[name])
+                assert np.array_equal(sa.half_values[name], sb.half_values[name])
 
 
 def test_precompute_validation(params):
@@ -418,8 +422,7 @@ def test_thermal_kernels_only_depend_on_T(sd):
 
 def test_rebuild_for_temperature(params):
     # thermal kernels at a shifted temperature, from the base pass on its mesh
-    ks = precompute(params, 10.0, 0.01, shifted_T=(0.3,))
-    kr = ks.shifted[0]
+    ks, kr = frequency_pass(params, 10.0, 0.01, (0.3,))
     assert kr.params.T == 0.3
     for name in ("L", "F", "G"):
         assert kr.values[name] is ks.values[name]
@@ -430,22 +433,22 @@ def test_rebuild_for_temperature(params):
                                    rtol=1e-9, atol=1e-12)
     for bad_T in (0.0, -0.1):
         with pytest.raises(DomainError):
-            precompute(params, 10.0, 0.01, shifted_T=(0.3, bad_T))
+            frequency_pass(params, 10.0, 0.01, (0.3, bad_T))
 
 
 def test_shift_at_base_temperature_is_bit_identical(params):
-    ks = precompute(params, 10.0, 0.01, shifted_T=(params.T,))
+    ks, same = frequency_pass(params, 10.0, 0.01, (params.T,))
     assert ks.levels.max() > 0 and ks.half_levels.max() > 0  # refined rows covered
     for name in THERMAL_KERNELS:
-        assert np.array_equal(ks.shifted[0].values[name], ks.values[name])
-        assert np.array_equal(ks.shifted[0].half_values[name], ks.half_values[name])
+        assert np.array_equal(same.values[name], ks.values[name])
+        assert np.array_equal(same.half_values[name], ks.half_values[name])
 
 
 def test_shifted_sets_independent_of_worker_count(params):
     temps = _stencil_temps(params.T)
-    a = precompute(params, 10.0, 0.01, workers=1, shifted_T=temps)
-    b = precompute(params, 10.0, 0.01, workers=4, shifted_T=temps)
-    for sa, sb in zip(a.shifted, b.shifted):
+    a = frequency_pass(params, 10.0, 0.01, temps, workers=1)
+    b = frequency_pass(params, 10.0, 0.01, temps, workers=4)
+    for sa, sb in zip(a[1:], b[1:]):
         assert sa.params == sb.params
         for name in KERNEL_NAMES:
             assert np.array_equal(sa.values[name], sb.values[name])
@@ -456,15 +459,15 @@ def test_chunk_size_does_not_change_values(params, monkeypatch):
     # one time row per chunk, then one time row per stacked reduction block,
     # against the default blocking, 0 ulp
     temps = _stencil_temps(params.T)
-    a = precompute(params, 10.0, 0.05, shifted_T=temps)
-    assert a.levels.max() > 0 and a.half_levels.max() > 0  # refined rows covered
+    a = frequency_pass(params, 10.0, 0.05, temps)
+    assert a[0].levels.max() > 0 and a[0].half_levels.max() > 0  # refined rows covered
     for constant in ("_CHUNK_ELEMENTS", "_ROW_BLOCK_ELEMENTS"):
         with monkeypatch.context() as patch:
             patch.setattr(kernels, constant, 1)
-            b = precompute(params, 10.0, 0.05, shifted_T=temps)
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.half_levels, b.half_levels)
-        for sa, sb in zip((a, *a.shifted), (b, *b.shifted)):
+            b = frequency_pass(params, 10.0, 0.05, temps)
+        assert np.array_equal(a[0].levels, b[0].levels)
+        assert np.array_equal(a[0].half_levels, b[0].half_levels)
+        for sa, sb in zip(a, b):
             assert sa.params == sb.params
             for name in KERNEL_NAMES:
                 assert np.array_equal(sa.values[name], sb.values[name])
@@ -473,8 +476,8 @@ def test_chunk_size_does_not_change_values(params, monkeypatch):
 
 def test_base_set_independent_of_shifted_temperatures(params, ks_stencil_short):
     # stacking more shifted rows into the reductions never changes a base sum
-    one = precompute(params, 10.0, 0.01, shifted_T=(params.T,))
-    stencil = ks_stencil_short
+    one = frequency_pass(params, 10.0, 0.01, (params.T,))[0]
+    stencil = ks_stencil_short[0]
     assert one.levels.max() > 0 and one.half_levels.max() > 0  # refined rows covered
     assert np.array_equal(one.levels, stencil.levels)
     assert np.array_equal(one.half_levels, stencil.half_levels)
@@ -485,8 +488,8 @@ def test_base_set_independent_of_shifted_temperatures(params, ks_stencil_short):
 
 def test_shifted_value_independent_of_companion_temperatures(params):
     temps = _stencil_temps(params.T)
-    among = precompute(params, 10.0, 0.01, shifted_T=temps).shifted[2]
-    alone = precompute(params, 10.0, 0.01, shifted_T=temps[2:3]).shifted[0]
+    among = frequency_pass(params, 10.0, 0.01, temps)[3]
+    alone = frequency_pass(params, 10.0, 0.01, temps[2:3])[1]
     for name in THERMAL_KERNELS:
         assert np.array_equal(alone.values[name], among.values[name])
         assert np.array_equal(alone.half_values[name], among.half_values[name])

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from qubit_thermometry import (
     KERNEL_NAMES,
-    ConfigurationError,
     DomainError,
     NumericError,
     ProbeConfig,
@@ -21,12 +20,13 @@ from qubit_thermometry import (
     qfi,
 )
 from qubit_thermometry import kernels, metrology
-from qubit_thermometry.dynamics import PHYSICALITY_SLACK, kernels_for
+from qubit_thermometry.dynamics import PHYSICALITY_SLACK
+from qubit_thermometry.kernels import frequency_pass
 from qubit_thermometry.metrology import (
     MetrologyResult,
+    _stencil_bundle,
     _stencil_derivative,
     loglog_slope,
-    stencil_kernel_sets,
     stencil_scans,
 )
 
@@ -151,16 +151,21 @@ def test_metrology_result_invariants():
 
 # -- temperature derivative -----------------------------------------------------------
 
-def _stencil_lanes(cfg, ks):
+def _bundle(cfg):
+    """``cfg``'s stencil bundle: kernel sets at T, T-2d, T-d, T+d and T+2d."""
+    return _stencil_bundle(cfg.kernel_params, cfg.t_end, cfg.dt)
+
+
+def _stencil_lanes(cfg, bundle):
     """Configs and kernel sets of the five lanes that ``stencil_scans``
     integrates for ``cfg``: at T, T-2d, T-d, T+d and T+2d."""
-    return [cfg] + [replace(cfg, T=s.params.T) for s in ks.shifted], [ks, *ks.shifted]
+    return [cfg] + [replace(cfg, T=s.params.T) for s in bundle[1:]], list(bundle)
 
 
 def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
-    base, *shifted = integrate_lanes(*_stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    base, *shifted = integrate_lanes(*_stencil_lanes(cfg, _bundle(cfg)))
     d = _stencil_derivative(cfg, shifted)[base.index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
@@ -168,26 +173,26 @@ def test_derivative_vanishes_without_coupling():
 def test_derivative_grid_and_temperature_guards(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
-        integrate(cfg, stencil_kernel_sets(cfg)).index_of(0.005)  # off the grid
+        integrate(cfg, _bundle(cfg)[0]).index_of(0.005)  # off the grid
+    with pytest.raises(DomainError, match="not on the trajectory grid"):
+        stencil_scans([cfg], (0.005,))
     cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)
-    with pytest.raises(DomainError):
-        stencil_kernel_sets(cfg0)
+    with pytest.raises(DomainError, match="stencil needs T > 0"):
+        stencil_scans([cfg0], (1.0,))
 
 
 def test_derivative_against_richardson_oracle(sd):
     # independent route: coarser step delta' = 1e-5 T, two central differences
     # Richardson-combined; both must agree to 1e-4 relative
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=20.0, dt=0.01)
-    _, *shifted = integrate_lanes(*_stencil_lanes(cfg, stencil_kernel_sets(cfg)))
+    _, *shifted = integrate_lanes(*_stencil_lanes(cfg, _bundle(cfg)))
     deriv = _stencil_derivative(cfg, shifted)
-
-    from qubit_thermometry import precompute
 
     h = 1e-5 * cfg.T
     temps = (cfg.T - 2 * h, cfg.T - h, cfg.T + h, cfg.T + 2 * h)
-    oracle = precompute(cfg.kernel_params, 20.0, 0.01, shifted_T=temps)
+    _, *oracle = frequency_pass(cfg.kernel_params, 20.0, 0.01, temps)
     m2, m1, p1, p2 = (traj.states for traj in integrate_lanes(
-        [replace(cfg, T=T) for T in temps], oracle.shifted))
+        [replace(cfg, T=T) for T in temps], oracle))
     c1 = (p1 - m1) / (2 * h)
     c2 = (p2 - m2) / (4 * h)
     richardson = (4.0 * c1 - c2) / 3.0
@@ -201,14 +206,14 @@ def test_stencil_raises_quadrature_error(sd, monkeypatch):
     monkeypatch.setattr(kernels, "_ABS_TOL", 1e-30)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.5)
     with pytest.raises(QuadratureError) as info:
-        stencil_kernel_sets(cfg)
+        stencil_scans([cfg], (1.0,))
     assert ("after 6 mesh halvings (epsilon=0.5, T=0.2, eta=0.05, omega_c=1, "
             "rel_tol=1e-30, abs_tol=1e-30;") in str(info.value)
 
 
-def test_metrology_scan_structure(sd, sk_fig2):
-    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=50.0, dt=0.01)
-    (_,), (results,) = stencil_scans([cfg], [sk_fig2], (0.0, 1.0, 20.0))
+def test_metrology_scan_structure(fig2_scans):
+    # Fig. 2's alpha = 0.5 lane at t_end = 50
+    results = [r for r in fig2_scans[0.5] if r.t in (0.0, 1.0, 20.0)]
     assert [r.t for r in results] == [0.0, 1.0, 20.0]
     assert results[0].qfi == 0.0  # initial state carries no information yet
     assert results[0].qcrb == math.inf
@@ -219,19 +224,29 @@ def test_metrology_scan_structure(sd, sk_fig2):
         assert r.qcrb == pytest.approx(1.0 / math.sqrt(r.qfi), rel=1e-12)
 
 
-def test_metrology_scan_rejects_kernel_set_without_stencil(sd, monkeypatch):
-    # a plain kernel set carries no temperature-shifted sets to differentiate;
-    # the bundles are checked before any lane is integrated
-    def no_integration(*args):
-        raise AssertionError("integrated a bundle without a stencil")
+def test_stencil_scans_one_pass_per_bundle(sd, monkeypatch):
+    # probes that differ only in alpha share one frequency-domain pass; each
+    # temperature needs its own.  Every probe's results equal those of a scan
+    # of that probe alone.
+    calls = []
 
-    monkeypatch.setattr(metrology, "integrate_lanes", no_integration)
-    cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
-    ks = kernels_for(cfg)
-    with pytest.raises(ConfigurationError, match="four temperature-shifted sets, got 0"):
-        stencil_scans([cfg], [ks], (1.0,))
-    with pytest.raises(ConfigurationError):
-        stencil_scans([cfg, cfg], [stencil_kernel_sets(cfg), ks], (1.0,))
+    def counting_pass(params, t_end, dt, temps, workers):
+        calls.append((params.T, t_end, dt))
+        return frequency_pass(params, t_end, dt, temps, workers)
+
+    def probe(alpha=0.5, T=0.2):
+        return ProbeConfig(epsilon=0.5, alpha=alpha, T=T, sd=sd, t_end=1.0, dt=0.05)
+
+    monkeypatch.setattr(metrology, "frequency_pass", counting_pass)
+    alphas = [probe(alpha=a) for a in (0.0, 0.25, 1.0)]
+    _, by_alpha = stencil_scans(alphas, (0.5, 1.0))
+    assert calls == [(0.2, 1.0, 0.05)]
+    calls.clear()
+    mixed = [probe(T=0.1), probe(alpha=0.0, T=0.3), probe(alpha=1.0, T=0.1), probe()]
+    _, by_T = stencil_scans(mixed, (0.5, 1.0))
+    assert calls == [(0.1, 1.0, 0.05), (0.3, 1.0, 0.05), (0.2, 1.0, 0.05)]
+    for cfg, scan in zip(alphas + mixed, by_alpha + by_T):
+        assert scan == stencil_scans([cfg], (0.5, 1.0))[1][0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -247,9 +262,9 @@ def test_stencil_pipeline_properties(engine_at, eps, T, eta, alpha, steps):
     # batched stencil set equals direct kernel calls to 0 ulp
     cfg = ProbeConfig(epsilon=eps, alpha=alpha, T=T, sd=SpectralDensity(eta=eta),
                       t_end=steps * 0.05, dt=0.05)
-    ks = stencil_kernel_sets(cfg)
+    ks = _bundle(cfg)[0]
     idx = (steps // 3, (2 * steps) // 3, steps)
-    (base,), (scan,) = stencil_scans([cfg], [ks], [ks.grid[i] for i in idx])
+    (base,), (scan,) = stencil_scans([cfg], [ks.grid[i] for i in idx])
     assert np.max(np.sum(base.states**2, axis=1)) <= 1.0 + PHYSICALITY_SLACK
     for i, r in zip(idx, scan):
         assert r.cfi_x <= r.qfi * (1 + 1e-8)
