@@ -128,12 +128,16 @@ def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
 
 
 # ``rhs`` as one product table per stage: the state rows (x, y, z, 1) are
-# gathered as [y, x, 1 | z, y, z | x, z, x] and multiplied by the coefficients
-# [-eps, eps + a2*X, -a2*G | aa, 1, a2 | am2, aa, aa]; the last six products
-# are then multiplied by the kernels [K, a2*K + am2*R, K | R, X, R].
-_GATHER = np.array([1, 0, 3, 2, 1, 2, 0, 2, 0])
-# steps per block of kernel-term tables and of norm checks
-_BLOCK = 32
+# gathered as [y, x, 1 | 1, 1, 1 | z, y, z | x, z, x] and multiplied by the
+# coefficients [-eps, eps + a2*X, -a2*G | aa*G, -aa*(F - L), 0 | aa, 1, a2 |
+# am2, aa, aa]; the last six products are then multiplied by the kernels
+# [K, a2*K + am2*R, K | R, X, R].  The four row groups P0, off, P1, P2 are
+# reduced as ((P0 - off) - P1) - P2: subtract is never reassociated, so an
+# axis-0 ``subtract.reduce`` takes them in that order, as ``rhs`` does.
+_GATHER = np.array([1, 0, 3, 3, 3, 3, 2, 1, 2, 0, 2, 0])
+# lane-steps per block of kernel-term tables and of norm checks (~1 MB of
+# tables whatever the lane count)
+_BLOCK_LANE_STEPS = 3584
 
 
 def _check_lanes(cfgs, kernel_sets):
@@ -150,16 +154,16 @@ def _check_lanes(cfgs, kernel_sets):
 
 def _term_tables(tables: list, idx: np.ndarray, steps: slice, eps, aa, am2, a2) -> tuple:
     """Kernel terms of every lane at the times ``steps``, lane j reading the
-    kernel arrays ``tables[idx[j]]``: the coefficients (b, 9, lanes), kernels
-    (b, 6, lanes) and offsets [aa*G, -aa*(F - L), 0] (b, 3, lanes) of
-    ``_GATHER``'s products, each entry the float that ``rhs`` forms."""
+    kernel arrays ``tables[idx[j]]``: the coefficients (b, 12, lanes) and
+    kernels (b, 6, lanes) of ``_GATHER``'s products, each entry the float
+    that ``rhs`` forms."""
     R, K, L, X, F, G = (np.stack([vals[name][steps] for vals in tables])[idx].T
                         for name in KERNEL_NAMES)
-    coef = np.stack(np.broadcast_arrays(-eps, eps + a2 * X, -a2 * G, aa, 1.0, a2,
+    coef = np.stack(np.broadcast_arrays(-eps, eps + a2 * X, -a2 * G, aa * G,
+                                        -(aa * (F - L)), 0.0, aa, 1.0, a2,
                                         am2, aa, aa), axis=1)
     kern = np.stack((K, a2 * K + am2 * R, K, R, X, R), axis=1)
-    off = np.stack((aa * G, -(aa * (F - L)), np.zeros_like(G)), axis=1)
-    return coef, kern, off
+    return coef, kern
 
 
 def integrate_lanes(cfgs, kernel_sets) -> list:
@@ -168,14 +172,18 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     Lane ``j`` integrates ``cfgs[j]`` on ``kernel_sets[j]``; lanes may differ
     in alpha, epsilon, T, initial state and kernel set (a set shared by
     several lanes is read once per block), but not in dt or t_end.  All
-    lanes step together, a fixed number of numpy calls per step, with the
-    kernel-only terms of ``rhs`` (the one-time right-hand side in
-    ``tests/oracles.py``) read from tables built per block of steps.  Each
-    call performs, lane by lane, the floating-point operation of ``rhs`` on
-    the same operands (the reordering uses only a*b = b*a, 1*v = v, a - (-b)
-    = a + b and h - 0 = h), so every state equals that of a stage-by-stage
-    RK4 over ``rhs`` (``oracles.staged_rk4``) to the last bit, whatever the
-    lanes and their order.
+    lanes step together in 29 numpy calls per step, whatever their number.
+    Each stage gathers the state into ``_GATHER``'s 12-row product table,
+    multiplies it by the kernel-only terms of ``rhs`` (the one-time
+    right-hand side in ``tests/oracles.py``), read from tables built per
+    block of about ``_BLOCK_LANE_STEPS`` lane-steps, and reduces its four
+    3-row groups with one ``subtract.reduce``, which subtracts them left to
+    right as ``rhs`` does.  Each call performs, lane by lane, the
+    floating-point operation of ``rhs`` on the same operands (the reordering
+    uses only a*b = b*a, 1*v = v, a - (-b) = a + b and h - 0 = h), so every
+    state equals that of a stage-by-stage RK4 over ``rhs``
+    (``oracles.staged_rk4``) to the last bit, whatever the lanes, their
+    order and the block size.
 
     Raises IntegrationError if a lane's Bloch norm exceeds 1 +
     PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
@@ -212,45 +220,52 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     u = np.ones((4, n_lanes))
     now, mid = s[:3], u[:3]  # the state and a stage's input
     k1, k2, k3, k4, tmp = (np.empty((3, n_lanes)) for _ in range(5))
-    p = np.empty((9, n_lanes))
-    p0, p1, p2, p12 = p[:3], p[3:6], p[6:], p[3:]
-
-    def stage(w, coef, kern, off, k):
-        # k = rhs(w) for every lane: ((P0 - off) - P1) - P2 from the products
-        np.take(w, _GATHER, axis=0, out=p, mode="clip")
-        np.multiply(p, coef, out=p)
-        np.multiply(p12, kern, out=p12)
-        np.subtract(p0, off, out=k)
-        np.subtract(k, p1, out=k)
-        np.subtract(k, p2, out=k)
+    p = np.empty((12, n_lanes))
+    p_kern, groups = p[6:], p.reshape(4, 3, n_lanes)  # groups: P0, off, P1, P2
+    mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
+    block = max(1, _BLOCK_LANE_STEPS // n_lanes)  # steps per block
 
     failed = None  # (lane, step, |D|^2) of the lowest-index lane out of the ball
     with np.errstate(all="ignore"):
-        for i0 in range(0, n_steps, _BLOCK):
-            i1 = min(i0 + _BLOCK, n_steps)
+        for i0 in range(0, n_steps, block):
+            i1 = min(i0 + block, n_steps)
             on_g = list(zip(*_term_tables(on_grid, idx, slice(i0, i1 + 1), *coefs)))
             on_h = zip(*_term_tables(on_half, idx, slice(i0, i1), *coefs))
-            # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4)
-            for i, (t1, tm, t4) in enumerate(zip(on_g, on_h, on_g[1:]), start=i0 + 1):
-                stage(s, *t1, k1)
-                np.multiply(k1, half, out=tmp)
-                np.add(now, tmp, out=mid)
-                stage(u, *tm, k2)
-                np.multiply(k2, half, out=tmp)
-                np.add(now, tmp, out=mid)
-                stage(u, *tm, k3)
-                np.multiply(k3, dt, out=tmp)
-                np.add(now, tmp, out=mid)
-                stage(u, *t4, k4)
-                np.add(k2, k3, out=k2)
-                np.multiply(k2, 2.0, out=k2)
-                np.add(k1, k2, out=k1)
-                np.add(k1, k4, out=k1)
-                np.multiply(k1, sixth, out=k1)
-                np.add(now, k1, out=now)
+            # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4); each
+            # stage gathers w's products into p and reduces them to k = rhs(w)
+            for i, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(
+                    zip(on_g, on_h, on_g[1:]), start=i0 + 1):
+                s.take(_GATHER, 0, p, "clip")
+                mul(p, c1, p)
+                mul(p_kern, r1, p_kern)
+                sub_reduce(groups, 0, None, k1)
+                mul(k1, half, tmp)
+                add(now, tmp, mid)
+                u.take(_GATHER, 0, p, "clip")
+                mul(p, cm, p)
+                mul(p_kern, rm, p_kern)
+                sub_reduce(groups, 0, None, k2)
+                mul(k2, half, tmp)
+                add(now, tmp, mid)
+                u.take(_GATHER, 0, p, "clip")
+                mul(p, cm, p)
+                mul(p_kern, rm, p_kern)
+                sub_reduce(groups, 0, None, k3)
+                mul(k3, dt, tmp)
+                add(now, tmp, mid)
+                u.take(_GATHER, 0, p, "clip")
+                mul(p, c4, p)
+                mul(p_kern, r4, p_kern)
+                sub_reduce(groups, 0, None, k4)
+                add(k2, k3, k2)
+                mul(k2, 2.0, k2)
+                add(k1, k2, k1)
+                add(k1, k4, k1)
+                mul(k1, sixth, k1)
+                add(now, k1, now)
                 at[i] = now
-            block = states[:, i0 + 1:i1 + 1]
-            x, y, z = block[..., 0], block[..., 1], block[..., 2]
+            done = states[:, i0 + 1:i1 + 1]
+            x, y, z = done[..., 0], done[..., 1], done[..., 2]
             n2 = x * x + y * y + z * z
             bad = ~(n2 <= limit)
             lanes = np.flatnonzero(bad.any(axis=1))

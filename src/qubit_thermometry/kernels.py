@@ -79,7 +79,6 @@ blocks of time rows, every entry a fixed-order length-N sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -711,11 +710,16 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
     ts[0::2] = grid
     ts[1::2] = grid[:-1] + 0.5 * dt
     eng = _KernelEngine(params, temps)
-    threads = workers if workers > 1 and grid.size > 64 else 1
-    n_parts = 1 if threads == 1 else min(threads * 8, ts.size)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        sets, levels = _joined(list(ex.map(lambda ix: eng.evaluate(ts[ix]),
-                                           np.array_split(np.arange(ts.size), n_parts))))
+    if workers > 1 and grid.size > 64:
+        # imported here: concurrent.futures costs ~5 ms of every CLI start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(lambda ix: eng.evaluate(ts[ix]),
+                                np.array_split(np.arange(ts.size), min(workers * 8, ts.size))))
+    else:
+        parts = [eng.evaluate(ts)]
+    sets, levels = _joined(parts)
     g_lv, m_lv = levels[0::2], levels[1::2]
     (g_vals, m_vals), *shifted = (
         ({n: a[0::2] for n, a in d.items()}, {n: a[1::2] for n, a in d.items()})

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import ProbeConfig, integrate_lanes
-from .errors import DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 from .kernels import KernelParams, frequency_pass
 
 __all__ = [
@@ -186,8 +186,13 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     processes; otherwise each pass splits its time axis over ``workers``
     threads.  Either way the results do not depend on ``workers``.  The
     five lanes of every probe are then integrated in one ``integrate_lanes``
-    call.
+    call.  Probes on different (dt, t_end) grids raise ConfigurationError
+    before any kernel is built.
     """
+    grids = {(probe.dt, probe.t_end) for probe in probes}
+    if len(grids) > 1:
+        raise ConfigurationError(
+            f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
     keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]
     uniq = list(dict.fromkeys(keys))
     if workers > 1 and len(uniq) > 1:

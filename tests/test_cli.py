@@ -225,10 +225,12 @@ def test_workers_byte_identical_under_start_method(tmp_path, command, method):
 
 
 def test_cli_import_leaves_out_slow_stdlib_modules():
-    # multiprocessing loads only when a sweep opens its pool; xml.sax and
-    # urllib.request (with http.client) would add 60-100 ms to every start-up
+    # multiprocessing and concurrent.futures load only when a pool opens;
+    # xml.sax and urllib.request (with http.client) would add 60-100 ms to
+    # every start-up
     code = ("import sys, qubit_thermometry.cli; print(sorted(m for m in "
-            "('multiprocessing', 'xml.sax', 'urllib.request') if m in sys.modules))")
+            "('multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

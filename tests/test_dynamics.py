@@ -18,6 +18,7 @@ from qubit_thermometry import (
     integrate,
     integrate_lanes,
 )
+from qubit_thermometry import dynamics
 from qubit_thermometry.cli import main
 from qubit_thermometry.dynamics import kernels_for
 from qubit_thermometry.kernels import frequency_pass, precompute
@@ -201,8 +202,9 @@ def test_integrate_matches_staged_rk4_bit_for_bit(sd, ks_stencil, alpha, shifted
 
 @pytest.fixture(scope="module")
 def lane_sets(sd):
-    """Kernel sets on one 40-step grid (two table blocks): a stencil bundle at
-    eps = 0.5, T = 0.2 with its two shifted sets, and plain sets at
+    """Kernel sets on one 40-step grid (one table block at the default block
+    size; ``test_lane_block_does_not_change_values`` splits it): a stencil
+    bundle at eps = 0.5, T = 0.2 with its two shifted sets, and plain sets at
     (eps, T) = (0, 0.3) and (1.3, 0)."""
     return (*frequency_pass(KernelParams(sd=sd, epsilon=0.5, T=0.2), 2.0, 0.05,
                             (0.2 - 2e-8, 0.2 + 2e-8)),
@@ -237,6 +239,25 @@ def test_integrate_lanes_matches_staged_rk4_bit_for_bit(lane_sets, lanes, data):
             assert np.array_equal(traj.states, trajs[m].states)
 
 
+def test_lane_block_does_not_change_values(lane_sets, monkeypatch):
+    # one step per block, three steps per block (a ragged last block), then
+    # the whole run in one block, against the default blocking, 0 ulp, over
+    # mixed lanes that share and shift kernel sets
+    picks = [(0, 0.5), (1, 0.3), (2, 1.0), (3, 0.0), (4, 0.7), (0, 1.0), (3, 0.25)]
+    cfgs = [ProbeConfig(epsilon=lane_sets[j].params.epsilon, alpha=alpha,
+                        T=lane_sets[j].params.T, sd=lane_sets[j].params.sd,
+                        initial=(0.6, 0.05 * j, 0.7), t_end=2.0, dt=0.05)
+            for j, alpha in picks]
+    sets = [lane_sets[j] for j, _ in picks]
+    default = integrate_lanes(cfgs, sets)
+    for lane_steps in (1, 3 * len(cfgs), 10**9):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
+            blocked = integrate_lanes(cfgs, sets)
+        for a, b in zip(default, blocked):
+            assert np.array_equal(a.states, b.states)
+
+
 def _growing_set(ks, T, rate):
     """Kernel set on ``ks``'s grid at temperature T whose only kernel is a
     constant R = rate; rate < 0 makes the coherences grow as e^(-4 rate t)."""
@@ -249,11 +270,13 @@ def _growing_set(ks, T, rate):
         params=KernelParams(sd=ks.params.sd, epsilon=0.5, T=T))
 
 
-def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short):
-    # lane 1 leaves the unit ball at t = ln 2 / 0.4 ~ 1.73 (in its sixth block
-    # of steps); lane 2 leaves it at t = dt and then overflows to inf and nan.
-    # The error is lane 1's, as if the lanes were integrated one by one, and
-    # no floating-point warning escapes.
+def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short, monkeypatch):
+    # with 32 steps per block of three lanes, lane 1 leaves the unit ball at
+    # t = ln 2 / 0.4 ~ 1.73 (in its sixth block of steps); lane 2 leaves it at
+    # t = dt (in the first block) and then overflows to inf and nan.  The
+    # error is lane 1's, as if the lanes were integrated one by one, and no
+    # floating-point warning escapes.
+    monkeypatch.setattr(dynamics, "_BLOCK_LANE_STEPS", 3 * 32)
     sets = [ks_short, _growing_set(ks_short, 0.3, -0.1), _growing_set(ks_short, 0.2, -100.0)]
     cfgs = [_probe(sd, alpha=0.5), _probe(sd, alpha=0.0, T=0.3, initial=(0.5, 0.0, 0.0)),
             _probe(sd, alpha=0.0)]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qubit_thermometry import (
     KERNEL_NAMES,
+    ConfigurationError,
     DomainError,
     NumericError,
     ProbeConfig,
@@ -247,6 +248,23 @@ def test_stencil_scans_one_pass_per_bundle(sd, monkeypatch):
     assert calls == [(0.1, 1.0, 0.05), (0.3, 1.0, 0.05), (0.2, 1.0, 0.05)]
     for cfg, scan in zip(alphas + mixed, by_alpha + by_T):
         assert scan == stencil_scans([cfg], (0.5, 1.0))[1][0]
+
+
+def test_stencil_scans_rejects_mixed_grids_before_any_pass(sd, monkeypatch):
+    # probes on different (dt, t_end) grids fail before a frequency-domain
+    # pass is paid for any of them
+    calls = []
+
+    def counting_pass(*args, **kwargs):
+        calls.append(args)
+        return frequency_pass(*args, **kwargs)
+
+    monkeypatch.setattr(metrology, "frequency_pass", counting_pass)
+    probe = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.05)
+    for other in (replace(probe, t_end=2.0), replace(probe, alpha=0.0, T=0.3, dt=0.1)):
+        with pytest.raises(ConfigurationError, match="lanes must share one grid"):
+            stencil_scans([probe, other], (0.5,))
+    assert calls == []
 
 
 @settings(max_examples=20, deadline=None)
