@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import ProbeConfig, integrate, integrate_lanes, kernels_for
 from .errors import ConfigurationError
 from .kernels import KERNEL_NAMES, precompute
-from .metrology import loglog_slope, markov_comparator, stencil_scans
+from .metrology import loglog_slope, stencil_scans
 from .spectral import SpectralDensity
 from .svg import LinePlot
 from .witness import coherence, non_markovianity, steady_coherence, steady_window_ok
@@ -148,18 +148,6 @@ def _write_csv(path, header, rows, footer_lines=()):
     print(f"wrote {path}")
 
 
-def _check_times(cfg: RunConfig):
-    for t in cfg.times:
-        if not (t >= 0.0):
-            raise ConfigurationError(f"probing time {t} must be >= 0")
-        if t > cfg.t_end + 1e-9:
-            raise ConfigurationError(f"probing time {t} lies beyond t_end={cfg.t_end}")
-        i = round(t / cfg.dt)
-        if abs(i * cfg.dt - t) > 1e-9 * max(1.0, t):
-            raise ConfigurationError(f"probing time {t} is not on the dt={cfg.dt} grid")
-    return cfg.times
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 
@@ -201,7 +189,7 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
     """Witness (and Fisher) columns per alpha, every lane integrated in one
     call; returns each alpha's trajectory, in sweep order.  ``ks`` is the
     kernel set of a sweep without probing times (default: ``kernels_for``)."""
-    times = _check_times(cfg)
+    times = cfg.times
     probes = [cfg.probe(alpha=float(a)) for a in cfg.alphas()]
     if times:
         trajs, scans = stencil_scans(probes, times, cfg.workers)
@@ -240,50 +228,44 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
 
 
 def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
-    times = _check_times(cfg)
+    times = cfg.times
     if not times:
         raise ConfigurationError("temperature sweep needs at least one probing time")
-    probes = [cfg.probe(T=float(T)) for T in cfg.temperatures()]
-    _, scans = stencil_scans(probes, times, cfg.workers)
+    temps = cfg.temperatures()
+    _, scans = stencil_scans([cfg.probe(T=float(T)) for T in temps], times, cfg.workers)
     rows = [[r.t, r.T, r.alpha, r.qfi, r.cfi_x, r.cfi_z, r.qcrb, r.markov_fisher]
             for scan in scans for r in scan]
+    # each temperature's result at the earliest probing time
+    j0 = times.index(min(times))
+    at_t0 = [scan[j0] for scan in scans]
     footer = []
-    temps = cfg.temperatures()
-    t0 = min(times)
-    fit_T = [T for T in temps if T <= _SLOPE_FIT_TMAX]
-    fit_F = [row[3] for row in rows if row[0] == t0 and row[1] <= _SLOPE_FIT_TMAX]
-    if len(fit_T) >= 2 and all(f > 0 for f in fit_F):
-        slope = loglog_slope(fit_T, fit_F)
+    fit = [r for r in at_t0 if r.T <= _SLOPE_FIT_TMAX]
+    if len(fit) >= 2 and all(r.qfi > 0 for r in fit):
+        slope = loglog_slope([r.T for r in fit], [r.qfi for r in fit])
         footer.append(f"# low_T_slope_qfi = {slope:.6g} "
-                      f"(log-log fit at t={t0:g} over T <= {_SLOPE_FIT_TMAX:g})")
+                      f"(log-log fit at t={times[j0]:g} over T <= {_SLOPE_FIT_TMAX:g})")
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, f"{tag}.csv"),
                "t,T,alpha,qfi,cfi_x,cfi_z,qcrb,markov_fisher", rows, footer)
     if cfg.emit_svg:
         qplot = LinePlot(title="QFI vs temperature", xlabel="T [omega_c]",
                          ylabel="F_Q", xlog=True, ylog=True)
-        for t in times:
-            sel = [(row[1], row[3]) for row in rows if row[0] == t and row[3] > 0]
-            if sel:
-                qplot.add(*zip(*sel), label=f"t={t:g}")
-        if any(row[3] > 0 for row in rows):
-            ref_F = next(row[3] for row in rows if row[0] == t0 and row[3] > 0)
-            ref_T = next(row[1] for row in rows if row[0] == t0 and row[3] > 0)
-            qplot.add(temps, [ref_F * (T / ref_T) ** 2 for T in temps],
-                      label="T^2 guide", dashed=True)
-        qplot.add(temps, [markov_comparator(cfg.epsilon, T)[0] for T in temps],
+        for j, t in enumerate(times):
+            qplot.add(temps, [scan[j].qfi for scan in scans], label=f"t={t:g}")
+        # through the first point with F_Q > 0 at t0; none draws no guide
+        ref = [r for r in at_t0 if r.qfi > 0][:1]
+        qplot.add(temps, [r.qfi * (T / r.T) ** 2 for r in ref for T in temps],
+                  label="T^2 guide", dashed=True)
+        qplot.add(temps, [scan[0].markov_fisher for scan in scans],
                   label="Born-Markov", dashed=True)
         p = os.path.join(cfg.out_dir, f"{tag}_qfi.svg")
         qplot.write(p)
         mplot = LinePlot(title="measurement Fisher information",
                          xlabel="T [omega_c]", ylabel="F_C", xlog=True, ylog=True)
-        for t in times:
-            selx = [(row[1], row[4]) for row in rows if row[0] == t and row[4] > 0]
-            selz = [(row[1], row[5]) for row in rows if row[0] == t and row[5] > 0]
-            if selx:
-                mplot.add(*zip(*selx), label=f"sx t={t:g}")
-            if selz:
-                mplot.add(*zip(*selz), label=f"sz t={t:g}", dashed=True)
+        for j, t in enumerate(times):
+            mplot.add(temps, [scan[j].cfi_x for scan in scans], label=f"sx t={t:g}")
+            mplot.add(temps, [scan[j].cfi_z for scan in scans], label=f"sz t={t:g}",
+                      dashed=True)
         p2 = os.path.join(cfg.out_dir, f"{tag}_measurements.svg")
         mplot.write(p2)
         print(f"wrote {p}\nwrote {p2}")

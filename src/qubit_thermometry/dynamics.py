@@ -22,6 +22,7 @@ is its one-lane call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,15 +66,15 @@ class ProbeConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (self.epsilon >= 0.0 and self.T >= 0.0):
-            raise DomainError("epsilon and T must be >= 0")
+        self.kernel_params  # raises DomainError naming a bad epsilon or T
         if len(self.initial) != 3:
             raise DomainError("initial Bloch vector needs three components")
         n2 = sum(c * c for c in self.initial)
         if n2 > 1.0 + PHYSICALITY_SLACK:
             raise DomainError(f"initial Bloch vector has norm^2 = {n2} > 1")
-        if not (self.dt > 0.0 and self.t_end >= self.dt):
-            raise DomainError("need dt > 0 and t_end >= dt")
+        if not (0.0 < self.dt <= self.t_end < math.inf):
+            raise DomainError(
+                f"need finite t_end >= dt > 0, got t_end={self.t_end}, dt={self.dt}")
         if self.sd.eta > _ETA_VALIDATED:
             warnings.warn(
                 f"eta={self.sd.eta:g} exceeds {_ETA_VALIDATED:g}, the coupling up to "
@@ -84,6 +85,18 @@ class ProbeConfig:
     def kernel_params(self) -> KernelParams:
         return KernelParams(sd=self.sd, epsilon=self.epsilon, T=self.T)
 
+    def index_of(self, t: float) -> int:
+        """Index of probing time ``t`` on the grid {0, dt, ..., t_end};
+        raises DomainError for a time below 0, beyond t_end or off the grid."""
+        if not (t >= 0.0):
+            raise DomainError(f"probing time {t} must be >= 0")
+        if t > self.t_end + 1e-9:
+            raise DomainError(f"probing time {t} lies beyond t_end={self.t_end}")
+        i = int(round(t / self.dt))
+        if abs(i * self.dt - t) > 1e-9 * max(1.0, t):
+            raise DomainError(f"probing time {t} is not on the dt={self.dt} grid")
+        return i
+
 
 @dataclass
 class Trajectory:
@@ -92,7 +105,7 @@ class Trajectory:
 
     grid: np.ndarray
     states: np.ndarray
-    config: ProbeConfig = field(repr=False, default=None)
+    config: ProbeConfig = field(repr=False)
 
     @property
     def dx(self) -> np.ndarray:
@@ -107,12 +120,8 @@ class Trajectory:
         return self.states[:, 2]
 
     def index_of(self, t: float) -> int:
-        """Grid index of time ``t``; rejects off-grid times."""
-        dt = float(self.grid[1] - self.grid[0])
-        i = int(round(t / dt))
-        if i < 0 or i >= len(self.grid) or abs(self.grid[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise DomainError(f"t={t} is not on the trajectory grid")
-        return i
+        """Grid index of probing time ``t`` (``ProbeConfig.index_of``)."""
+        return self.config.index_of(t)
 
 
 def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):

@@ -137,10 +137,10 @@ class KernelParams:
     T: float
 
     def __post_init__(self):
-        if not (self.epsilon >= 0.0):
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not (self.T >= 0.0):
-            raise DomainError(f"temperature must be >= 0, got {self.T}")
+        if not (0.0 <= self.epsilon < math.inf):
+            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (0.0 <= self.T < math.inf):
+            raise DomainError(f"temperature must be finite and >= 0, got {self.T}")
 
 
 @dataclass

@@ -18,9 +18,8 @@ Fisher information is
 with the pure-state limit F_Q = |dD/dT|^2 on the unit sphere.  Measuring
 sigma_x (coherences) or sigma_z (populations) delivers the classical Fisher
 information F_C = (d<O>/dT)^2 / (1 - <O>^2), never exceeding F_Q.  The
-closed-form Born-Markov benchmark F_BM = eps^2 e^{-eps/T} / (2 T^4)
-(equivalently dT^2 >= 2 T^4 e^{eps/T} / (M eps^2)) serves as the comparator
-that collapses exponentially at low temperature.
+closed-form Born-Markov benchmark F_BM = eps^2 e^{-eps/T} / (2 T^4) serves
+as the comparator that collapses exponentially at low temperature.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class MetrologyResult:
             raise NumericError(
                 f"classical Fisher information exceeds the quantum bound: "
                 f"qfi={self.qfi}, cfi_x={self.cfi_x}, cfi_z={self.cfi_z}")
-        want = qcrb(self.qfi, 1)
+        want = qcrb(self.qfi)
         if not (self.qcrb == want or abs(self.qcrb - want) <= 1e-12 * want):
             raise NumericError("qcrb must equal 1/sqrt(qfi)")
 
@@ -144,36 +143,24 @@ def cfi(observable: str, delta, ddelta) -> float:
     return d * d / (1.0 - D * D)
 
 
-def qcrb(fisher: float, shots: int = 1) -> float:
-    """Cramer-Rao bound on the temperature deviation, 1/sqrt(M F)."""
+def qcrb(fisher: float) -> float:
+    """Single-shot Cramer-Rao bound on the temperature deviation, 1/sqrt(F)."""
     if fisher < 0.0:
         raise DomainError(f"Fisher information must be >= 0, got {fisher}")
-    if shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {shots}")
     if fisher == 0.0:
         return math.inf
-    return 1.0 / math.sqrt(shots * fisher)
+    return 1.0 / math.sqrt(fisher)
 
 
-def markov_comparator(epsilon: float, T: float, shots: int = 1) -> tuple:
-    """Born-Markov steady-state benchmark: (Fisher value, minimal dT^2).
-
-    F_BM = eps^2 e^{-eps/T} / (2 T^4) and dT^2_min = 2 T^4 e^{eps/T} /
-    (M eps^2); undefined for a gapless probe.  Where eps^2 underflows to 0
-    or e^{eps/T} overflows, F_BM is (nearly) 0 and the bound is infinite.
-    """
+def markov_comparator(epsilon: float, T: float) -> float:
+    """Born-Markov steady-state Fisher information F_BM = eps^2 e^{-eps/T} /
+    (2 T^4); undefined for a gapless probe, and 0 where eps^2 or e^{-eps/T}
+    underflows."""
     if epsilon <= 0.0:
         raise DomainError("the Markovian benchmark is undefined at epsilon = 0")
     if T <= 0.0:
         raise DomainError(f"temperature must be > 0, got {T}")
-    if shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {shots}")
-    fisher = epsilon**2 * math.exp(-epsilon / T) / (2.0 * T**4)
-    try:
-        bound = 2.0 * T**4 * math.exp(epsilon / T) / (shots * epsilon**2)
-    except (OverflowError, ZeroDivisionError):
-        bound = math.inf
-    return fisher, bound
+    return epsilon**2 * math.exp(-epsilon / T) / (2.0 * T**4)
 
 
 def stencil_scans(probes, times, workers: int = 1) -> tuple:
@@ -186,13 +173,15 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     processes; otherwise each pass splits its time axis over ``workers``
     threads.  Either way the results do not depend on ``workers``.  The
     five lanes of every probe are then integrated in one ``integrate_lanes``
-    call.  Probes on different (dt, t_end) grids raise ConfigurationError
-    before any kernel is built.
+    call.  Before any kernel is built, probes on different (dt, t_end) grids
+    raise ConfigurationError, and a probing time below 0, beyond t_end or
+    off the dt grid raises DomainError (``ProbeConfig.index_of``).
     """
     grids = {(probe.dt, probe.t_end) for probe in probes}
     if len(grids) > 1:
         raise ConfigurationError(
             f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
+    steps = [probes[0].index_of(t) for t in times] if probes else []
     keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]
     uniq = list(dict.fromkeys(keys))
     if workers > 1 and len(uniq) > 1:
@@ -216,18 +205,17 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
         cfg = base.config
         deriv = _stencil_derivative(cfg, trajs[j + 1:j + 5])
         try:
-            mk_fisher, _ = markov_comparator(cfg.epsilon, cfg.T)
+            mk_fisher = markov_comparator(cfg.epsilon, cfg.T)
         except DomainError:
             mk_fisher = math.nan
         scan = []
-        for t in times:
-            i = base.index_of(t)
+        for t, i in zip(times, steps):
             D, d = base.states[i], deriv[i]
             f_q = qfi(D, d)
             scan.append(MetrologyResult(
                 t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=f_q,
                 cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d),
-                qcrb=qcrb(f_q, 1), markov_fisher=mk_fisher))
+                qcrb=qcrb(f_q), markov_fisher=mk_fisher))
         scans.append(scan)
     return trajs[::5], scans
 

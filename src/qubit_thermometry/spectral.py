@@ -6,6 +6,7 @@ units of the cutoff omega_c unless configured otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -26,7 +27,7 @@ class SpectralDensity:
     omega_c: float = 1.0
 
     def __post_init__(self):
-        if not (self.eta >= 0.0):
-            raise DomainError(f"coupling strength eta must be >= 0, got {self.eta}")
-        if not (self.omega_c > 0.0):
-            raise DomainError(f"cutoff omega_c must be > 0, got {self.omega_c}")
+        if not (0.0 <= self.eta < math.inf):
+            raise DomainError(f"coupling strength eta must be finite and >= 0, got {self.eta}")
+        if not (0.0 < self.omega_c < math.inf):
+            raise DomainError(f"cutoff omega_c must be finite and > 0, got {self.omega_c}")

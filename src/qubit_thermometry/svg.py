@@ -12,6 +12,7 @@ __all__ = ["LinePlot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f")
+_WIDTH, _HEIGHT = 640, 420
 
 
 def _escape(text: str) -> str:
@@ -39,20 +40,19 @@ def _fmt(v: float) -> str:
 
 
 class LinePlot:
-    """Accumulates (x, y) series and renders one SVG file."""
+    """Accumulates (x, y) series and renders one 640 x 420 SVG file."""
 
-    def __init__(self, title="", xlabel="", ylabel="", xlog=False, ylog=False,
-                 width=640, height=420):
+    def __init__(self, title="", xlabel="", ylabel="", xlog=False, ylog=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
         self.xlog = xlog
         self.ylog = ylog
-        self.width = width
-        self.height = height
         self.series = []
 
     def add(self, x, y, label=None, dashed=False):
+        """Add a series.  Non-finite points, and points <= 0 on a log axis,
+        are skipped; a series left without points keeps its legend entry."""
         pts = []
         for xi, yi in zip(x, y):
             xi = float(xi)
@@ -66,10 +66,22 @@ class LinePlot:
             pts.append((xi, yi))
         self.series.append((pts, label, dashed))
 
+    @staticmethod
+    def _span(vals) -> tuple:
+        """(low, high) of one axis in its plotted coordinate (log10 on a log
+        axis): a single value is padded by 0.5 either side, and an axis
+        without points spans (0, 1)."""
+        if not vals:
+            return 0.0, 1.0
+        lo, hi = min(vals), max(vals)
+        return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
     def _ticks(self, lo: float, hi: float, log: bool):
+        """Tick values between ``lo`` and ``hi``, given in the plotted
+        coordinate."""
         if log:
-            d0 = math.ceil(math.log10(lo) - 1e-9)
-            d1 = math.floor(math.log10(hi) + 1e-9)
+            d0 = math.ceil(lo - 1e-9)
+            d1 = math.floor(hi + 1e-9)
             return [10.0**d for d in range(d0, d1 + 1)]
         step = _nice_step(hi - lo)
         first = math.ceil(lo / step - 1e-9) * step
@@ -81,26 +93,16 @@ class LinePlot:
         return ticks
 
     def render(self) -> str:
+        tx = math.log10 if self.xlog else (lambda v: v)
+        ty = math.log10 if self.ylog else (lambda v: v)
         pts_all = [p for pts, _, _ in self.series for p in pts]
-        if not pts_all:
-            pts_all = [(0.0, 0.0), (1.0, 1.0)]
-        xs = [p[0] for p in pts_all]
-        ys = [p[1] for p in pts_all]
-        tx = (lambda v: math.log10(v)) if self.xlog else (lambda v: v)
-        ty = (lambda v: math.log10(v)) if self.ylog else (lambda v: v)
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-        if x0 == x1:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y0 == y1:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        fx0, fx1 = tx(x0), tx(x1)
-        fy0, fy1 = ty(y0), ty(y1)
+        fx0, fx1 = self._span([tx(x) for x, _ in pts_all])
+        fy0, fy1 = self._span([ty(y) for _, y in pts_all])
         pad_y = 0.05 * (fy1 - fy0)
         fy0, fy1 = fy0 - pad_y, fy1 + pad_y
 
         ml, mr, mt, mb = 62, 16, 34, 46
-        W, H = self.width, self.height
+        W, H = _WIDTH, _HEIGHT
         ax_w, ax_h = W - ml - mr, H - mt - mb
 
         def sx(v):
@@ -118,16 +120,14 @@ class LinePlot:
             out.append(f'<text x="{W/2:.1f}" y="20" text-anchor="middle" '
                        f'font-size="13">{_escape(self.title)}</text>')
 
-        for v in self._ticks(x0, x1, self.xlog):
+        for v in self._ticks(fx0, fx1, self.xlog):
             px = sx(v)
             if ml - 1 <= px <= W - mr + 1:
                 out.append(f'<line x1="{px:.1f}" y1="{H-mb}" x2="{px:.1f}" '
                            f'y2="{H-mb+4}" stroke="black"/>')
                 out.append(f'<text x="{px:.1f}" y="{H-mb+16}" '
                            f'text-anchor="middle">{_fmt(v)}</text>')
-        ylo = 10.0**fy0 if self.ylog else fy0
-        yhi = 10.0**fy1 if self.ylog else fy1
-        for v in self._ticks(ylo, yhi, self.ylog):
+        for v in self._ticks(fy0, fy1, self.ylog):
             py = sy(v)
             if mt - 1 <= py <= H - mb + 1:
                 out.append(f'<line x1="{ml-4}" y1="{py:.1f}" x2="{ml}" '

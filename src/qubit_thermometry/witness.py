@@ -7,7 +7,7 @@ positive increments,
     N_C = integral over {dC/dt > 0} of (dC/dt) dt,
 
 gives the witness value.  On a discrete trajectory this becomes the sum of
-positive forward differences above a jitter threshold.
+positive forward differences above a jitter threshold of 1e-10.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ __all__ = ["coherence", "non_markovianity", "steady_coherence", "steady_window_o
 
 # whole averaging blocks the trailing window must hold
 _MIN_BLOCKS = 10
+# coherence rises at or below this are floating-point jitter, not backflow
+_RISE_TOL = 1e-10
+# the steady coherence is converged when its block averages spread less
+_CONV_TOL = 1e-4
 
 
 def coherence(traj: Trajectory) -> np.ndarray:
@@ -30,8 +34,8 @@ def coherence(traj: Trajectory) -> np.ndarray:
     return np.hypot(traj.dx, traj.dy)
 
 
-def non_markovianity(C: np.ndarray, rise_tol: float = 1e-10) -> float:
-    """Sum of coherence rises: sum_i max(C_{i+1} - C_i, 0) above rise_tol.
+def non_markovianity(C: np.ndarray) -> float:
+    """Sum of coherence rises: sum_i max(C_{i+1} - C_i, 0) above 1e-10.
 
     Converges to the re-coherence integral as the grid is refined; the
     threshold suppresses floating-point jitter on flat stretches.
@@ -40,7 +44,7 @@ def non_markovianity(C: np.ndarray, rise_tol: float = 1e-10) -> float:
     if C.ndim != 1 or len(C) < 2:
         raise DomainError("need a series of at least 2 coherence samples")
     d = np.diff(C)
-    return float(d[d > rise_tol].sum())
+    return float(d[d > _RISE_TOL].sum())
 
 
 def _window(traj: Trajectory, window_frac: float) -> tuple:
@@ -52,28 +56,28 @@ def _window(traj: Trajectory, window_frac: float) -> tuple:
     n = len(traj.grid)
     dt = float(traj.grid[1] - traj.grid[0])
     win = int(math.floor(window_frac * (n - 1)))
-    eps = traj.config.epsilon if traj.config is not None else 0.0
+    eps = traj.config.epsilon
     if eps > 0.0:
         return win, max(1, int(round(2.0 * math.pi / eps / dt)))
     return win, max(1, win // _MIN_BLOCKS)
 
 
-def steady_window_ok(traj: Trajectory, window_frac: float = 0.2) -> bool:
+def steady_window_ok(traj: Trajectory, window_frac: float) -> bool:
     """Whether the trailing window holds the 10 whole averaging blocks that
     ``steady_coherence`` needs."""
     win, m = _window(traj, window_frac)
     return win // m >= _MIN_BLOCKS
 
 
-def steady_coherence(traj: Trajectory, window_frac: float = 0.2,
-                     conv_tol: float = 1e-4) -> tuple:
-    """Estimate |Dx(t -> infinity)| from the trailing window of a trajectory.
+def steady_coherence(traj: Trajectory, window_frac: float) -> tuple:
+    """Estimate |Dx(t -> infinity)| from the trailing ``window_frac`` of a
+    trajectory.
 
     For a splitting eps > 0 the tail of Dx oscillates at the precession
     frequency even when the envelope has settled, so |Dx| is averaged over
     whole precession periods (2 pi / eps) inside the window; the estimate is
     the mean of the period averages and the convergence flag records whether
-    their spread stays below ``conv_tol``.  The window must hold at least 10
+    their spread stays below 1e-4.  The window must hold at least 10
     periods.  Returns (|Dx(inf)| estimate, converged flag).
     """
     win, m = _window(traj, window_frac)
@@ -87,4 +91,4 @@ def steady_coherence(traj: Trajectory, window_frac: float = 0.2,
     tail = np.abs(traj.dx[len(traj.grid) - blocks * m:])
     means = tail.reshape(blocks, m).mean(axis=1)
     spread = float(means.max() - means.min())
-    return float(means.mean()), spread < conv_tol
+    return float(means.mean()), spread < _CONV_TOL

@@ -198,8 +198,8 @@ def test_c7_fig3_low_T_scaling(fig3_table):
     temps, rows = fig3_table
     slope = loglog_slope(temps, [r.qfi for r in rows])
     assert 1.7 <= slope <= 2.3
-    ratio_lo = rows[0].qfi / markov_comparator(EPS, float(temps[0]))[0]
-    ratio_hi = rows[-1].qfi / markov_comparator(EPS, float(temps[-1]))[0]
+    ratio_lo = rows[0].qfi / markov_comparator(EPS, float(temps[0]))
+    ratio_hi = rows[-1].qfi / markov_comparator(EPS, float(temps[-1]))
     assert ratio_lo >= 10.0 * ratio_hi
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

@@ -311,6 +311,47 @@ def test_sweep_temperature_zero_coupling(tmp_path):
         assert math.isinf(vals[6])
 
 
+@pytest.mark.parametrize("args,rows,footer", [
+    (("--epsilon", "0", "--times", "1,2"), 6, False),
+    (("--times", "0,1"), 6, False),
+    (("--times", "1,1", "--temp-max", "0.05"), 6, True),
+    (("--times", "0", "--t-end", "1", "--temp-count", "2"), 2, False),
+], ids=["gapless", "first-time-zero", "repeated-time", "only-time-zero"])
+def test_sweep_temperature_degenerate_inputs_write_both_svgs(tmp_path, args, rows, footer):
+    # a NaN Born-Markov series, a probing time without information, a
+    # repeated probing time (the slope is fitted to one point per
+    # temperature), and plots with no drawable point at all
+    import xml.etree.ElementTree as ET
+
+    assert run_cli("sweep-temperature", "--t-end", "2", "--dt", "0.01", "--temp-count", "3",
+                   *args, "--svg", "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "sweep_temperature.csv").read_text().splitlines()
+    assert len(lines) == 1 + rows + footer
+    assert lines[-1].startswith("# low_T_slope_qfi = ") == footer
+    for name in ("sweep_temperature_qfi.svg", "sweep_temperature_measurements.svg"):
+        assert ET.fromstring((tmp_path / name).read_text()).tag.endswith("svg")
+
+
+def test_fig3_single_temperature(tmp_path):
+    # one temperature puts a single value on both log axes of the SVGs
+    assert run_cli("reproduce", "fig3", "--temp-count", "1", "--temp-min", "0.03",
+                   "--dt", "0.05", "--out", str(tmp_path)) == 0
+    for name in ("fig3_sweep_qfi.svg", "fig3_sweep_measurements.svg"):
+        assert "<circle" in (tmp_path / name).read_text()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag,named", [
+    ("--t-end", "t_end"), ("--epsilon", "epsilon"), ("--omega-c", "omega_c"),
+    ("--temp", "temperature"), ("--eta", "eta"),
+])
+def test_non_finite_physical_input_fails_naming_it(tmp_path, capsys, flag, named, value):
+    assert run_cli("trajectory", flag, value, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qtherm: error: ") and err.count("\n") == 1
+    assert "finite" in err and named in err and value in err
+
+
 @pytest.mark.parametrize("args,named", [
     (("sweep-temperature", "--t-end", "2", "--times", "1.005", "--temp-count", "2"),
      "probing time 1.005 is not on the dt=0.01 grid"),
@@ -382,6 +423,26 @@ def test_svg_escapes_markup_in_text():
     assert "F_Q &lt;T&gt; &amp; &lt;alpha&gt;" in svg
     labels = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
     assert labels.count(text) == 4
+
+
+def test_svg_log_axes_without_points_or_spread():
+    # an empty log plot spans one decade per axis; a single value is padded
+    # by half a decade either side and drawn at the centre
+    import xml.etree.ElementTree as ET
+
+    from qubit_thermometry.svg import LinePlot
+
+    empty = LinePlot(xlog=True, ylog=True)
+    empty.add([0.0, -1.0, 2.0], [1.0, 2.0, 0.0], label="nothing drawable")
+    svg = empty.render()
+    labels = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+    assert labels.count("1") == 2 and labels.count("10") == 2
+    single = LinePlot(xlog=True, ylog=True)
+    single.add([0.3], [2e-3], label="one point")
+    svg = single.render()
+    ET.fromstring(svg)
+    assert '<circle cx="343.0" cy="204.0"' in svg
+    assert ">0.1<" in svg and ">0.001<" in svg
 
 
 def test_repeated_run_byte_identical(tmp_path):

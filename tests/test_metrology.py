@@ -115,24 +115,21 @@ def test_cfi_never_exceeds_qfi(dx, dy, dz, gx, gy, gz):
 
 
 def test_qcrb():
-    assert qcrb(4.0, 1) == 0.5
-    assert qcrb(1.0, 100) == pytest.approx(0.1, rel=1e-15)
+    assert qcrb(4.0) == 0.5
+    assert qcrb(100.0) == pytest.approx(0.1, rel=1e-15)
     assert qcrb(0.0) == math.inf
     with pytest.raises(DomainError):
         qcrb(-1.0)
-    with pytest.raises(DomainError):
-        qcrb(1.0, 0)
 
 
 def test_markov_comparator():
-    fisher, bound = markov_comparator(0.5, 0.5, 1)
-    assert bound == pytest.approx(0.5 * math.e, rel=1e-12)
-    assert fisher == pytest.approx(1.0 / bound, rel=1e-12)
+    # F_BM = eps^2 e^{-eps/T} / (2 T^4) = 1 / (0.5 e) at eps = T = 0.5
+    assert markov_comparator(0.5, 0.5) == pytest.approx(1.0 / (0.5 * math.e), rel=1e-12)
     # exponential suppression toward T = 0
-    assert markov_comparator(0.5, 0.01)[0] < 1e-14
+    assert markov_comparator(0.5, 0.01) < 1e-14
     # eps^2 underflowing, and eps/T beyond exp's range: no information, no crash
-    assert markov_comparator(5e-324, 0.5) == (0.0, math.inf)
-    assert markov_comparator(2.0, 1e-3) == (0.0, math.inf)
+    assert markov_comparator(5e-324, 0.5) == 0.0
+    assert markov_comparator(2.0, 1e-3) == 0.0
     with pytest.raises(DomainError):
         markov_comparator(0.0, 0.2)
     with pytest.raises(DomainError):
@@ -175,7 +172,7 @@ def test_derivative_grid_and_temperature_guards(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
         integrate(cfg, _bundle(cfg)[0]).index_of(0.005)  # off the grid
-    with pytest.raises(DomainError, match="not on the trajectory grid"):
+    with pytest.raises(DomainError, match="probing time 0.005 is not on the dt=0.01 grid"):
         stencil_scans([cfg], (0.005,))
     cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError, match="stencil needs T > 0"):
@@ -264,6 +261,26 @@ def test_stencil_scans_rejects_mixed_grids_before_any_pass(sd, monkeypatch):
     for other in (replace(probe, t_end=2.0), replace(probe, alpha=0.0, T=0.3, dt=0.1)):
         with pytest.raises(ConfigurationError, match="lanes must share one grid"):
             stencil_scans([probe, other], (0.5,))
+    assert calls == []
+
+
+def test_stencil_scans_rejects_bad_times_before_any_pass(sd, monkeypatch):
+    # a negative, a past-t_end and an off-grid probing time each fail, naming
+    # the time, before a frequency-domain pass is paid for
+    calls = []
+
+    def counting_pass(*args, **kwargs):
+        calls.append(args)
+        return frequency_pass(*args, **kwargs)
+
+    monkeypatch.setattr(metrology, "frequency_pass", counting_pass)
+    probe = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=5.0, dt=0.01)
+    for t, named in ((-1.0, "probing time -1.0 must be >= 0"),
+                     (10.0, "probing time 10.0 lies beyond t_end=5.0"),
+                     (1.005, "probing time 1.005 is not on the dt=0.01 grid")):
+        with pytest.raises(DomainError) as info:
+            stencil_scans([probe, replace(probe, T=0.3)], (1.0, t))
+        assert str(info.value) == named
     assert calls == []
 
 
