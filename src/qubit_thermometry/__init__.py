@@ -7,6 +7,14 @@ bath kernels, quantifies information backflow through re-coherence, and
 computes the quantum/classical Fisher information of temperature estimates.
 """
 
+import os
+
+# numpy's OpenBLAS starts one thread per core as it loads, ~0.1 s of every
+# start-up, and the package's largest BLAS calls (a small gemv per kernel
+# chunk, (P, 8) @ (8, 8) band projections, 3-vector dots, a <= 15-point
+# polyfit) are too small to use them.  Takes effect only before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .spectral import SpectralDensity
 from .kernels import (
     KERNEL_NAMES,

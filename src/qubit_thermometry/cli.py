@@ -16,6 +16,10 @@ this process.  ``--workers`` is handed to ``metrology.stencil_scans``: the
 process pool in which the temperature sweep builds each temperature's
 kernels, or the threads of a lone stencil kernel pass; outputs are
 assembled in sweep order and do not depend on the worker count.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
+it: OpenBLAS would start one thread per core, ~0.1 s of every start-up, for
+BLAS calls too small to use them.  An explicit value overrides the default.
 """
 
 from __future__ import annotations
@@ -213,7 +217,9 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
         cols = list(zip(*rows))
         plot = LinePlot(title="witness quantities vs mixing", xlabel="alpha")
         plot.add(alphas, cols[1], label="N_C")
-        plot.add(alphas, cols[2], label="|Dx(inf)|", dashed=True)
+        # all nan when every trailing window is short, as at fig2's t_end of 50
+        if any(math.isfinite(v) for v in cols[2]):
+            plot.add(alphas, cols[2], label="|Dx(inf)|", dashed=True)
         p = os.path.join(cfg.out_dir, f"{tag}_witness.svg")
         plot.write(p)
         if times:

@@ -155,12 +155,16 @@ def qcrb(fisher: float) -> float:
 def markov_comparator(epsilon: float, T: float) -> float:
     """Born-Markov steady-state Fisher information F_BM = eps^2 e^{-eps/T} /
     (2 T^4); undefined for a gapless probe, and 0 where eps^2 or e^{-eps/T}
-    underflows."""
+    underflows or T^4 overflows."""
     if epsilon <= 0.0:
         raise DomainError("the Markovian benchmark is undefined at epsilon = 0")
     if T <= 0.0:
         raise DomainError(f"temperature must be > 0, got {T}")
-    return epsilon**2 * math.exp(-epsilon / T) / (2.0 * T**4)
+    try:
+        quartic = T**4
+    except OverflowError:
+        return 0.0
+    return epsilon**2 * math.exp(-epsilon / T) / (2.0 * quartic)
 
 
 def stencil_scans(probes, times, workers: int = 1) -> tuple:

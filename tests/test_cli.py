@@ -224,17 +224,67 @@ def test_workers_byte_identical_under_start_method(tmp_path, command, method):
     assert _sweep_csv(par, command) == _sweep_csv(seq, command)
 
 
+def _python(code, env=None):
+    """Stripped stdout of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], env=env or _package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_out_slow_stdlib_modules():
     # multiprocessing and concurrent.futures load only when a pool opens;
     # xml.sax and urllib.request (with http.client) would add 60-100 ms to
-    # every start-up
+    # every start-up, numpy.ma ~9 ms
     code = ("import sys, qubit_thermometry.cli; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+            "('multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request', "
+            "'numpy.ma') if m in sys.modules))")
+    assert _python(code) == "[]"
+
+
+def test_stencil_scans_leaves_out_numpy_ma():
+    code = ("import sys\n"
+            "from qubit_thermometry import ProbeConfig, SpectralDensity\n"
+            "from qubit_thermometry.metrology import stencil_scans\n"
+            "probe = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, "
+            "sd=SpectralDensity(eta=0.05), t_end=1.0, dt=0.05)\n"
+            "stencil_scans([probe], (1.0,))\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _python(code) == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_import_starts_openblas_on_one_thread():
+    # one OpenBLAS thread per core would cost ~0.1 s of every start-up
+    env = _package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = "import os, qubit_thermometry.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _python(code, env) == "1"
+
+
+def test_cli_import_keeps_caller_openblas_threads():
+    env = dict(_package_env(), OPENBLAS_NUM_THREADS="2")
+    code = "import os, qubit_thermometry.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, env) == "2"
+
+
+@pytest.mark.parametrize("config,args,drawn", [
+    ("", ("--t-end", "5"), False),
+    ("window_frac = 1.0\n", ("--epsilon", "2", "--t-end", "40"), True),
+], ids=["short-window", "steady"])
+def test_sweep_alpha_witness_plots_steady_series_only_when_finite(
+        tmp_path, config, args, drawn):
+    # a trailing window under 10 precession periods leaves every alpha's
+    # steady value nan; the plot then carries no |Dx(inf)| entry
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert run_cli("sweep-alpha", "--config", str(path), *args, "--dt", "0.1",
+                   "--alpha-count", "2", "--times=", "--svg", "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(row.split(",")[2])) == drawn for row in rows)
+    svg = (tmp_path / "sweep_alpha_witness.svg").read_text()
+    assert "N_C" in svg
+    assert ("|Dx(inf)|" in svg) == drawn
 
 
 def test_sweep_alpha_zero_coupling(tmp_path):

@@ -130,6 +130,10 @@ def test_markov_comparator():
     # eps^2 underflowing, and eps/T beyond exp's range: no information, no crash
     assert markov_comparator(5e-324, 0.5) == 0.0
     assert markov_comparator(2.0, 1e-3) == 0.0
+    # T^4 beyond float range: the T -> inf limit, not an OverflowError
+    assert markov_comparator(0.5, 1e100) == 0.0
+    # the same bits as the closed form wherever it is finite
+    assert markov_comparator(0.5, 0.2) == 0.5**2 * math.exp(-0.5 / 0.2) / (2.0 * 0.2**4)
     with pytest.raises(DomainError):
         markov_comparator(0.0, 0.2)
     with pytest.raises(DomainError):
