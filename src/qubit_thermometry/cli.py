@@ -38,12 +38,19 @@ from .kernels import KERNEL_NAMES, precompute
 from .metrology import loglog_slope, stencil_scans
 from .spectral import SpectralDensity
 from .svg import LinePlot
-from .witness import coherence, non_markovianity, steady_coherence, steady_window_ok
+from .witness import coherence, non_markovianity, steady_coherence
 
 __all__ = ["RunConfig", "main"]
 
 # the fig3 footer fits the low-T slope of the QFI over T <= this
 _SLOPE_FIT_TMAX = 0.05
+# the settings each ``reproduce`` figure fixes; fig1's long horizon lets the
+# trailing window hold >= 10 precession periods
+_PINS = {
+    "fig1": dict(t_end=200.0, window_frac=0.65, times=(), emit_svg=True),
+    "fig2": dict(t_end=50.0, times=(1.0, 5.0, 20.0, 50.0), emit_svg=True),
+    "fig3": dict(alpha=0.5, t_end=20.0, times=(1.0, 5.0, 20.0), emit_svg=True),
+}
 
 
 @dataclass(frozen=True)
@@ -109,15 +116,18 @@ def _parse_value(name: str, kind, raw: str):
             raise ConfigurationError(f"bad boolean for {name}: {raw!r}")
         return _BOOL_WORDS[word]
     if kind is tuple:
-        raw = raw.strip()
-        if not raw:
-            return ()
-        return tuple(float(v) for v in raw.split(","))
+        try:
+            return tuple(float(v) for v in raw.split(",")) if raw.strip() else ()
+        except ValueError:
+            raise ConfigurationError(
+                f"bad number list for {name}: {raw!r}") from None
     return kind(raw)
 
 
-def load_config(path: str, overrides: dict = None) -> RunConfig:
-    """Flat key=value file; '#' starts a comment; later keys win."""
+def read_settings(path: str, overrides: dict = None) -> dict:
+    """The ``RunConfig`` keys the user set: a flat key=value file ('#'
+    starts a comment; later keys win), then the ``overrides`` that are not
+    None, those given as text parsed like the file's values."""
     kinds = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     values = {}
     if path is not None:
@@ -137,8 +147,8 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
                     raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     for key, val in (overrides or {}).items():
         if val is not None:
-            values[key] = val
-    return RunConfig(**values)
+            values[key] = _parse_value(key, kinds[key], val) if isinstance(val, str) else val
+    return values
 
 
 def _write_csv(path, header, rows, footer_lines=()):
@@ -202,10 +212,7 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
         trajs, scans = integrate_lanes(probes, [ks] * len(probes)), [()] * len(probes)
     rows = []
     for traj, scan in zip(trajs, scans):
-        if steady_window_ok(traj, cfg.window_frac):
-            steady, conv = steady_coherence(traj, cfg.window_frac)
-        else:
-            steady, conv = math.nan, False
+        steady, conv = steady_coherence(traj, cfg.window_frac)
         rows.append([traj.config.alpha, non_markovianity(coherence(traj)), steady,
                      int(conv), *(r.qfi for r in scan)])
     header = "alpha,N_C,steady_dx_abs,converged"
@@ -279,11 +286,9 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
 
 
 def cmd_reproduce(cfg: RunConfig, which: str) -> int:
+    fig_cfg = replace(cfg, **_PINS[which])
     if which == "fig1":
-        # coherence trapping and re-coherence vs mixing; long horizon so the
-        # trailing window holds >= 10 precession periods
-        fig_cfg = replace(cfg, t_end=200.0, window_frac=0.65, times=(),
-                          emit_svg=True)
+        # coherence trapping and re-coherence vs mixing
         probe0 = fig_cfg.probe(alpha=0.0)
         ks = kernels_for(probe0)
         shown = (0.0, 0.5, 1.0)
@@ -295,22 +300,16 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
         for alpha in shown:
             traj = trajs[alpha]
-            n_show = traj.index_of(50.0) + 1
+            n_show = traj.config.index_of(50.0) + 1
             eq.add(traj.dx[:n_show], traj.dy[:n_show], label=f"alpha={alpha:g}")
         path = os.path.join(fig_cfg.out_dir, "fig1_equator.svg")
         eq.write(path)
         print(f"wrote {path}")
         return 0
     if which == "fig2":
-        fig_cfg = replace(cfg, t_end=50.0, times=(1.0, 5.0, 20.0, 50.0),
-                          emit_svg=True)
         cmd_sweep_alpha(fig_cfg, tag="fig2_sweep")
         return 0
-    if which == "fig3":
-        fig_cfg = replace(cfg, alpha=0.5, t_end=20.0, times=(1.0, 5.0, 20.0),
-                          emit_svg=True)
-        return cmd_sweep_temperature(fig_cfg, tag="fig3_sweep")
-    raise ConfigurationError(f"unknown figure {which!r}")
+    return cmd_sweep_temperature(fig_cfg, tag="fig3_sweep")
 
 
 # ----------------------------------------------------------------------------
@@ -332,9 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--temp-min", "temp_min", float), ("--temp-max", "temp_max", float),
             ("--temp-count", "temp_count", int)):
         common.add_argument(flag, dest=dest, type=kind)
-    common.add_argument("--times", dest="times",
-                        type=lambda s: tuple(float(v) for v in s.split(",") if v),
-                        help="comma-separated probing times")
+    common.add_argument("--times", dest="times", help="comma-separated probing times")
 
     parser = argparse.ArgumentParser(
         prog="qtherm",
@@ -350,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the six Bloch kernels on the time grid")
     rep = sub.add_parser("reproduce", parents=[common],
                          help="run a canonical figure pipeline")
-    rep.add_argument("figure", choices=("fig1", "fig2", "fig3"))
+    rep.add_argument("figure", choices=tuple(_PINS))
     return parser
 
 
@@ -359,7 +356,8 @@ def main(argv=None) -> int:
     overrides = {f.name: getattr(args, f.name)
                  for f in fields(RunConfig) if hasattr(args, f.name)}
     try:
-        cfg = load_config(args.config, overrides)
+        settings = read_settings(args.config, overrides)
+        cfg = RunConfig(**settings)
         if args.command == "trajectory":
             return cmd_trajectory(cfg)
         if args.command == "sweep-alpha":
@@ -370,6 +368,12 @@ def main(argv=None) -> int:
         if args.command == "dump-kernels":
             return cmd_dump_kernels(cfg)
         if args.command == "reproduce":
+            # a setting the figure would override with another value fails
+            pins = _PINS[args.figure]
+            clash = [f"{key} = {pins[key]!r} (got {val!r})"
+                     for key, val in settings.items() if key in pins and val != pins[key]]
+            if clash:
+                raise ConfigurationError(f"reproduce {args.figure} pins " + ", ".join(clash))
             return cmd_reproduce(cfg, args.figure)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except (OSError, ValueError, RuntimeError) as exc:

@@ -22,14 +22,13 @@ is its one-lane call.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError
-from .kernels import KERNEL_NAMES, KernelParams, KernelSet, precompute
+from .kernels import KERNEL_NAMES, KernelParams, KernelSet, grid_steps, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -72,9 +71,7 @@ class ProbeConfig:
         n2 = sum(c * c for c in self.initial)
         if n2 > 1.0 + PHYSICALITY_SLACK:
             raise DomainError(f"initial Bloch vector has norm^2 = {n2} > 1")
-        if not (0.0 < self.dt <= self.t_end < math.inf):
-            raise DomainError(
-                f"need finite t_end >= dt > 0, got t_end={self.t_end}, dt={self.dt}")
+        grid_steps(self.t_end, self.dt)  # raises DomainError off the grid rule
         if self.sd.eta > _ETA_VALIDATED:
             warnings.warn(
                 f"eta={self.sd.eta:g} exceeds {_ETA_VALIDATED:g}, the coupling up to "
@@ -119,17 +116,11 @@ class Trajectory:
     def dz(self) -> np.ndarray:
         return self.states[:, 2]
 
-    def index_of(self, t: float) -> int:
-        """Grid index of probing time ``t`` (``ProbeConfig.index_of``)."""
-        return self.config.index_of(t)
-
 
 def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
-    p = ks.params
-    if p.sd != cfg.sd or p.epsilon != cfg.epsilon or p.T != cfg.T:
+    if ks.params != cfg.kernel_params:
         raise ConfigurationError(
-            f"kernel set built for (sd={p.sd}, eps={p.epsilon}, T={p.T}) does not "
-            f"match probe (sd={cfg.sd}, eps={cfg.epsilon}, T={cfg.T})")
+            f"kernel set built for {ks.params} does not match probe {cfg.kernel_params}")
     if abs(ks.dt - cfg.dt) > 1e-12 * cfg.dt or abs(ks.t_end - cfg.t_end) > 1e-9 * cfg.t_end:
         raise ConfigurationError(
             f"kernel grid (dt={ks.dt}, t_end={ks.t_end}) does not match probe "
@@ -149,16 +140,12 @@ _GATHER = np.array([1, 0, 3, 3, 3, 3, 2, 1, 2, 0, 2, 0])
 _BLOCK_LANE_STEPS = 3584
 
 
-def _check_lanes(cfgs, kernel_sets):
-    if len(cfgs) != len(kernel_sets):
-        raise ConfigurationError(
-            f"{len(cfgs)} probe configs but {len(kernel_sets)} kernel sets")
-    for cfg, ks in zip(cfgs, kernel_sets):
-        _check_kernelset(cfg, ks)
-    grids = {(cfg.dt, cfg.t_end, len(ks.grid)) for cfg, ks in zip(cfgs, kernel_sets)}
+def check_shared_grid(cfgs):
+    """Raises ConfigurationError unless every probe has the same dt and t_end."""
+    grids = {(cfg.dt, cfg.t_end) for cfg in cfgs}
     if len(grids) > 1:
         raise ConfigurationError(
-            f"lanes must share one grid, got (dt, t_end, points) in {sorted(grids)}")
+            f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
 
 
 def _term_tables(tables: list, idx: np.ndarray, steps: slice, eps, aa, am2, a2) -> tuple:
@@ -202,7 +189,12 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     or for lanes on different grids.
     """
     cfgs, kernel_sets = list(cfgs), list(kernel_sets)
-    _check_lanes(cfgs, kernel_sets)
+    if len(cfgs) != len(kernel_sets):
+        raise ConfigurationError(
+            f"{len(cfgs)} probe configs but {len(kernel_sets)} kernel sets")
+    for cfg, ks in zip(cfgs, kernel_sets):
+        _check_kernelset(cfg, ks)
+    check_shared_grid(cfgs)
     if not cfgs:
         return []
     uniq = {id(ks): ks for ks in kernel_sets}  # each set once, in first-use order

@@ -656,15 +656,22 @@ class _KernelEngine:
         return out, levels
 
 
-def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
-    if not (t_end > 0.0):
-        raise DomainError(f"t_end must be > 0, got {t_end}")
+def grid_steps(t_end: float, dt: float) -> int:
+    """Steps of the grid {0, dt, ..., t_end}.  Raises DomainError unless
+    t_end is finite and > 0, 0 < dt <= t_end, and t_end is an integer
+    multiple of dt to within 1e-9 max(1, t_end)."""
+    if not (0.0 < t_end < math.inf):
+        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
     if not (0.0 < dt <= t_end):
         raise DomainError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
-    n = int(round(t_end / dt))
-    if n < 1 or abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+    n = t_end / dt
+    if not (n < math.inf and abs(round(n) * dt - t_end) <= 1e-9 * max(1.0, t_end)):
         raise DomainError(f"t_end={t_end} is not an integer multiple of dt={dt}")
-    grid = np.arange(n + 1) * dt
+    return round(n)
+
+
+def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
+    grid = np.arange(grid_steps(t_end, dt) + 1) * dt
     grid.flags.writeable = False
     return grid
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ProbeConfig, integrate_lanes
-from .errors import ConfigurationError, DomainError, NumericError
+from .dynamics import ProbeConfig, check_shared_grid, integrate_lanes
+from .errors import DomainError, NumericError
 from .kernels import KernelParams, frequency_pass
 
 __all__ = [
@@ -55,7 +55,8 @@ _REL_STEP = 1e-7
 
 @dataclass
 class MetrologyResult:
-    """Fisher quantities of one (probing time, temperature, mixing) point."""
+    """Fisher quantities of one (probing time, temperature, mixing) point;
+    ``qcrb`` is the single-shot bound of ``qfi``."""
 
     t: float
     T: float
@@ -63,7 +64,6 @@ class MetrologyResult:
     qfi: float
     cfi_x: float
     cfi_z: float
-    qcrb: float
     markov_fisher: float
 
     def __post_init__(self):
@@ -74,9 +74,10 @@ class MetrologyResult:
             raise NumericError(
                 f"classical Fisher information exceeds the quantum bound: "
                 f"qfi={self.qfi}, cfi_x={self.cfi_x}, cfi_z={self.cfi_z}")
-        want = qcrb(self.qfi)
-        if not (self.qcrb == want or abs(self.qcrb - want) <= 1e-12 * want):
-            raise NumericError("qcrb must equal 1/sqrt(qfi)")
+
+    @property
+    def qcrb(self) -> float:
+        return qcrb(self.qfi)
 
 
 def _stencil_bundle(params: KernelParams, t_end: float, dt: float,
@@ -160,11 +161,19 @@ def markov_comparator(epsilon: float, T: float) -> float:
         raise DomainError("the Markovian benchmark is undefined at epsilon = 0")
     if T <= 0.0:
         raise DomainError(f"temperature must be > 0, got {T}")
+    boltzmann = math.exp(-epsilon / T)
+    if boltzmann == 0.0:
+        return 0.0
     try:
         quartic = T**4
     except OverflowError:
         return 0.0
-    return epsilon**2 * math.exp(-epsilon / T) / (2.0 * quartic)
+    if quartic == 0.0:
+        # T^4 underflows, and e^{-eps/T} does not: F_BM = r e^{-eps/T} r / 2
+        # with r = eps / T^2 (inf where it overflows)
+        r = epsilon / T / T
+        return r * boltzmann * r / 2.0
+    return epsilon**2 * boltzmann / (2.0 * quartic)
 
 
 def stencil_scans(probes, times, workers: int = 1) -> tuple:
@@ -181,10 +190,7 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     raise ConfigurationError, and a probing time below 0, beyond t_end or
     off the dt grid raises DomainError (``ProbeConfig.index_of``).
     """
-    grids = {(probe.dt, probe.t_end) for probe in probes}
-    if len(grids) > 1:
-        raise ConfigurationError(
-            f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
+    check_shared_grid(probes)
     steps = [probes[0].index_of(t) for t in times] if probes else []
     keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]
     uniq = list(dict.fromkeys(keys))
@@ -215,11 +221,9 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
         scan = []
         for t, i in zip(times, steps):
             D, d = base.states[i], deriv[i]
-            f_q = qfi(D, d)
             scan.append(MetrologyResult(
-                t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=f_q,
-                cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d),
-                qcrb=qcrb(f_q), markov_fisher=mk_fisher))
+                t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=qfi(D, d),
+                cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d), markov_fisher=mk_fisher))
         scans.append(scan)
     return trajs[::5], scans
 

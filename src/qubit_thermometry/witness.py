@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .errors import DomainError
 
-__all__ = ["coherence", "non_markovianity", "steady_coherence", "steady_window_ok"]
+__all__ = ["coherence", "non_markovianity", "steady_coherence"]
 
 # whole averaging blocks the trailing window must hold
 _MIN_BLOCKS = 10
@@ -47,10 +47,18 @@ def non_markovianity(C: np.ndarray) -> float:
     return float(d[d > _RISE_TOL].sum())
 
 
-def _window(traj: Trajectory, window_frac: float) -> tuple:
-    """(samples, samples per averaging block) of the trailing window: a
-    block is one precession period 2 pi / eps, or a tenth of the window at
-    eps = 0."""
+def steady_coherence(traj: Trajectory, window_frac: float) -> tuple:
+    """Estimate |Dx(t -> infinity)| from the trailing ``window_frac`` of a
+    trajectory.
+
+    For a splitting eps > 0 the tail of Dx oscillates at the precession
+    frequency even when the envelope has settled, so |Dx| is averaged over
+    whole precession periods (2 pi / eps) inside the window, or over tenths
+    of the window at eps = 0; the estimate is the mean of the block averages
+    and the convergence flag records whether their spread stays below 1e-4.
+    Returns (|Dx(inf)| estimate, converged flag), and (nan, False) when the
+    window holds fewer than 10 whole blocks, as when a period outlasts it.
+    """
     if not (0.0 < window_frac <= 1.0):
         raise DomainError(f"window_frac must lie in (0, 1], got {window_frac}")
     n = len(traj.grid)
@@ -58,37 +66,14 @@ def _window(traj: Trajectory, window_frac: float) -> tuple:
     win = int(math.floor(window_frac * (n - 1)))
     eps = traj.config.epsilon
     if eps > 0.0:
-        return win, max(1, int(round(2.0 * math.pi / eps / dt)))
-    return win, max(1, win // _MIN_BLOCKS)
-
-
-def steady_window_ok(traj: Trajectory, window_frac: float) -> bool:
-    """Whether the trailing window holds the 10 whole averaging blocks that
-    ``steady_coherence`` needs."""
-    win, m = _window(traj, window_frac)
-    return win // m >= _MIN_BLOCKS
-
-
-def steady_coherence(traj: Trajectory, window_frac: float) -> tuple:
-    """Estimate |Dx(t -> infinity)| from the trailing ``window_frac`` of a
-    trajectory.
-
-    For a splitting eps > 0 the tail of Dx oscillates at the precession
-    frequency even when the envelope has settled, so |Dx| is averaged over
-    whole precession periods (2 pi / eps) inside the window; the estimate is
-    the mean of the period averages and the convergence flag records whether
-    their spread stays below 1e-4.  The window must hold at least 10
-    periods.  Returns (|Dx(inf)| estimate, converged flag).
-    """
-    win, m = _window(traj, window_frac)
-    if win < 2:
-        raise DomainError("trailing window holds fewer than 2 samples")
+        # a period of n samples or more (inf at a subnormal eps) fills no block
+        m = max(1, round(min(2.0 * math.pi / eps / dt, n)))
+    else:
+        m = max(1, win // _MIN_BLOCKS)
     blocks = win // m
     if blocks < _MIN_BLOCKS:
-        raise DomainError(
-            f"trailing window holds {blocks} precession periods; need >= 10 "
-            f"(increase t_end or window_frac)")
-    tail = np.abs(traj.dx[len(traj.grid) - blocks * m:])
+        return math.nan, False
+    tail = np.abs(traj.dx[n - blocks * m:])
     means = tail.reshape(blocks, m).mean(axis=1)
     spread = float(means.max() - means.min())
     return float(means.mean()), spread < _CONV_TOL

@@ -9,7 +9,7 @@ import pytest
 import qubit_thermometry
 from qubit_thermometry import ConfigurationError
 from qubit_thermometry import cli, metrology
-from qubit_thermometry.cli import RunConfig, load_config, main
+from qubit_thermometry.cli import RunConfig, main, read_settings
 
 from oracles import kernel_R_T0
 
@@ -28,7 +28,9 @@ def test_load_config_file_and_overrides(tmp_path):
         "emit_svg = yes\n"
         "times = 1, 2\n"
         "alpha_count = 5   # inline comment\n")
-    cfg = load_config(str(path), {"eta": 0.02, "epsilon": None})
+    settings = read_settings(str(path), {"eta": 0.02, "epsilon": None})
+    assert sorted(settings) == ["alpha_count", "emit_svg", "epsilon", "eta", "times"]
+    cfg = RunConfig(**settings)
     assert cfg.epsilon == 0.7
     assert cfg.emit_svg is True
     assert cfg.times == (1.0, 2.0)
@@ -40,13 +42,13 @@ def test_load_config_rejects_unknown_and_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not_a_key = 1\n")
     with pytest.raises(ConfigurationError):
-        load_config(str(bad))
+        read_settings(str(bad))
     bad.write_text("epsilon 0.5\n")
     with pytest.raises(ConfigurationError):
-        load_config(str(bad))
+        read_settings(str(bad))
     bad.write_text("emit_svg = maybe\n")
     with pytest.raises(ConfigurationError):
-        load_config(str(bad))
+        read_settings(str(bad))
     # the quadrature and witness tolerances, the sweep ranges' fixed ends and
     # the fig3 slope window are no longer settings
     for key in ("rel_tol", "abs_tol", "omega_max_factor", "panels_per_oscillation",
@@ -54,7 +56,7 @@ def test_load_config_rejects_unknown_and_malformed(tmp_path):
                 "temp_log", "slope_fit_tmax"):
         bad.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
-            load_config(str(bad))
+            read_settings(str(bad))
 
 
 def test_runconfig_validation():
@@ -318,6 +320,15 @@ def test_sweep_alpha_short_steady_window_writes_nan(tmp_path, config, args):
     assert steady == "nan" and converged == "0"
 
 
+def test_sweep_alpha_subnormal_splitting_writes_nan(tmp_path):
+    # a precession period of 2 pi / 5e-324 overflows to inf: no steady-state
+    # estimate rather than an OverflowError
+    assert run_cli("sweep-alpha", "--epsilon", "5e-324", "--t-end", "1", "--dt", "0.05",
+                   "--alpha-count", "2", "--times", "", "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["nan", "0"]] * 2
+
+
 @pytest.mark.parametrize("window_frac", ["0", "-1", "1.5"])
 def test_window_frac_outside_unit_interval_fails_before_kernels(
         tmp_path, capsys, monkeypatch, window_frac):
@@ -382,6 +393,18 @@ def test_sweep_temperature_degenerate_inputs_write_both_svgs(tmp_path, args, row
         assert ET.fromstring((tmp_path / name).read_text()).tag.endswith("svg")
 
 
+def test_sweep_temperature_where_T4_underflows(tmp_path):
+    # T^4 and e^{-eps/T} both underflow at T = 1e-150: no information, no
+    # ZeroDivisionError
+    assert run_cli("sweep-temperature", "--temp-min", "1e-150", "--temp-max", "1e-149",
+                   "--temp-count", "2", "--t-end", "1", "--dt", "0.05", "--times", "1",
+                   "--out", str(tmp_path)) == 0
+    rows = [row.split(",") for row in
+            (tmp_path / "sweep_temperature.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(float(row[3]) == 0.0 and float(row[7]) == 0.0 for row in rows)
+
+
 def test_fig3_single_temperature(tmp_path):
     # one temperature puts a single value on both log axes of the SVGs
     assert run_cli("reproduce", "fig3", "--temp-count", "1", "--temp-min", "0.03",
@@ -433,6 +456,50 @@ def test_missing_config_file_fails(tmp_path, capsys):
                  "--out", str(tmp_path))
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure,config,args,named", [
+    ("fig2", "", ("--t-end", "100", "--times", "3"),
+     "reproduce fig2 pins t_end = 50.0 (got 100.0), times = (1.0, 5.0, 20.0, 50.0) "
+     "(got (3.0,))"),
+    ("fig1", "emit_svg = no\nt_end = 200\n", (), "reproduce fig1 pins emit_svg = True (got False)"),
+    ("fig3", "", ("--alpha", "0.25", "--t-end", "20"),
+     "reproduce fig3 pins alpha = 0.5 (got 0.25)"),
+], ids=["flags", "config-file", "one-of-two"])
+def test_reproduce_rejects_settings_it_pins(tmp_path, capsys, monkeypatch, figure, config,
+                                            args, named):
+    # a set key that differs from the figure's pin fails before any kernel
+    # is built; a set key equal to its pin is no conflict
+    def no_kernels(*args, **kwargs):
+        pytest.fail("kernels built for a conflicting setting")
+
+    monkeypatch.setattr(cli, "kernels_for", no_kernels)
+    monkeypatch.setattr(metrology, "frequency_pass", no_kernels)
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    rc = run_cli("reproduce", figure, "--config", str(path), *args, "--dt", "0.05",
+                 "--out", str(tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == f"qtherm: error: {named}\n"
+
+
+def test_times_parsed_by_one_rule(tmp_path, capsys, monkeypatch):
+    # --times and a config file's times line split alike: an empty item
+    # fails naming times before any kernel is built, and an empty list is
+    # no probing time
+    def no_kernels(*args, **kwargs):
+        pytest.fail("kernels built for a malformed times list")
+
+    monkeypatch.setattr(cli, "kernels_for", no_kernels)
+    path = tmp_path / "run.cfg"
+    path.write_text("times = 1,,2\n")
+    for args in (("--times", "1,,2"), ("--config", str(path))):
+        assert run_cli("sweep-alpha", *args, "--out", str(tmp_path)) == 1
+        assert "bad number list for times: '1,,2'" in capsys.readouterr().err
+    path.write_text("times = 1, 2\n")
+    assert read_settings(str(path)) == read_settings(None, {"times": " 1, 2 "}) == {
+        "times": (1.0, 2.0)}
+    assert read_settings(None, {"times": ""}) == {"times": ()}
 
 
 def test_bad_figure_name_rejected():

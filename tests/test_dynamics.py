@@ -121,7 +121,7 @@ def test_dephasing_against_oracle_T0(sd):
     C = coherence(traj)
     ref = dephasing_coherence_T0(0.05, 1.0, traj.grid)
     assert np.max(np.abs(C - ref)) < 1e-6
-    i3 = traj.index_of(3.0)
+    i3 = traj.config.index_of(3.0)
     assert C[i3] == pytest.approx(10.0 ** -0.1, abs=1e-7)
 
 
@@ -321,6 +321,9 @@ def test_probe_config_validation(sd):
         _probe(sd, alpha=0.5, initial=(1.0, 0.5, 0.0))
     with pytest.raises(DomainError):
         ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.0, dt=0.0)
+    # the kernel grid's rule, at construction rather than at the kernel build
+    with pytest.raises(DomainError, match="t_end=1.005 is not an integer multiple of dt=0.01"):
+        ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=1.005, dt=0.01)
 
 
 def test_coupling_beyond_validated_envelope_warns(sd):

@@ -406,6 +406,9 @@ def test_precompute_validation(params):
         precompute(params, 0.0, 0.01)
     with pytest.raises(DomainError):
         precompute(params, 1.0, 0.3)  # not an integer multiple
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="t_end must be finite and > 0"):
+            precompute(params, t_end, 0.1)
 
 
 def test_thermal_kernels_only_depend_on_T(sd):

@@ -132,6 +132,11 @@ def test_markov_comparator():
     assert markov_comparator(2.0, 1e-3) == 0.0
     # T^4 beyond float range: the T -> inf limit, not an OverflowError
     assert markov_comparator(0.5, 1e100) == 0.0
+    # T^4 underflowing: 0 where e^{-eps/T} does too, else the closed form
+    # rearranged, not a ZeroDivisionError
+    assert markov_comparator(0.5, 1e-150) == 0.0
+    assert markov_comparator(1e-100, 1e-90) == pytest.approx(0.5e160, rel=1e-9)
+    assert markov_comparator(5e-324, 5e-324) == math.inf
     # the same bits as the closed form wherever it is finite
     assert markov_comparator(0.5, 0.2) == 0.5**2 * math.exp(-0.5 / 0.2) / (2.0 * 0.2**4)
     with pytest.raises(DomainError):
@@ -143,12 +148,13 @@ def test_markov_comparator():
 def test_metrology_result_invariants():
     with pytest.raises(NumericError):
         MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=1.0, cfi_x=1.1, cfi_z=0.0,
-                        qcrb=1.0, markov_fisher=0.0)
+                        markov_fisher=0.0)
     with pytest.raises(NumericError):
-        MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
-                        qcrb=1.0, markov_fisher=0.0)
-    MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
-                    qcrb=0.5, markov_fisher=0.3)  # consistent: accepted
+        MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=-1.0, cfi_x=0.0, cfi_z=0.0,
+                        markov_fisher=0.0)
+    r = MetrologyResult(t=1, T=0.2, alpha=0.5, qfi=4.0, cfi_x=0.1, cfi_z=0.0,
+                        markov_fisher=0.3)  # consistent: accepted
+    assert r.qcrb == 0.5  # derived from qfi
 
 
 # -- temperature derivative -----------------------------------------------------------
@@ -168,14 +174,14 @@ def test_derivative_vanishes_without_coupling():
     sd0 = SpectralDensity(eta=0.0)
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd0, t_end=2.0, dt=0.01)
     base, *shifted = integrate_lanes(*_stencil_lanes(cfg, _bundle(cfg)))
-    d = _stencil_derivative(cfg, shifted)[base.index_of(1.0)]
+    d = _stencil_derivative(cfg, shifted)[base.config.index_of(1.0)]
     assert np.allclose(d, 0.0, atol=1e-9)
 
 
 def test_derivative_grid_and_temperature_guards(sd):
     cfg = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=2.0, dt=0.01)
     with pytest.raises(DomainError):
-        integrate(cfg, _bundle(cfg)[0]).index_of(0.005)  # off the grid
+        integrate(cfg, _bundle(cfg)[0]).config.index_of(0.005)  # off the grid
     with pytest.raises(DomainError, match="probing time 0.005 is not on the dt=0.01 grid"):
         stencil_scans([cfg], (0.005,))
     cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)

@@ -115,10 +115,20 @@ def test_steady_window_preconditions():
     eps = 0.5
     grid = np.arange(0, 1001) * 0.01  # window holds < 1 period
     t = _traj(grid, dx=np.cos(eps * grid), eps=eps)
-    with pytest.raises(DomainError):
-        steady_coherence(t, 0.2)
+    steady, converged = steady_coherence(t, 0.2)
+    assert math.isnan(steady) and converged is False
     with pytest.raises(DomainError):
         steady_coherence(t, 0.0)
+    # 10 whole periods are enough, 9 are not
+    eps = 2.0 * math.pi / 10.0
+    grid = np.arange(0, 100001) * 0.01
+    for window_frac, blocks in ((0.1, 10), (0.0999, 9)):
+        t = _traj(grid, dx=np.cos(eps * grid), eps=eps)
+        assert math.isfinite(steady_coherence(t, window_frac)[0]) == (blocks == 10)
+    # a subnormal splitting: a period far beyond the window, not an OverflowError
+    t = _traj(grid, dx=np.ones_like(grid), eps=5e-324)
+    steady, converged = steady_coherence(t, 1.0)
+    assert math.isnan(steady) and converged is False
 
 
 def test_steady_decaying_envelope_not_converged():
