@@ -10,20 +10,19 @@ Prints one ``<sha256>  <name>`` line per item:
   the CLI defaults (one integration lane; each run in a fresh subprocess,
   into a temporary directory that is removed afterwards);
 * every kernel array of the temperature-stencil bundle that
-  ``metrology.stencil_scans`` builds (the base set, its four shifted sets
-  and the refinement levels, grid and midpoints) at the headline eps = 0.5,
-  eta = 0.05, dt = 0.05, for T in {0.2, 0.02, 0.01}, workers in {1, 2, 4}
-  and t_end in {20, 50, 200};
+  ``metrology.stencil_scans`` builds (the base set and its four shifted
+  sets, grid and midpoints) at the headline eps = 0.5, eta = 0.05,
+  dt = 0.05, for T in {0.2, 0.02, 0.01}, workers in {1, 2, 4} and t_end in
+  {20, 50, 200};
 * every kernel array of a plain ``precompute`` (the time-domain pass, grid
   and midpoints) at the same eps, eta, dt, T and t_end.
 
-Arrays are hashed as raw float64/int64 bytes, so two checkouts agree line
-for line exactly when every output is byte-identical and every kernel value
-is equal to 0 ulp: ``diff`` the digests of both.  ``--src`` points at the
+Arrays are hashed as raw float64 bytes, so two checkouts agree line for
+line exactly when every output is byte-identical and every kernel value is
+equal to 0 ulp: ``diff`` the digests of both.  ``--src`` points at the
 ``src`` directory of the checkout to digest (default: this one's), which
-lets this script digest a checkout that predates it, or that predates
-``metrology._stencil_bundle``, under the same item names.  Takes a few
-minutes on two cores.
+lets this script digest any checkout that has ``metrology._stencil_bundle``
+under the same item names.  Takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -78,29 +77,10 @@ def _set_digests(ks, tag):
         yield _sha(arr.tobytes()), f"{tag}/half_{name}"
 
 
-def _bundle_builder():
-    """``(cfg, workers) -> (set at T, T-2d, T-d, T+d, T+2d)`` from the
-    imported checkout: ``metrology._stencil_bundle`` where it exists, else
-    the older ``stencil_kernel_sets``, whose set carried the four shifted
-    sets in ``shifted``."""
-    from qubit_thermometry import metrology
-
-    if hasattr(metrology, "_stencil_bundle"):
-        return lambda cfg, w: metrology._stencil_bundle(cfg.kernel_params, cfg.t_end,
-                                                        cfg.dt, workers=w)
-
-    def old_bundle(cfg, w):
-        ks = metrology.stencil_kernel_sets(cfg, workers=w)
-        return (ks, *ks.shifted)
-
-    return old_bundle
-
-
 def kernel_digests(src: str):
     sys.path.insert(0, src)
-    from qubit_thermometry import ProbeConfig, SpectralDensity, precompute
+    from qubit_thermometry import ProbeConfig, SpectralDensity, metrology, precompute
 
-    stencil_bundle = _bundle_builder()
     sd = SpectralDensity(eta=0.05, omega_c=1.0)
     for T in TEMPERATURES:
         for t_end in T_ENDS:
@@ -108,10 +88,8 @@ def kernel_digests(src: str):
             ks = precompute(cfg.kernel_params, t_end, DT)
             yield from _set_digests(ks, f"T={T:g}/t_end={t_end:g}/plain")
             for w in KERNEL_WORKERS:
-                bundle = stencil_bundle(cfg, w)
+                bundle = metrology._stencil_bundle(cfg.kernel_params, t_end, DT, workers=w)
                 tag = f"T={T:g}/t_end={t_end:g}/w{w}"
-                yield _sha(bundle[0].levels.tobytes()), f"{tag}/levels"
-                yield _sha(bundle[0].half_levels.tobytes()), f"{tag}/half_levels"
                 for j, s in enumerate(bundle):
                     yield from _set_digests(s, f"{tag}/set{j}")
 

@@ -10,16 +10,8 @@ class ConfigurationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A frequency integral did not converge within the panel budget.
-
-    Carries the achieved error estimate, the kernel and the time.
-    """
-
-    def __init__(self, message, achieved_error=None, kernel=None, t=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
-        self.kernel = kernel
-        self.t = t
+    """A frequency integral did not converge within the panel budget; the
+    message names the kernel, the time and the error estimate."""
 
 
 class IntegrationError(RuntimeError):

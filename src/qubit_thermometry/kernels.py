@@ -79,7 +79,7 @@ blocks of time rows, every entry a fixed-order length-N sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,17 +148,13 @@ class KernelSet:
     """Kernels sampled on a uniform time grid plus its midpoints.
 
     ``values[name][i]`` is the kernel at ``grid[i]``; ``half_values[name][i]``
-    at ``grid[i] + dt/2``.  Arrays are read-only.  ``levels``/``half_levels``
-    record the mesh-refinement depth used per time by the frequency-domain
-    pass, and are None for a time-domain set.
+    at ``grid[i] + dt/2``.  Arrays are read-only.
     """
 
     grid: np.ndarray
     values: dict
     half_values: dict
     params: KernelParams
-    levels: np.ndarray = field(repr=False, default=None)
-    half_levels: np.ndarray = field(repr=False, default=None)
 
     @property
     def dt(self) -> float:
@@ -648,8 +644,7 @@ class _KernelEngine:
                                 f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
                                 f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
                                 f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
-                                f"error estimate {err:.3g})",
-                                achieved_error=err, kernel=name, t=t)
+                                f"error estimate {err:.3g})")
                         levels[over] += 1
                         still.append(over)
             pending = np.concatenate(still) if still else np.empty(0, dtype=np.int64)
@@ -677,13 +672,13 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _joined(parts):
-    """One read-only (sets, levels) pair from per-part evaluate results."""
+    """The read-only sets of per-part evaluate results, joined."""
     sets = [{n: np.concatenate([p[0][j][n] for p in parts]) for n in d}
             for j, d in enumerate(parts[0][0])]
     for d in sets:
         for arr in d.values():
             arr.flags.writeable = False
-    return sets, np.concatenate([p[1] for p in parts])
+    return sets
 
 
 def precompute(params: KernelParams, t_end: float, dt: float) -> KernelSet:
@@ -703,11 +698,11 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
 
     Returns the set at ``params.T``, then one set per temperature in
     ``temps``, whose R, K, X use coth at that temperature on the mesh
-    accepted at ``params.T`` and whose L, F, G and levels are the first
-    set's.  Their node coefficients are stacked with the base ones, so each
-    trigonometric array is reduced once for all temperatures, and the first
-    set does not depend on ``temps``.  Freezing the mesh keeps the kernels
-    smooth in T, which the finite-difference temperature stencil relies on.
+    accepted at ``params.T`` and whose L, F, G are the first set's.  Their
+    node coefficients are stacked with the base ones, so each trigonometric
+    array is reduced once for all temperatures, and the first set does not
+    depend on ``temps``.  Freezing the mesh keeps the kernels smooth in T,
+    which the finite-difference temperature stencil relies on.
     Every value is bit-identical to a direct evaluation at its time alone.
     ``workers`` > 1 splits the time axis across threads (numpy releases the
     GIL); the output does not depend on the worker count.
@@ -727,12 +722,10 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
                                 np.array_split(np.arange(ts.size), min(workers * 8, ts.size))))
     else:
         parts = [eng.evaluate(ts)]
-    sets, levels = _joined(parts)
-    g_lv, m_lv = levels[0::2], levels[1::2]
     (g_vals, m_vals), *shifted = (
         ({n: a[0::2] for n, a in d.items()}, {n: a[1::2] for n, a in d.items()})
-        for d in sets)
+        for d in _joined(parts))
     return tuple(
         KernelSet(grid=grid, values={**g_vals, **gs}, half_values={**m_vals, **ms},
-                  params=replace(params, T=T), levels=g_lv, half_levels=m_lv)
+                  params=replace(params, T=T))
         for T, (gs, ms) in zip((params.T,) + eng.temps, [({}, {})] + shifted))

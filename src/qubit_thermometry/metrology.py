@@ -25,6 +25,7 @@ as the comparator that collapses exponentially at low temperature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,11 +85,13 @@ def _stencil_bundle(params: KernelParams, t_end: float, dt: float,
                     workers: int = 1) -> tuple:
     """Kernel sets at T, T-2d, T-d, T+d and T+2d from one frequency-domain
     pass; only R, K, X are evaluated at the shifted temperatures, on the
-    mesh of the set at T."""
+    mesh of the set at T.  A subnormal step delta overflows the quadrature's
+    mesh arithmetic, so delta must be a normal float."""
     T = params.T
-    if not (T > 0.0):
-        raise DomainError(f"stencil needs T > 0, got T={T}")
     delta = _REL_STEP * T
+    if not (delta >= sys.float_info.min):
+        raise DomainError(f"stencil needs T > 0 with a normal step {_REL_STEP:g} T "
+                          f"(T >= {sys.float_info.min / _REL_STEP:.17g}), got T={T}")
     return frequency_pass(params, t_end, dt,
                           (T - 2.0 * delta, T - delta, T + delta, T + 2.0 * delta), workers)
 

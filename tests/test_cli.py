@@ -405,6 +405,18 @@ def test_sweep_temperature_where_T4_underflows(tmp_path):
     assert all(float(row[3]) == 0.0 and float(row[7]) == 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("temp_min", ["1e-310", "5e-324"])
+def test_sweep_temperature_with_subnormal_step_fails(tmp_path, capsys, temp_min):
+    # the stencil step 1e-7 T is subnormal or zero: an error line naming T,
+    # where the quadrature's mesh arithmetic used to overflow
+    assert run_cli("sweep-temperature", "--temp-min", temp_min, "--temp-max", "1e-299",
+                   "--temp-count", "2", "--t-end", "1", "--dt", "0.05", "--times", "1",
+                   "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qtherm: error: stencil needs T > 0") and err.count("\n") == 1
+    assert f"got T={float(temp_min)}" in err and "Traceback" not in err
+
+
 def test_fig3_single_temperature(tmp_path):
     # one temperature puts a single value on both log axes of the SVGs
     assert run_cli("reproduce", "fig3", "--temp-count", "1", "--temp-min", "0.03",

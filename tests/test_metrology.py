@@ -184,9 +184,12 @@ def test_derivative_grid_and_temperature_guards(sd):
         integrate(cfg, _bundle(cfg)[0]).config.index_of(0.005)  # off the grid
     with pytest.raises(DomainError, match="probing time 0.005 is not on the dt=0.01 grid"):
         stencil_scans([cfg], (0.005,))
-    cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.0, sd=sd, t_end=2.0, dt=0.01)
-    with pytest.raises(DomainError, match="stencil needs T > 0"):
-        stencil_scans([cfg0], (1.0,))
+    # T = 0, and temperatures whose step 1e-7 T is subnormal or zero
+    for T in (0.0, 1e-310, 5e-324):
+        cfg0 = ProbeConfig(epsilon=0.5, alpha=0.5, T=T, sd=sd, t_end=2.0, dt=0.01)
+        with pytest.raises(DomainError, match="stencil needs T > 0") as info:
+            stencil_scans([cfg0], (1.0,))
+        assert f"got T={T}" in str(info.value)
 
 
 def test_derivative_against_richardson_oracle(sd):
