@@ -8,14 +8,16 @@ sweep-temperature   Fisher quantities per bath temperature
 dump-kernels        write the six kernels on the time grid
 reproduce           canonical fig1 | fig2 | fig3 pipelines (CSV + SVG)
 
-Configuration is a flat key=value text file (``--config``) plus per-parameter
-command-line overrides; all floats are written with 17 significant digits so
-runs are byte-reproducible.  A sweep integrates all its trajectories, with
-their temperature-shifted stencil lanes, in one ``integrate_lanes`` call in
-this process.  ``--workers`` is handed to ``metrology.stencil_scans``: the
-process pool in which the temperature sweep builds each temperature's
-kernels, or the threads of a lone stencil kernel pass; outputs are
-assembled in sweep order and do not depend on the worker count.
+Every setting is a flag.  An argument ``@FILE`` reads more arguments from
+FILE, one per line (argparse's ``fromfile_prefix_chars``), so a saved run
+is a file of flags such as ``--times=1,5``.  All floats are written with 17
+significant digits so runs are byte-reproducible.  A sweep integrates all
+its trajectories, with their temperature-shifted stencil lanes, in one
+``integrate_lanes`` call in this process.  ``--workers`` is handed to
+``metrology.stencil_scans``: the process pool in which the temperature
+sweep builds each temperature's kernels, or the threads of a lone stencil
+kernel pass; outputs are assembled in sweep order and do not depend on the
+worker count.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
 it: OpenBLAS would start one thread per core, ~0.1 s of every start-up, for
@@ -45,9 +47,9 @@ __all__ = ["RunConfig", "main"]
 # the fig3 footer fits the low-T slope of the QFI over T <= this
 _SLOPE_FIT_TMAX = 0.05
 # the settings each ``reproduce`` figure fixes; fig1's long horizon lets the
-# trailing window hold >= 10 precession periods
+# steady-coherence window hold >= 10 precession periods
 _PINS = {
-    "fig1": dict(t_end=200.0, window_frac=0.65, times=(), emit_svg=True),
+    "fig1": dict(t_end=200.0, times=(), emit_svg=True),
     "fig2": dict(t_end=50.0, times=(1.0, 5.0, 20.0, 50.0), emit_svg=True),
     "fig3": dict(alpha=0.5, t_end=20.0, times=(1.0, 5.0, 20.0), emit_svg=True),
 }
@@ -70,7 +72,6 @@ class RunConfig:
     temp_max: float = 0.5
     temp_count: int = 15
     times: tuple = (1.0, 5.0, 20.0, 50.0)
-    window_frac: float = 0.2
     out_dir: str = "."
     workers: int = 1
     emit_svg: bool = False
@@ -85,8 +86,6 @@ class RunConfig:
                 raise ConfigurationError(f"{key} must be finite and > 0, got {T}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if not (0.0 < self.window_frac <= 1.0):
-            raise ConfigurationError(f"window_frac must lie in (0, 1], got {self.window_frac}")
 
     @property
     def sd(self) -> SpectralDensity:
@@ -106,49 +105,12 @@ class RunConfig:
         return np.geomspace(self.temp_min, self.temp_max, self.temp_count)
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_value(name: str, kind, raw: str):
-    if kind is bool:
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigurationError(f"bad boolean for {name}: {raw!r}")
-        return _BOOL_WORDS[word]
-    if kind is tuple:
-        try:
-            return tuple(float(v) for v in raw.split(",")) if raw.strip() else ()
-        except ValueError:
-            raise ConfigurationError(
-                f"bad number list for {name}: {raw!r}") from None
-    return kind(raw)
-
-
-def read_settings(path: str, overrides: dict = None) -> dict:
-    """The ``RunConfig`` keys the user set: a flat key=value file ('#'
-    starts a comment; later keys win), then the ``overrides`` that are not
-    None, those given as text parsed like the file's values."""
-    kinds = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    values = {}
-    if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                if key not in kinds:
-                    raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _parse_value(key, kinds[key], raw)
-                except ValueError as exc:
-                    raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = _parse_value(key, kinds[key], val) if isinstance(val, str) else val
-    return values
+def _times(raw: str) -> tuple:
+    """The probing times of ``--times``: comma-separated numbers, or none."""
+    try:
+        return tuple(float(v) for v in raw.split(",")) if raw.strip() else ()
+    except ValueError:
+        raise ConfigurationError(f"bad number list for times: {raw!r}") from None
 
 
 def _write_csv(path, header, rows, footer_lines=()):
@@ -212,7 +174,7 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
         trajs, scans = integrate_lanes(probes, [ks] * len(probes)), [()] * len(probes)
     rows = []
     for traj, scan in zip(trajs, scans):
-        steady, conv = steady_coherence(traj, cfg.window_frac)
+        steady, conv = steady_coherence(traj)
         rows.append([traj.config.alpha, non_markovianity(coherence(traj)), steady,
                      int(conv), *(r.qfi for r in scan)])
     header = "alpha,N_C,steady_dx_abs,converged"
@@ -316,7 +278,6 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value configuration file")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     common.add_argument("--workers", type=int, metavar="N",
                         help="processes for the temperature sweep's kernel builds "
@@ -334,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--times", dest="times", help="comma-separated probing times")
 
     parser = argparse.ArgumentParser(
-        prog="qtherm",
-        description="Nonequilibrium single-qubit thermometry of an Ohmic bath")
+        prog="qtherm", fromfile_prefix_chars="@",
+        description="Nonequilibrium single-qubit thermometry of an Ohmic bath; "
+                    "@FILE reads more arguments from FILE, one per line")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("trajectory", parents=[common],
                    help="integrate one scenario and write trajectory.csv")
@@ -353,10 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {f.name: getattr(args, f.name)
-                 for f in fields(RunConfig) if hasattr(args, f.name)}
+    # the settings the user gave, by flag or from an @FILE
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                if getattr(args, f.name) is not None}
     try:
-        settings = read_settings(args.config, overrides)
+        if "times" in settings:
+            settings["times"] = _times(settings["times"])
         cfg = RunConfig(**settings)
         if args.command == "trajectory":
             return cmd_trajectory(cfg)

@@ -684,9 +684,14 @@ def _joined(parts):
 def precompute(params: KernelParams, t_end: float, dt: float) -> KernelSet:
     """Sample all six kernels on the grid {0, dt, ..., t_end} and midpoints
     as time integrals of the closed-form bath correlation functions (the
-    time-domain pass), at a cost linear in t_end."""
+    time-domain pass), at a cost linear in t_end.  Raises DomainError
+    when a kernel overflows, as R, K and X do from T ~ 1e154 up."""
     grid = _uniform_grid(t_end, dt)
     vals = _time_domain(params, 2 * (grid.size - 1), 0.5 * dt)
+    # a cumulative sum ends non-finite exactly when some step is
+    bad = [n for n, a in vals.items() if not math.isfinite(a[-1])]
+    if bad:
+        raise DomainError(f"kernels {', '.join(bad)} overflow at T={params.T}")
     return KernelSet(grid=grid, values={n: a[0::2] for n, a in vals.items()},
                      half_values={n: a[1::2] for n, a in vals.items()}, params=params)
 

@@ -21,6 +21,9 @@ from .errors import DomainError
 
 __all__ = ["coherence", "non_markovianity", "steady_coherence"]
 
+# the steady coherence averages this trailing share of a trajectory, set for
+# fig1: at its t_end of 200 the window holds >= 10 precession periods of eps = 0.5
+_WINDOW_FRAC = 0.65
 # whole averaging blocks the trailing window must hold
 _MIN_BLOCKS = 10
 # coherence rises at or below this are floating-point jitter, not backflow
@@ -47,9 +50,8 @@ def non_markovianity(C: np.ndarray) -> float:
     return float(d[d > _RISE_TOL].sum())
 
 
-def steady_coherence(traj: Trajectory, window_frac: float) -> tuple:
-    """Estimate |Dx(t -> infinity)| from the trailing ``window_frac`` of a
-    trajectory.
+def steady_coherence(traj: Trajectory) -> tuple:
+    """Estimate |Dx(t -> infinity)| from the trailing 65% of a trajectory.
 
     For a splitting eps > 0 the tail of Dx oscillates at the precession
     frequency even when the envelope has settled, so |Dx| is averaged over
@@ -59,11 +61,9 @@ def steady_coherence(traj: Trajectory, window_frac: float) -> tuple:
     Returns (|Dx(inf)| estimate, converged flag), and (nan, False) when the
     window holds fewer than 10 whole blocks, as when a period outlasts it.
     """
-    if not (0.0 < window_frac <= 1.0):
-        raise DomainError(f"window_frac must lie in (0, 1], got {window_frac}")
     n = len(traj.grid)
     dt = float(traj.grid[1] - traj.grid[0])
-    win = int(math.floor(window_frac * (n - 1)))
+    win = int(math.floor(_WINDOW_FRAC * (n - 1)))
     eps = traj.config.epsilon
     if eps > 0.0:
         # a period of n samples or more (inf at a subnormal eps) fills no block

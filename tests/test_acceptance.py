@@ -112,7 +112,7 @@ def test_c5_fig1_witness_structure(sd, ks_long):
             for a in alphas]
     for i, traj in enumerate(integrate_lanes(cfgs, [ks_long] * len(cfgs))):
         n_c[i] = non_markovianity(coherence(traj))
-        steady[i], _ = steady_coherence(traj, window_frac=0.65)
+        steady[i], _ = steady_coherence(traj)
     elapsed = time.perf_counter() - start
     for series in (n_c, steady):
         assert series[0] <= 1e-2 and series[-1] <= 1e-2

@@ -9,7 +9,7 @@ import pytest
 import qubit_thermometry
 from qubit_thermometry import ConfigurationError
 from qubit_thermometry import cli, metrology
-from qubit_thermometry.cli import RunConfig, main, read_settings
+from qubit_thermometry.cli import RunConfig, main
 
 from oracles import kernel_R_T0
 
@@ -18,45 +18,49 @@ def run_cli(*args):
     return main(list(args))
 
 
+def _args_file(tmp_path, *lines):
+    """An @FILE argument naming a file of ``lines``, one argument each."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
+
+def _captured_config(monkeypatch, *args):
+    """The RunConfig that ``trajectory`` would run with ``args``."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_trajectory", lambda cfg: seen.append(cfg) or 0)
+    assert run_cli("trajectory", *args) == 0
+    return seen[0]
+
+
 # -- configuration ----------------------------------------------------------------
 
-def test_load_config_file_and_overrides(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment\n"
-        "epsilon = 0.7\n"
-        "emit_svg = yes\n"
-        "times = 1, 2\n"
-        "alpha_count = 5   # inline comment\n")
-    settings = read_settings(str(path), {"eta": 0.02, "epsilon": None})
-    assert sorted(settings) == ["alpha_count", "emit_svg", "epsilon", "eta", "times"]
-    cfg = RunConfig(**settings)
-    assert cfg.epsilon == 0.7
-    assert cfg.emit_svg is True
-    assert cfg.times == (1.0, 2.0)
-    assert cfg.alpha_count == 5
-    assert cfg.eta == 0.02
+def test_load_config_file_and_overrides(tmp_path, monkeypatch):
+    # a saved run is an @FILE of flags; a flag typed after it wins
+    saved = _args_file(tmp_path, "--epsilon=0.7", "--svg", "--times=1, 2",
+                       "--alpha-count=5", "--eta=0.03")
+    cfg = _captured_config(monkeypatch, saved, "--eta", "0.02")
+    assert cfg == RunConfig(epsilon=0.7, emit_svg=True, times=(1.0, 2.0), alpha_count=5,
+                            eta=0.02)
 
 
-def test_load_config_rejects_unknown_and_malformed(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("not_a_key = 1\n")
-    with pytest.raises(ConfigurationError):
-        read_settings(str(bad))
-    bad.write_text("epsilon 0.5\n")
-    with pytest.raises(ConfigurationError):
-        read_settings(str(bad))
-    bad.write_text("emit_svg = maybe\n")
-    with pytest.raises(ConfigurationError):
-        read_settings(str(bad))
-    # the quadrature and witness tolerances, the sweep ranges' fixed ends and
-    # the fig3 slope window are no longer settings
+def test_load_config_rejects_unknown_and_malformed(tmp_path, capsys):
+    # an @FILE line is parsed as the same flag typed: an unknown or malformed
+    # one fails naming it.  The quadrature and witness tolerances and window,
+    # the sweep ranges' fixed ends, the fig3 slope window and the old
+    # key=value file are not settings
+    for line, named in (("--not-a-flag=1", "--not-a-flag=1"),
+                        ("--alpha-count=x", "--alpha-count: invalid int value: 'x'")):
+        with pytest.raises(SystemExit):
+            run_cli("trajectory", _args_file(tmp_path, line))
+        assert named in capsys.readouterr().err
     for key in ("rel_tol", "abs_tol", "omega_max_factor", "panels_per_oscillation",
-                "resonance_guard", "rise_tol", "conv_tol", "alpha_min", "alpha_max",
-                "temp_log", "slope_fit_tmax"):
-        bad.write_text(f"{key} = 1\n")
-        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
-            read_settings(str(bad))
+                "resonance_guard", "rise_tol", "conv_tol", "window_frac", "alpha_min",
+                "alpha_max", "temp_log", "slope_fit_tmax", "config"):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit):
+            run_cli("trajectory", flag, "1")
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_runconfig_validation():
@@ -68,10 +72,6 @@ def test_runconfig_validation():
     for temp_max in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="temp_max must be finite and > 0"):
             RunConfig(temp_count=1, temp_max=temp_max)
-    # the steady-state window is a nonempty share of the trajectory
-    for window_frac in (0.0, -1.0, 1.5, math.nan):
-        with pytest.raises(ConfigurationError, match=r"window_frac must lie in \(0, 1\]"):
-            RunConfig(window_frac=window_frac)
 
 
 def test_single_point_sweeps():
@@ -270,18 +270,15 @@ def test_cli_import_keeps_caller_openblas_threads():
     assert _python(code, env) == "2"
 
 
-@pytest.mark.parametrize("config,args,drawn", [
-    ("", ("--t-end", "5"), False),
-    ("window_frac = 1.0\n", ("--epsilon", "2", "--t-end", "40"), True),
+@pytest.mark.parametrize("args,drawn", [
+    (("--t-end", "5"), False),
+    (("--epsilon", "2", "--t-end", "60"), True),
 ], ids=["short-window", "steady"])
-def test_sweep_alpha_witness_plots_steady_series_only_when_finite(
-        tmp_path, config, args, drawn):
+def test_sweep_alpha_witness_plots_steady_series_only_when_finite(tmp_path, args, drawn):
     # a trailing window under 10 precession periods leaves every alpha's
     # steady value nan; the plot then carries no |Dx(inf)| entry
-    path = tmp_path / "run.cfg"
-    path.write_text(config)
-    assert run_cli("sweep-alpha", "--config", str(path), *args, "--dt", "0.1",
-                   "--alpha-count", "2", "--times=", "--svg", "--out", str(tmp_path)) == 0
+    assert run_cli("sweep-alpha", *args, "--dt", "0.1", "--alpha-count", "2", "--times=",
+                   "--svg", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
     assert all(math.isfinite(float(row.split(",")[2])) == drawn for row in rows)
     svg = (tmp_path / "sweep_alpha_witness.svg").read_text()
@@ -302,17 +299,11 @@ def test_sweep_alpha_zero_coupling(tmp_path):
         assert float(vals[5]) == 0.0
 
 
-@pytest.mark.parametrize("config,args", [
-    ("", ("--t-end", "628.4")),
-    ("window_frac = 1.0\n", ("--t-end", "125.7")),
-], ids=["default-window", "whole-trajectory"])
-def test_sweep_alpha_short_steady_window_writes_nan(tmp_path, config, args):
-    # each trailing window spans just over 10 precession periods of 4 pi but
-    # only 9 whole periods of 126 samples at dt = 0.1: no steady-state
-    # estimate, written as nan / 0, and the sweep succeeds
-    path = tmp_path / "run.cfg"
-    path.write_text(config)
-    assert run_cli("sweep-alpha", "--config", str(path), *args, "--dt", "0.1",
+def test_sweep_alpha_short_steady_window_writes_nan(tmp_path):
+    # the trailing 65% of t_end = 193.5 spans just over 10 precession periods
+    # of 4 pi but only 9 whole periods of 126 samples at dt = 0.1: no
+    # steady-state estimate, written as nan / 0, and the sweep succeeds
+    assert run_cli("sweep-alpha", "--t-end", "193.5", "--dt", "0.1",
                    "--alpha-count", "1", "--times=", "--out", str(tmp_path)) == 0
     lines = (tmp_path / "sweep_alpha.csv").read_text().splitlines()
     assert lines[0] == "alpha,N_C,steady_dx_abs,converged"
@@ -327,20 +318,6 @@ def test_sweep_alpha_subnormal_splitting_writes_nan(tmp_path):
                    "--alpha-count", "2", "--times", "", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2:] for row in rows] == [["nan", "0"]] * 2
-
-
-@pytest.mark.parametrize("window_frac", ["0", "-1", "1.5"])
-def test_window_frac_outside_unit_interval_fails_before_kernels(
-        tmp_path, capsys, monkeypatch, window_frac):
-    def no_kernels(*args, **kwargs):
-        pytest.fail("kernels built for a bad window_frac")
-
-    monkeypatch.setattr(cli, "kernels_for", no_kernels)
-    path = tmp_path / "run.cfg"
-    path.write_text(f"window_frac = {window_frac}\n")
-    rc = run_cli("sweep-alpha", "--config", str(path), "--times=", "--out", str(tmp_path))
-    assert rc == 1
-    assert f"window_frac must lie in (0, 1], got {float(window_frac)}" in capsys.readouterr().err
 
 
 def test_sweep_temperature_output(tmp_path):
@@ -437,6 +414,16 @@ def test_non_finite_physical_input_fails_naming_it(tmp_path, capsys, flag, named
     assert "finite" in err and named in err and value in err
 
 
+@pytest.mark.parametrize("command", ["dump-kernels", "trajectory"])
+def test_overflowing_kernels_fail_naming_temperature(tmp_path, capsys, command):
+    # R, K and X overflow at T = 1e160: one error naming T, not an
+    # integrator failure or a kernels.csv of inf
+    assert run_cli(command, "--temp", "1e160", "--t-end", "1", "--dt", "0.5",
+                   "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "qtherm: error: kernels R, K, X overflow at T=1e+160\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args,named", [
     (("sweep-temperature", "--t-end", "2", "--times", "1.005", "--temp-count", "2"),
      "probing time 1.005 is not on the dt=0.01 grid"),
@@ -464,21 +451,32 @@ def test_negative_probing_time_fails_before_kernels(tmp_path, capsys, monkeypatc
 
 
 def test_missing_config_file_fails(tmp_path, capsys):
-    rc = run_cli("trajectory", "--config", str(tmp_path / "missing.cfg"),
-                 "--out", str(tmp_path))
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+    missing = tmp_path / "missing.args"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("trajectory", f"@{missing}", "--out", str(tmp_path))
+    assert exc.value.code != 0
+    assert f"qtherm: error: [Errno 2] No such file or directory: '{missing}'" in (
+        capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("figure,config,args,named", [
-    ("fig2", "", ("--t-end", "100", "--times", "3"),
+def test_args_file_writes_what_typed_flags_write(tmp_path):
+    flags = ("--t-end=5", "--dt=0.1", "--alpha-count=3", "--times=1,5", "--epsilon=0.7")
+    assert run_cli("sweep-alpha", *flags, "--out", str(tmp_path / "typed")) == 0
+    assert run_cli("sweep-alpha", _args_file(tmp_path, *flags),
+                   "--out", str(tmp_path / "saved")) == 0
+    typed = (tmp_path / "typed" / "sweep_alpha.csv").read_bytes()
+    assert (tmp_path / "saved" / "sweep_alpha.csv").read_bytes() == typed
+
+
+@pytest.mark.parametrize("figure,lines,args,named", [
+    ("fig2", (), ("--t-end", "100", "--times", "3"),
      "reproduce fig2 pins t_end = 50.0 (got 100.0), times = (1.0, 5.0, 20.0, 50.0) "
      "(got (3.0,))"),
-    ("fig1", "emit_svg = no\nt_end = 200\n", (), "reproduce fig1 pins emit_svg = True (got False)"),
-    ("fig3", "", ("--alpha", "0.25", "--t-end", "20"),
+    ("fig1", ("--times=1", "--t-end=200"), (), "reproduce fig1 pins times = () (got (1.0,))"),
+    ("fig3", (), ("--alpha", "0.25", "--t-end", "20"),
      "reproduce fig3 pins alpha = 0.5 (got 0.25)"),
 ], ids=["flags", "config-file", "one-of-two"])
-def test_reproduce_rejects_settings_it_pins(tmp_path, capsys, monkeypatch, figure, config,
+def test_reproduce_rejects_settings_it_pins(tmp_path, capsys, monkeypatch, figure, lines,
                                             args, named):
     # a set key that differs from the figure's pin fails before any kernel
     # is built; a set key equal to its pin is no conflict
@@ -487,31 +485,27 @@ def test_reproduce_rejects_settings_it_pins(tmp_path, capsys, monkeypatch, figur
 
     monkeypatch.setattr(cli, "kernels_for", no_kernels)
     monkeypatch.setattr(metrology, "frequency_pass", no_kernels)
-    path = tmp_path / "run.cfg"
-    path.write_text(config)
-    rc = run_cli("reproduce", figure, "--config", str(path), *args, "--dt", "0.05",
+    rc = run_cli("reproduce", figure, _args_file(tmp_path, *lines), *args, "--dt", "0.05",
                  "--out", str(tmp_path))
     assert rc == 1
     assert capsys.readouterr().err == f"qtherm: error: {named}\n"
 
 
 def test_times_parsed_by_one_rule(tmp_path, capsys, monkeypatch):
-    # --times and a config file's times line split alike: an empty item
+    # --times typed and an @FILE's --times line split alike: an empty item
     # fails naming times before any kernel is built, and an empty list is
     # no probing time
     def no_kernels(*args, **kwargs):
         pytest.fail("kernels built for a malformed times list")
 
     monkeypatch.setattr(cli, "kernels_for", no_kernels)
-    path = tmp_path / "run.cfg"
-    path.write_text("times = 1,,2\n")
-    for args in (("--times", "1,,2"), ("--config", str(path))):
+    for args in (("--times", "1,,2"), (_args_file(tmp_path, "--times=1,,2"),)):
         assert run_cli("sweep-alpha", *args, "--out", str(tmp_path)) == 1
         assert "bad number list for times: '1,,2'" in capsys.readouterr().err
-    path.write_text("times = 1, 2\n")
-    assert read_settings(str(path)) == read_settings(None, {"times": " 1, 2 "}) == {
-        "times": (1.0, 2.0)}
-    assert read_settings(None, {"times": ""}) == {"times": ()}
+    saved = _args_file(tmp_path, "--times=1, 2")
+    assert _captured_config(monkeypatch, saved).times == (1.0, 2.0)
+    assert _captured_config(monkeypatch, "--times", " 1, 2 ").times == (1.0, 2.0)
+    assert _captured_config(monkeypatch, "--times=").times == ()
 
 
 def test_bad_figure_name_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -408,6 +409,14 @@ def test_precompute_validation(params):
     for t_end in (math.inf, math.nan):
         with pytest.raises(DomainError, match="t_end must be finite and > 0"):
             precompute(params, t_end, 0.1)
+    # R, K and X overflow from T = 1e154 up and fail naming T; below, the
+    # thermal term's ~T^2 psi' is still finite
+    hot = KernelParams(sd=params.sd, epsilon=params.epsilon, T=1e153)
+    assert precompute(hot, 1.0, 0.5).values["R"][-1] == 7.853981633974485e151
+    for T in (1e154, 1e160):
+        hot = KernelParams(sd=params.sd, epsilon=params.epsilon, T=T)
+        with pytest.raises(DomainError, match=re.escape(f"kernels R, K, X overflow at T={T}")):
+            precompute(hot, 1.0, 0.5)
 
 
 def test_thermal_kernels_only_depend_on_T(sd):

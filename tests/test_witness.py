@@ -106,7 +106,7 @@ def test_steady_free_precession():
     eps = 2.0 * math.pi / 10.0
     grid = np.arange(0, 100001) * 0.01
     t = _traj(grid, dx=np.cos(eps * grid), dy=np.sin(eps * grid), eps=eps)
-    steady, converged = steady_coherence(t, 0.2)
+    steady, converged = steady_coherence(t)
     assert steady == pytest.approx(2.0 / math.pi, abs=1e-3)
     assert converged
 
@@ -115,19 +115,18 @@ def test_steady_window_preconditions():
     eps = 0.5
     grid = np.arange(0, 1001) * 0.01  # window holds < 1 period
     t = _traj(grid, dx=np.cos(eps * grid), eps=eps)
-    steady, converged = steady_coherence(t, 0.2)
+    steady, converged = steady_coherence(t)
     assert math.isnan(steady) and converged is False
-    with pytest.raises(DomainError):
-        steady_coherence(t, 0.0)
-    # 10 whole periods are enough, 9 are not
+    # 10 whole periods of 1000 samples are enough, 9 are not: the trailing
+    # 65% of 15385 steps is 10000 samples, of 15384 steps 9999
     eps = 2.0 * math.pi / 10.0
-    grid = np.arange(0, 100001) * 0.01
-    for window_frac, blocks in ((0.1, 10), (0.0999, 9)):
+    for steps, blocks in ((15385, 10), (15384, 9)):
+        grid = np.arange(0, steps + 1) * 0.01
         t = _traj(grid, dx=np.cos(eps * grid), eps=eps)
-        assert math.isfinite(steady_coherence(t, window_frac)[0]) == (blocks == 10)
+        assert math.isfinite(steady_coherence(t)[0]) == (blocks == 10)
     # a subnormal splitting: a period far beyond the window, not an OverflowError
     t = _traj(grid, dx=np.ones_like(grid), eps=5e-324)
-    steady, converged = steady_coherence(t, 1.0)
+    steady, converged = steady_coherence(t)
     assert math.isnan(steady) and converged is False
 
 
@@ -135,8 +134,8 @@ def test_steady_decaying_envelope_not_converged():
     eps = 2.0 * math.pi / 10.0
     grid = np.arange(0, 100001) * 0.01
     t = _traj(grid, dx=np.exp(-grid / 300.0) * np.cos(eps * grid), eps=eps)
-    # block averages spread by ~2e-2, far above the 1e-4 convergence threshold
-    steady, converged = steady_coherence(t, 0.2)
+    # block averages spread by ~2e-1, far above the 1e-4 convergence threshold
+    steady, converged = steady_coherence(t)
     assert not converged
 
 
@@ -145,7 +144,7 @@ def test_steady_trapped_coherence(sd, ks_long):
     # nonzero value at alpha = 1/2, while either pure coupling erases it
     cfgs = [ProbeConfig(epsilon=0.5, alpha=alpha, T=0.2, sd=sd, t_end=200.0, dt=0.01)
             for alpha in (0.0, 0.5, 1.0)]
-    vals = {traj.config.alpha: steady_coherence(traj, window_frac=0.65)[0]
+    vals = {traj.config.alpha: steady_coherence(traj)[0]
             for traj in integrate_lanes(cfgs, [ks_long] * 3)}
     assert vals[0.0] < 1e-2
     assert vals[1.0] < 1e-2
