@@ -28,7 +28,6 @@ from .metrology import (
     MetrologyResult,
     cfi,
     markov_comparator,
-    qcrb,
     qfi,
 )
 from .errors import (

@@ -115,12 +115,20 @@ def _times(raw: str) -> tuple:
 
 def _write_csv(path, header, rows, footer_lines=()):
     """Write ``rows`` of numbers with 17 significant digits, then report it."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
         for line in footer_lines:
             fh.write(line + "\n")
+    print(f"wrote {path}")
+
+
+def _write_svg(plot, path):
+    """Render ``plot`` to ``path``, then report it."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    plot.write(path)
     print(f"wrote {path}")
 
 
@@ -131,7 +139,6 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     probe = cfg.probe()
     ks = kernels_for(probe)
     traj = integrate(probe, ks)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"), "t,dx,dy,dz",
                np.column_stack((traj.grid, traj.states)))
     if cfg.emit_svg:
@@ -142,20 +149,16 @@ def cmd_trajectory(cfg: RunConfig) -> int:
         plot.add(traj.grid, traj.dy, label="Dy")
         plot.add(traj.grid, traj.dz, label="Dz")
         plot.add(traj.grid, C, label="C(t)")
-        p1 = os.path.join(cfg.out_dir, "trajectory.svg")
-        plot.write(p1)
+        _write_svg(plot, os.path.join(cfg.out_dir, "trajectory.svg"))
         eq = LinePlot(title="equatorial plane", xlabel="Dx", ylabel="Dy")
         eq.add(traj.dx, traj.dy, label=f"alpha={cfg.alpha:g}")
-        p2 = os.path.join(cfg.out_dir, "trajectory_equator.svg")
-        eq.write(p2)
-        print(f"wrote {p1}\nwrote {p2}")
+        _write_svg(eq, os.path.join(cfg.out_dir, "trajectory_equator.svg"))
     return 0
 
 
 def cmd_dump_kernels(cfg: RunConfig) -> int:
     params = cfg.probe().kernel_params
     ks = precompute(params, cfg.t_end, cfg.dt)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "kernels.csv"), "t," + ",".join(KERNEL_NAMES),
                np.column_stack([ks.grid] + [ks.values[n] for n in KERNEL_NAMES]))
     return 0
@@ -179,7 +182,6 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
                      int(conv), *(r.qfi for r in scan)])
     header = "alpha,N_C,steady_dx_abs,converged"
     header += "".join(f",qfi_t_{t:g}" for t in times)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, f"{tag}.csv"), header, rows)
     if cfg.emit_svg:
         alphas = cfg.alphas()
@@ -189,16 +191,12 @@ def cmd_sweep_alpha(cfg: RunConfig, tag="sweep_alpha", ks=None) -> list:
         # all nan when every trailing window is short, as at fig2's t_end of 50
         if any(math.isfinite(v) for v in cols[2]):
             plot.add(alphas, cols[2], label="|Dx(inf)|", dashed=True)
-        p = os.path.join(cfg.out_dir, f"{tag}_witness.svg")
-        plot.write(p)
+        _write_svg(plot, os.path.join(cfg.out_dir, f"{tag}_witness.svg"))
         if times:
             qplot = LinePlot(title="QFI vs mixing", xlabel="alpha", ylabel="F_Q")
             for j, t in enumerate(times):
                 qplot.add(alphas, cols[4 + j], label=f"t={t:g}")
-            pq = os.path.join(cfg.out_dir, f"{tag}_qfi.svg")
-            qplot.write(pq)
-            print(f"wrote {pq}")
-        print(f"wrote {p}")
+            _write_svg(qplot, os.path.join(cfg.out_dir, f"{tag}_qfi.svg"))
     return trajs
 
 
@@ -219,7 +217,6 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
         slope = loglog_slope([r.T for r in fit], [r.qfi for r in fit])
         footer.append(f"# low_T_slope_qfi = {slope:.6g} "
                       f"(log-log fit at t={times[j0]:g} over T <= {_SLOPE_FIT_TMAX:g})")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, f"{tag}.csv"),
                "t,T,alpha,qfi,cfi_x,cfi_z,qcrb,markov_fisher", rows, footer)
     if cfg.emit_svg:
@@ -233,17 +230,14 @@ def cmd_sweep_temperature(cfg: RunConfig, tag="sweep_temperature") -> int:
                   label="T^2 guide", dashed=True)
         qplot.add(temps, [scan[0].markov_fisher for scan in scans],
                   label="Born-Markov", dashed=True)
-        p = os.path.join(cfg.out_dir, f"{tag}_qfi.svg")
-        qplot.write(p)
+        _write_svg(qplot, os.path.join(cfg.out_dir, f"{tag}_qfi.svg"))
         mplot = LinePlot(title="measurement Fisher information",
                          xlabel="T [omega_c]", ylabel="F_C", xlog=True, ylog=True)
         for j, t in enumerate(times):
             mplot.add(temps, [scan[j].cfi_x for scan in scans], label=f"sx t={t:g}")
             mplot.add(temps, [scan[j].cfi_z for scan in scans], label=f"sz t={t:g}",
                       dashed=True)
-        p2 = os.path.join(cfg.out_dir, f"{tag}_measurements.svg")
-        mplot.write(p2)
-        print(f"wrote {p}\nwrote {p2}")
+        _write_svg(mplot, os.path.join(cfg.out_dir, f"{tag}_measurements.svg"))
     return 0
 
 
@@ -264,9 +258,7 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
             traj = trajs[alpha]
             n_show = traj.config.index_of(50.0) + 1
             eq.add(traj.dx[:n_show], traj.dy[:n_show], label=f"alpha={alpha:g}")
-        path = os.path.join(fig_cfg.out_dir, "fig1_equator.svg")
-        eq.write(path)
-        print(f"wrote {path}")
+        _write_svg(eq, os.path.join(fig_cfg.out_dir, "fig1_equator.svg"))
         return 0
     if which == "fig2":
         cmd_sweep_alpha(fig_cfg, tag="fig2_sweep")
@@ -331,15 +323,13 @@ def main(argv=None) -> int:
             return cmd_sweep_temperature(cfg)
         if args.command == "dump-kernels":
             return cmd_dump_kernels(cfg)
-        if args.command == "reproduce":
-            # a setting the figure would override with another value fails
-            pins = _PINS[args.figure]
-            clash = [f"{key} = {pins[key]!r} (got {val!r})"
-                     for key, val in settings.items() if key in pins and val != pins[key]]
-            if clash:
-                raise ConfigurationError(f"reproduce {args.figure} pins " + ", ".join(clash))
-            return cmd_reproduce(cfg, args.figure)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        # reproduce: a setting the figure would override with another value fails
+        pins = _PINS[args.figure]
+        clash = [f"{key} = {pins[key]!r} (got {val!r})"
+                 for key, val in settings.items() if key in pins and val != pins[key]]
+        if clash:
+            raise ConfigurationError(f"reproduce {args.figure} pins " + ", ".join(clash))
+        return cmd_reproduce(cfg, args.figure)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"qtherm: error: {exc}", file=sys.stderr)
         return 1

@@ -280,11 +280,10 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     if failed is not None:
         m, i, norm2 = failed
         cfg = cfgs[m]
-        t = float(kernel_sets[m].grid[i])
         raise IntegrationError(
-            f"Bloch norm left the unit ball at t={t:g} "
+            f"Bloch norm left the unit ball at t={kernel_sets[m].grid[i]:g} "
             f"(|D|^2 = {norm2:.6g}; alpha={cfg.alpha:g}, T={cfg.T:g}, "
-            f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})", t=t)
+            f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})")
     return [Trajectory(grid=ks.grid, states=states[m], config=cfg)
             for m, (cfg, ks) in enumerate(zip(cfgs, kernel_sets))]
 

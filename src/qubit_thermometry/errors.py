@@ -15,11 +15,8 @@ class QuadratureError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The Bloch trajectory left the physical ball beyond the allowed slack."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    """The Bloch trajectory left the physical ball beyond the allowed slack;
+    the message names the time, |D|^2, alpha, T, epsilon, eta and dt."""
 
 
 class NumericError(RuntimeError):

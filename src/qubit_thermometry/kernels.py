@@ -235,7 +235,8 @@ def _time_domain(params: KernelParams, n_half: int, h: float) -> dict:
 
 def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
     """coth(w/2T) on positive nodes, switching to the Laurent series
-    coth(w/2T) = 2T/w + w/6T - w^3/360T^3 below 1e-3*min(T, omega_c)."""
+    coth(w/2T) = 2T/w + w/6T - w^3/360T^3 below 1e-3*min(T, omega_c); a T
+    whose cube overflows (T > ~5.6e102) raises DomainError."""
     if T == 0.0:
         return np.ones_like(omega)
     coth = 1.0 / np.tanh(omega / (2.0 * T))
@@ -243,7 +244,10 @@ def _thermal_weight(omega: np.ndarray, T: float, omega_c: float) -> np.ndarray:
     small = omega < w_small
     if np.any(small):
         om = omega[small]
-        coth[small] = 2.0 * T / om + om / (6.0 * T) - om**3 / (360.0 * T**3)
+        try:
+            coth[small] = 2.0 * T / om + om / (6.0 * T) - om**3 / (360.0 * T**3)
+        except OverflowError:
+            raise DomainError(f"thermal weight overflows at T={T}: T^3 > float max") from None
     return coth
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "MetrologyResult",
     "qfi",
     "cfi",
-    "qcrb",
     "markov_comparator",
     "stencil_scans",
     "loglog_slope",
@@ -57,7 +56,8 @@ _REL_STEP = 1e-7
 @dataclass
 class MetrologyResult:
     """Fisher quantities of one (probing time, temperature, mixing) point;
-    ``qcrb`` is the single-shot bound of ``qfi``."""
+    ``qcrb`` is the single-shot Cramer-Rao bound on the temperature
+    deviation, 1/sqrt(qfi), and inf at qfi = 0."""
 
     t: float
     T: float
@@ -78,7 +78,7 @@ class MetrologyResult:
 
     @property
     def qcrb(self) -> float:
-        return qcrb(self.qfi)
+        return math.inf if self.qfi == 0.0 else 1.0 / math.sqrt(self.qfi)
 
 
 def _stencil_bundle(params: KernelParams, t_end: float, dt: float,
@@ -145,15 +145,6 @@ def cfi(observable: str, delta, ddelta) -> float:
         raise NumericError(
             f"measurement Fisher information diverges at |D_{observable}| = {abs(D)}")
     return d * d / (1.0 - D * D)
-
-
-def qcrb(fisher: float) -> float:
-    """Single-shot Cramer-Rao bound on the temperature deviation, 1/sqrt(F)."""
-    if fisher < 0.0:
-        raise DomainError(f"Fisher information must be >= 0, got {fisher}")
-    if fisher == 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(fisher)
 
 
 def markov_comparator(epsilon: float, T: float) -> float:

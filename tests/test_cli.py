@@ -394,6 +394,20 @@ def test_sweep_temperature_with_subnormal_step_fails(tmp_path, capsys, temp_min)
     assert f"got T={float(temp_min)}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,args,T", [
+    ("sweep-alpha", ("--temp", "6e102", "--alpha-count", "2"), "6e+102"),
+    ("sweep-temperature", ("--temp-min", "1e110", "--temp-max", "2e110", "--temp-count", "2"),
+     "1e+110"),
+], ids=["sweep-alpha", "sweep-temperature"])
+def test_stencil_temperature_whose_cube_overflows_fails(tmp_path, capsys, command, args, T):
+    # T**3 in the thermal weight's series term w^3/360T^3 overflows a float:
+    # one error line naming T, no traceback
+    assert run_cli(command, *args, "--times", "1", "--t-end", "1", "--dt", "0.5",
+                   "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"qtherm: error: thermal weight overflows at T={T}: T^3 > float max\n"
+
+
 def test_fig3_single_temperature(tmp_path):
     # one temperature puts a single value on both log axes of the SVGs
     assert run_cli("reproduce", "fig3", "--temp-count", "1", "--temp-min", "0.03",
@@ -522,6 +536,22 @@ def test_fig1_equator_off_the_alpha_grid(tmp_path):
                        "--out", str(tmp_path / count)) == 0
     assert ((tmp_path / "21" / "fig1_equator.svg").read_bytes()
             == (tmp_path / "4" / "fig1_equator.svg").read_bytes())
+
+
+@pytest.mark.parametrize("command,args", [
+    ("sweep-alpha", ("--alpha-count", "2")),
+    ("sweep-temperature", ("--temp-count", "2")),
+])
+def test_sweep_svg_into_new_nested_dir_reports_each_file_once(tmp_path, capsys, command,
+                                                               args):
+    # the writers make the output directory; every file in it is reported
+    # by exactly one "wrote" line, and nothing else is printed
+    out = tmp_path / "a" / "b"
+    assert run_cli(command, *args, "--svg", "--times", "1", "--t-end", "1", "--dt", "0.05",
+                   "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert sorted(lines) == sorted(f"wrote {out / name}" for name in os.listdir(out))
 
 
 def test_svg_output_is_valid_xml(tmp_path):

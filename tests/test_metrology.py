@@ -17,7 +17,6 @@ from qubit_thermometry import (
     integrate,
     integrate_lanes,
     markov_comparator,
-    qcrb,
     qfi,
 )
 from qubit_thermometry import kernels, metrology
@@ -115,11 +114,13 @@ def test_cfi_never_exceeds_qfi(dx, dy, dz, gx, gy, gz):
 
 
 def test_qcrb():
-    assert qcrb(4.0) == 0.5
-    assert qcrb(100.0) == pytest.approx(0.1, rel=1e-15)
-    assert qcrb(0.0) == math.inf
-    with pytest.raises(DomainError):
-        qcrb(-1.0)
+    # negative qfi is rejected on construction (test_metrology_result_invariants)
+    def bound(f):
+        return MetrologyResult(t=1.0, T=0.2, alpha=0.5, qfi=f, cfi_x=0.0, cfi_z=0.0,
+                               markov_fisher=0.0).qcrb
+    assert bound(4.0) == 0.5
+    assert bound(100.0) == pytest.approx(0.1, rel=1e-15)
+    assert bound(0.0) == math.inf
 
 
 def test_markov_comparator():

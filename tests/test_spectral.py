@@ -67,6 +67,19 @@ def test_thermal_weight_branches_agree_at_switch(T, omega_c):
     np.testing.assert_allclose(got, laurent, rtol=1e-13, atol=0.0)
 
 
+def test_thermal_weight_fails_where_the_series_cube_overflows():
+    # 5.643803094122361e102 is the largest float whose cube is finite: the
+    # series keeps its bits there, and the next float up fails naming T
+    w = np.array([1e-6, 1e-4])
+    T = 5.643803094122361e102
+    series = 2.0 * T / w + w / (6.0 * T) - w**3 / (360.0 * T**3)
+    assert np.array_equal(_thermal_weight(w, T, 1.0), series)
+    T_up = math.nextafter(T, math.inf)
+    with pytest.raises(DomainError) as err:
+        _thermal_weight(w, T_up, 1.0)
+    assert str(err.value) == f"thermal weight overflows at T={T_up}: T^3 > float max"
+
+
 @given(st.floats(0.01, 50.0), st.floats(0.001, 50.0))
 def test_thermal_factor_exceeds_one(omega, T):
     # coth saturates to 1.0 in float64 once omega/2T is large
