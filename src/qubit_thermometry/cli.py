@@ -115,7 +115,7 @@ def _times(raw: str) -> tuple:
 
 def _write_csv(path, header, rows, footer_lines=()):
     """Write ``rows`` of numbers with 17 significant digits, then report it."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -127,7 +127,7 @@ def _write_csv(path, header, rows, footer_lines=()):
 
 def _write_svg(plot, path):
     """Render ``plot`` to ``path``, then report it."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     plot.write(path)
     print(f"wrote {path}")
 

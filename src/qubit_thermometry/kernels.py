@@ -72,8 +72,9 @@ R, K, X at each extra temperature are reduced in the same pass, against the
 same trigonometric arrays and on the mesh accepted at the base temperature,
 so the shifted kernels are smooth in T (as the stencil needs).  Each band
 stacks its node coefficients, for every temperature, into one matrix paired
-with sin(t w) and one paired with cos(t w); each is reduced in cache-sized
-blocks of time rows, every entry a fixed-order length-N sum.
+with sin(t w) and one paired with cos(t w).  The trigonometric arrays are
+formed a sub-block of times at a time and reduced in cache-sized blocks of
+time and coefficient rows, every entry a fixed-order length-N sum.
 """
 
 from __future__ import annotations
@@ -98,12 +99,26 @@ KERNEL_NAMES = ("R", "K", "L", "X", "F", "G")
 # Kernels carrying the coth(w/2T) occupation factor; the rest are T-independent.
 THERMAL_KERNELS = ("R", "K", "X")
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# numpy.polynomial.legendre.leggauss(8), whose import costs ~1.7 MB and ~5 ms
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
+
+
+def _legendre(k: int, x: np.ndarray) -> np.ndarray:
+    """P_k(x) by the Clenshaw recursion of numpy's ``legval`` on the
+    coefficients [0] * k + [1], operation for operation."""
+    c0, c1 = (0.0, 1.0) if k else (1.0, 0.0)
+    for nd in range(k, 1, -1):
+        c0, c1 = 0.0 - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 # Discrete Legendre projections c_k of the degree-7 interpolant on a panel.
-_PROJ = np.stack([
-    (k + 0.5) * _GL_W * np.polynomial.legendre.legval(_GL_X, [0.0] * k + [1.0])
-    for k in range(8)
-])
+_PROJ = np.stack([(k + 0.5) * _GL_W * _legendre(k, _GL_X) for k in range(8)])
 
 # Per-kernel tolerance: err <= max(_ABS_TOL, _REL_TOL * |value|).
 _REL_TOL = 1e-9
@@ -118,13 +133,15 @@ _PANELS_PER_OSCILLATION = 4
 _RESONANCE_GUARD = 1e-4
 _OSC_INFLATE = 8.0        # modulation allowance on the pure-oscillation error
 _MAX_HALVINGS = 6
-# times x nodes per chunk: 2 MB per (nt, N) array, so the sin and cos work
-# arrays of one thread take ~4 MB
+# times x nodes per chunk, the unit of the error estimate and assembly
 _CHUNK_ELEMENTS = 262_144
-# Gauss nodes per block of the time-domain pass: 512 kB per complex array
-_STEP_BLOCK_NODES = 32_768
+# times x nodes per trigonometric sub-block of a chunk: the sin and cos work
+# arrays of one thread take 512 kB each (at least one time row)
+_TRIG_BLOCK_ELEMENTS = 65_536
+# Gauss nodes per block of the time-domain pass: 64 kB per complex array
+_STEP_BLOCK_NODES = 4_096
 # time rows x coefficient rows x nodes per stacked reduction: the products
-# go through a 256 kB buffer that stays in cache (at least one time row)
+# go through a 256 kB buffer that stays in cache (at least one row of nodes)
 _ROW_BLOCK_ELEMENTS = 32_768
 
 
@@ -210,20 +227,26 @@ def _time_domain(params: KernelParams, n_half: int, h: float) -> dict:
     # misses by 3e-7 at dt = 5 and by 2.6e-3 at omega_c = 4, dt = 5
     panels = math.ceil(2.0 * max(sd.omega_c, eps) * h)
     width = h / panels
-    offsets = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) * width).ravel()
-    weights = np.tile(0.5 * width * _GL_W, panels)
     steps = {name: np.empty(n_half) for name in KERNEL_NAMES}
-    # a block of steps at a time keeps the work arrays small; every step's
-    # sum is the same whatever the block size
-    block = max(1, _STEP_BLOCK_NODES // offsets.size)
-    for lo in range(0, n_half, block):
-        rows = slice(lo, min(lo + block, n_half))
-        s = np.arange(rows.start, rows.stop)[:, None] * h + offsets
-        nu, mu = (r * weights for r in _correlations(s, sd, params.T))
-        c, sn = np.cos(eps * s), np.sin(eps * s)
-        for name, rate in (("R", nu), ("K", c * nu), ("L", mu), ("X", sn * nu),
-                           ("F", c * mu), ("G", sn * mu)):
-            rate.sum(axis=1, out=steps[name][rows])
+    # a step with more nodes than a block is summed in groups of whole
+    # panels, the group sums added in order; a step that fits is one group
+    group = min(panels, max(1, _STEP_BLOCK_NODES // _GL_X.size))
+    for p0 in range(0, panels, group):
+        idx = np.arange(p0, min(p0 + group, panels))
+        offsets = ((idx[:, None] + 0.5 * (1.0 + _GL_X)) * width).ravel()
+        weights = np.tile(0.5 * width * _GL_W, idx.size)
+        # a block of steps at a time keeps the work arrays small; every
+        # step's sum is the same whatever the block size
+        block = max(1, _STEP_BLOCK_NODES // offsets.size)
+        for lo in range(0, n_half, block):
+            rows = slice(lo, min(lo + block, n_half))
+            s = np.arange(rows.start, rows.stop)[:, None] * h + offsets
+            nu, mu = (r * weights for r in _correlations(s, sd, params.T))
+            c, sn = np.cos(eps * s), np.sin(eps * s)
+            for name, rate in (("R", nu), ("K", c * nu), ("L", mu), ("X", sn * nu),
+                               ("F", c * mu), ("G", sn * mu)):
+                total = rate.sum(axis=1)
+                steps[name][rows] = steps[name][rows] + total if p0 else total
     out = {}
     for name in KERNEL_NAMES:
         acc = np.zeros(n_half + 1)
@@ -259,14 +282,18 @@ def _sum_nodes(vec: np.ndarray, trig: np.ndarray) -> np.ndarray:
 
 def _reduce_rows(trig: np.ndarray, rows: np.ndarray, out: np.ndarray, buf: np.ndarray):
     """out[i, r] = sum_j rows[r, j] * trig[i, j] for (nt, N) ``trig`` and
-    (m, N) ``rows``, a block of time rows at a time through the flat
-    ``buf``; each entry is the same length-N sum as ``_sum_nodes`` gives."""
+    (m, N) ``rows``, a block of time and coefficient rows at a time through
+    the flat ``buf`` of max(_ROW_BLOCK_ELEMENTS, N) elements; each entry is
+    the same length-N sum as ``_sum_nodes`` gives."""
     m, n = rows.shape
-    k = max(1, _ROW_BLOCK_ELEMENTS // (m * n))
+    mr = min(m, max(1, _ROW_BLOCK_ELEMENTS // n))
+    k = max(1, _ROW_BLOCK_ELEMENTS // (mr * n))
     for lo in range(0, trig.shape[0], k):
         blk = trig[lo:lo + k, None, :]
-        prod = buf[:blk.shape[0] * m * n].reshape(blk.shape[0], m, n)
-        np.multiply(blk, rows[None], out=prod).sum(axis=2, out=out[lo:lo + k])
+        for r in range(0, m, mr):
+            sub = rows[r:r + mr]
+            prod = buf[:blk.shape[0] * sub.size].reshape(blk.shape[0], len(sub), n)
+            np.multiply(blk, sub[None], out=prod).sum(axis=2, out=out[lo:lo + k, r:r + mr])
 
 
 class _Band:
@@ -510,20 +537,24 @@ class _KernelEngine:
         six kernel values, then R, K, X at each of ``temps``; ``errs`` the
         error estimates; ``bad`` the rejected rows.
 
-        ``work`` holds two flat arrays of at least ts.size * N elements that
-        receive sin(t w) and cos(t w) (t*w is written into the cos array
-        first), and the flat product buffer of the stacked reductions, of at
-        least max(_ROW_BLOCK_ELEMENTS, rows_S.size) elements.
+        ``work`` holds two flat arrays of at least max(_TRIG_BLOCK_ELEMENTS,
+        N) elements that receive sin(t w) and cos(t w) for a sub-block of
+        times (t*w is written into the cos array first), and the flat
+        product buffer of the stacked reductions, of at least
+        max(_ROW_BLOCK_ELEMENTS, N) elements.
         """
-        shape = (ts.size, band.omega.size)
-        S, C = (w[:math.prod(shape)].reshape(shape) for w in work[:2])
-        np.multiply(ts[:, None], band.omega[None, :], out=C)
-        np.sin(C, out=S)
-        np.cos(C, out=C)
+        n = band.omega.size
         red_S = np.empty((ts.size, len(band.rows_S)))
         red_C = np.empty((ts.size, len(band.rows_C)))
-        _reduce_rows(S, band.rows_S, red_S, work[2])
-        _reduce_rows(C, band.rows_C, red_C, work[2])
+        step = max(1, _TRIG_BLOCK_ELEMENTS // n)
+        for lo in range(0, ts.size, step):
+            blk = ts[lo:lo + step]
+            S, C = (w[:blk.size * n].reshape(blk.size, n) for w in work[:2])
+            np.multiply(blk[:, None], band.omega[None, :], out=C)
+            np.sin(C, out=S)
+            np.cos(C, out=C)
+            _reduce_rows(S, band.rows_S, red_S[lo:lo + step], work[2])
+            _reduce_rows(C, band.rows_C, red_C[lo:lo + step], work[2])
         st = np.sin(self.eps * ts)
         ct = np.cos(self.eps * ts)
         # resonance-window factors: of J*coth for K, X and of J for F, G
@@ -625,12 +656,11 @@ class _KernelEngine:
                 for lo in range(0, idx.size, chunk):
                     sel = idx[lo:lo + chunk]
                     tsel = ts[sel]
-                    need = sel.size * nodes
-                    row = len(band.rows_S) * nodes
-                    if not work or work[0].size < need or work[2].size < row:
-                        trig = max(need, _CHUNK_ELEMENTS)
+                    if not work or min(w.size for w in work) < nodes:
+                        work = None  # free the old arrays before allocating
+                        trig = max(nodes, _TRIG_BLOCK_ELEMENTS)
                         work = [np.empty(trig), np.empty(trig),
-                                np.empty(max(row, _ROW_BLOCK_ELEMENTS))]
+                                np.empty(max(nodes, _ROW_BLOCK_ELEMENTS))]
                     sets, errs, bad = self._eval_chunk(band, tsel, work)
                     good = ~bad
                     for dst, src in zip(out, sets):

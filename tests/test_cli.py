@@ -237,10 +237,10 @@ def _python(code, env=None):
 def test_cli_import_leaves_out_slow_stdlib_modules():
     # multiprocessing and concurrent.futures load only when a pool opens;
     # xml.sax and urllib.request (with http.client) would add 60-100 ms to
-    # every start-up, numpy.ma ~9 ms
+    # every start-up, numpy.ma ~9 ms, numpy.polynomial ~5 ms and ~1.7 MB
     code = ("import sys, qubit_thermometry.cli; print(sorted(m for m in "
             "('multiprocessing', 'concurrent.futures', 'xml.sax', 'urllib.request', "
-            "'numpy.ma') if m in sys.modules))")
+            "'numpy.ma', 'numpy.polynomial') if m in sys.modules))")
     assert _python(code) == "[]"
 
 
@@ -552,6 +552,15 @@ def test_sweep_svg_into_new_nested_dir_reports_each_file_once(tmp_path, capsys, 
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert sorted(lines) == sorted(f"wrote {out / name}" for name in os.listdir(out))
+
+
+def test_empty_out_writes_into_current_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("trajectory", "--t-end", "1", "--dt", "0.5", "--svg", "--out", "") == 0
+    assert sorted(os.listdir(tmp_path)) == ["trajectory.csv", "trajectory.svg",
+                                            "trajectory_equator.svg"]
+    assert sorted(capsys.readouterr().out.splitlines()) == [
+        "wrote trajectory.csv", "wrote trajectory.svg", "wrote trajectory_equator.svg"]
 
 
 def test_svg_output_is_valid_xml(tmp_path):

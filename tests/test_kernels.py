@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -312,6 +313,16 @@ def test_gauss_legendre_8_against_16(monkeypatch, omega_c, eps, T, dt):
         assert np.max(np.abs(gap)) <= 1e-14
 
 
+def test_quadrature_constants_match_numpy_polynomial():
+    # the literals and the Clenshaw recursion against numpy.polynomial, 0 ulp
+    x, w = np.polynomial.legendre.leggauss(8)
+    proj = np.stack([(k + 0.5) * w * np.polynomial.legendre.legval(x, [0.0] * k + [1.0])
+                     for k in range(8)])
+    for got, want in ((kernels._GL_X, x), (kernels._GL_W, w), (kernels._PROJ, proj)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_step_block_does_not_change_values(params, monkeypatch):
     # one half step per block, then every step in one block, against the
     # default blocking, 0 ulp
@@ -323,6 +334,62 @@ def test_step_block_does_not_change_values(params, monkeypatch):
         for name in KERNEL_NAMES:
             assert np.array_equal(a.values[name], b.values[name])
             assert np.array_equal(a.half_values[name], b.half_values[name])
+
+
+def test_wide_step_summed_in_panel_groups(sd, monkeypatch):
+    # at eps = 1e4 a half step of 0.25 has 40,000 Gauss nodes, ~10 blocks:
+    # the group sums agree with the unsplit sum to rounding
+    p = KernelParams(sd=sd, epsilon=1e4, T=0.2)
+    a = precompute(p, 1.0, 0.5)
+    monkeypatch.setattr(kernels, "_STEP_BLOCK_NODES", 10**9)
+    b = precompute(p, 1.0, 0.5)
+    for name in KERNEL_NAMES:
+        want = _interleaved(b, name)
+        gap = np.abs(_interleaved(a, name) - want)
+        assert np.max(gap) <= 1e-13 * np.max(np.abs(want))
+
+
+def _traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_step_work_arrays_stay_bounded(sd):
+    # a half step of 400,000 nodes (eps = 1e5, dt = 0.5): measured 0.90 MB
+    # in groups of whole panels, 76 MB as one block
+    p = KernelParams(sd=sd, epsilon=1e5, T=0.2)
+    assert _traced_peak(lambda: precompute(p, 1.0, 0.5)) < 1.2e6
+
+
+def test_time_domain_pass_work_arrays_stay_bounded(params):
+    # fig1's pass (t_end 200, dt 0.05): measured 1.24 MB with 4,096-node
+    # blocks, 0.42 MB of it the returned set; 32,768-node blocks reach 6.2 MB
+    assert _traced_peak(lambda: precompute(params, 200.0, 0.05)) < 1.6e6
+
+
+def test_frequency_pass_work_arrays_stay_bounded(params):
+    # fig2's stencil pass (t_end 50, dt 0.05, four shifted temperatures):
+    # measured 5.56 MB with 65,536-element trig sub-blocks, 8.70 MB with
+    # whole-chunk ones (the product buffer is bounded by the test below)
+    temps = _stencil_temps(params.T)
+    assert _traced_peak(lambda: frequency_pass(params, 50.0, 0.05, temps)) < 6.5e6
+
+
+@pytest.mark.parametrize("m,n", [(11, 40_000), (11, 7_168), (7, 920), (1, 3)])
+def test_reduce_rows_products_fit_the_block(m, n):
+    # a buffer of max(_ROW_BLOCK_ELEMENTS, N) elements holds every block of
+    # products, and each entry is the single-row sum, 0 ulp
+    rng = np.random.default_rng(7)
+    trig, rows = rng.standard_normal((5, n)), rng.standard_normal((m, n))
+    out = np.empty((5, m))
+    kernels._reduce_rows(trig, rows, out, np.empty(max(kernels._ROW_BLOCK_ELEMENTS, n)))
+    for r in range(m):
+        assert np.array_equal(out[:, r], kernels._sum_nodes(rows[r], trig))
 
 
 @pytest.mark.parametrize("omega_c,eps,T", [(1.0, 0.5, 0.2), (4.0, 2.0, 0.01), (1.0, 0.0, 0.5)])
@@ -480,13 +547,13 @@ def test_shifted_sets_independent_of_worker_count(params):
 
 
 def test_chunk_size_does_not_change_values(params, monkeypatch):
-    # one time row per chunk, then one time row per stacked reduction block,
-    # against the default blocking, 0 ulp
+    # one time row per chunk, then per trig sub-block, then one time row and
+    # one coefficient row per reduction block, against the default, 0 ulp
     temps = _stencil_temps(params.T)
     a = frequency_pass(params, 10.0, 0.05, temps)
     a_lv = _pass_levels(params, 10.0, 0.05, temps)
     assert a_lv[0].max() > 0 and a_lv[1].max() > 0  # refined rows covered
-    for constant in ("_CHUNK_ELEMENTS", "_ROW_BLOCK_ELEMENTS"):
+    for constant in ("_CHUNK_ELEMENTS", "_TRIG_BLOCK_ELEMENTS", "_ROW_BLOCK_ELEMENTS"):
         with monkeypatch.context() as patch:
             patch.setattr(kernels, constant, 1)
             b = frequency_pass(params, 10.0, 0.05, temps)
