@@ -16,8 +16,8 @@ its trajectories, with their temperature-shifted stencil lanes, in one
 ``integrate_lanes`` call in this process.  ``--workers`` is handed to
 ``metrology.stencil_scans``: the process pool in which the temperature
 sweep builds each temperature's kernels, or the threads of a lone stencil
-kernel pass; outputs are assembled in sweep order and do not depend on the
-worker count.
+kernel pass, either capped at the usable cores; outputs are assembled in
+sweep order and do not depend on the worker count.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
 it: OpenBLAS would start one thread per core, ~0.1 s of every start-up, for
@@ -253,10 +253,12 @@ def cmd_reproduce(cfg: RunConfig, which: str) -> int:
         missing = [a for a in shown if a not in trajs]  # off a custom alpha grid
         trajs.update(zip(missing, integrate_lanes(
             [fig_cfg.probe(alpha=a) for a in missing], [ks] * len(missing))))
+        # each path runs through the last grid time <= 50, by index_of's 1e-9
+        # rule; a dt need not divide 50
+        n_show = int(np.searchsorted(ks.grid, 50.0 * (1.0 + 1e-9), side="right"))
         eq = LinePlot(title="equatorial Bloch path", xlabel="Dx", ylabel="Dy")
         for alpha in shown:
             traj = trajs[alpha]
-            n_show = traj.config.index_of(50.0) + 1
             eq.add(traj.dx[:n_show], traj.dy[:n_show], label=f"alpha={alpha:g}")
         _write_svg(eq, os.path.join(fig_cfg.out_dir, "fig1_equator.svg"))
         return 0

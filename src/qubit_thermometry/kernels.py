@@ -36,9 +36,11 @@ Frequency-domain pass (``frequency_pass``: the temperature stencil of
 ``metrology``).  Each kernel is a frequency integral at every
 time, by composite 8-point Gauss-Legendre at one fixed configuration (the
 ``_REL_TOL`` ... ``_RESONANCE_GUARD`` constants below).  The stencil
-divides kernel differences by a step of 1e-7 T, so any change in the
-kernels' bits moves its derivative by ~1e-6: it keeps this pass until an
-exact temperature derivative replaces the stencil and its reference
+divides kernel differences by a step of 1e-7 T, which magnifies any change
+in the kernels' last bits: the time-domain pass's kernels, at most 3.2e-12
+from this pass's (relative to each kernel's peak), move fig2's QFI by up to
+5.0e-6 and fig3's by up to 1.34e-4, relative.  The stencil keeps this pass
+until an exact temperature derivative replaces it and its reference
 outputs are re-frozen.  Every resonant numerator vanishes at w = e, so
 the singularity is removable.  We never evaluate the raw ratio:
 product-to-sum identities reduce every resonant integrand to combinations

@@ -25,6 +25,7 @@ as the comparator that collapses exponentially at low temperature.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -170,6 +171,15 @@ def markov_comparator(epsilon: float, T: float) -> float:
     return epsilon**2 * boltzmann / (2.0 * quartic)
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, else the machine's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def stencil_scans(probes, times, workers: int = 1) -> tuple:
     """Base trajectory and ``MetrologyResult`` at each probing time of every
     probe.
@@ -178,12 +188,15 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     alpha) share one stencil bundle.  With more than one bundle and
     ``workers`` > 1 the bundles are built in a pool of ``workers``
     processes; otherwise each pass splits its time axis over ``workers``
-    threads.  Either way the results do not depend on ``workers``.  The
-    five lanes of every probe are then integrated in one ``integrate_lanes``
-    call.  Before any kernel is built, probes on different (dt, t_end) grids
-    raise ConfigurationError, and a probing time below 0, beyond t_end or
-    off the dt grid raises DomainError (``ProbeConfig.index_of``).
+    threads, ``workers`` first capped at the usable cores so that no pool
+    outgrows them.  Either way the results do not depend on ``workers``.
+    The five lanes of every probe are then integrated in one
+    ``integrate_lanes`` call.  Before any kernel is built, probes on
+    different (dt, t_end) grids raise ConfigurationError, and a probing time
+    below 0, beyond t_end or off the dt grid raises DomainError
+    (``ProbeConfig.index_of``).
     """
+    workers = min(workers, _usable_cores())
     check_shared_grid(probes)
     steps = [probes[0].index_of(t) for t in times] if probes else []
     keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]

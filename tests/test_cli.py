@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -220,10 +222,48 @@ def test_workers_byte_identical_under_start_method(tmp_path, command, method):
         env=_package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     # the alpha sweep steps its lanes in one process; the temperature sweep
-    # builds each temperature's stencil bundle in the pool
-    pools = 0 if command == "sweep-alpha" else 1
+    # builds each temperature's stencil bundle in the pool, which needs two
+    # usable cores: --workers is capped at them
+    pools = 1 if command == "sweep-temperature" and metrology._usable_cores() > 1 else 0
     assert f"pools={pools}" in proc.stdout
     assert _sweep_csv(par, command) == _sweep_csv(seq, command)
+
+
+def _stand_in_pool(kind, opened):
+    """An executor class that records ``(kind, max_workers)`` in ``opened``
+    and maps in the calling thread, starting no thread or process."""
+    class Pool:
+        def __init__(self, max_workers=None):
+            opened.append((kind, max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    return Pool
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_pools_capped_at_usable_cores(tmp_path, monkeypatch, command):
+    # --workers 10000 opens one pool no wider than the usable cores: the
+    # alpha sweep's lone stencil pass splits over threads, the temperature
+    # sweep builds its 3 bundles in processes; with one core neither opens
+    opened = []
+    for kind in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, kind, _stand_in_pool(kind, opened))
+    big, one = str(tmp_path / "big"), str(tmp_path / "one")
+    assert run_cli(*SWEEPS[command], "--out", big, "--workers", "10000") == 0
+    cores = metrology._usable_cores()
+    pool = (("ThreadPoolExecutor", cores) if command == "sweep-alpha"
+            else ("ProcessPoolExecutor", min(cores, 3)))
+    assert opened == ([pool] if cores > 1 else [])
+    assert run_cli(*SWEEPS[command], "--out", one, "--workers", "1") == 0
+    assert _sweep_csv(big, command) == _sweep_csv(one, command)
 
 
 def _python(code, env=None):
@@ -536,6 +576,15 @@ def test_fig1_equator_off_the_alpha_grid(tmp_path):
                        "--out", str(tmp_path / count)) == 0
     assert ((tmp_path / "21" / "fig1_equator.svg").read_bytes()
             == (tmp_path / "4" / "fig1_equator.svg").read_bytes())
+
+
+def test_fig1_equator_at_a_dt_off_its_horizon(tmp_path):
+    # dt = 0.8 divides fig1's t_end of 200 but not the equator plot's 50:
+    # each path runs through the last grid time <= 50, t = 49.6 (63 points)
+    assert run_cli("reproduce", "fig1", "--dt", "0.8", "--out", str(tmp_path)) == 0
+    svg = (tmp_path / "fig1_equator.svg").read_text()
+    paths = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert [len(p.split()) for p in paths] == [63, 63, 63]
 
 
 @pytest.mark.parametrize("command,args", [
