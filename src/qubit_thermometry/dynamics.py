@@ -97,8 +97,10 @@ class ProbeConfig:
 
 @dataclass
 class Trajectory:
-    """Bloch vector sampled on the integration grid; ``states[i]`` is
-    (Dx, Dy, Dz) at ``grid[i]`` and ``states[0]`` equals the initial state."""
+    """Bloch vector sampled on the integration grid, or on the rows of it
+    that ``integrate_lanes`` was asked to keep; ``states[i]`` is (Dx, Dy,
+    Dz) at ``grid[i]``, and on the whole grid ``states[0]`` equals the
+    initial state."""
 
     grid: np.ndarray
     states: np.ndarray
@@ -162,7 +164,7 @@ def _term_tables(tables: list, idx: np.ndarray, steps: slice, eps, aa, am2, a2) 
     return coef, kern
 
 
-def integrate_lanes(cfgs, kernel_sets) -> list:
+def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     """Classical fixed-step RK4 of many lanes over one shared kernel grid.
 
     Lane ``j`` integrates ``cfgs[j]`` on ``kernel_sets[j]``; lanes may differ
@@ -181,22 +183,39 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     (``oracles.staged_rk4``) to the last bit, whatever the lanes, their
     order and the block size.
 
+    A block's states go into one (steps, 3, lanes) buffer, and only the
+    rows each lane keeps are copied out of it.  ``rows`` has one entry per
+    lane: None keeps every grid row, a sequence of grid indices keeps the
+    states at those indices alone, in its order (that lane's Trajectory
+    then has the kernel grid at those indices as its ``grid``).  The
+    default None keeps every row of every lane.  Every step of every lane
+    is taken and norm-checked, whichever rows it keeps.
+
     Raises IntegrationError if a lane's Bloch norm exceeds 1 +
     PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
     renormalizing it away): for the lowest-index such lane, at its first
     such step, with a message naming its alpha, T, epsilon, eta and dt.
-    Raises ConfigurationError for a kernel set that does not match its lane
-    or for lanes on different grids.
+    Raises ConfigurationError for a kernel set that does not match its lane,
+    for lanes on different grids or for ``rows`` of another length than
+    ``cfgs``, and DomainError for a kept row outside the grid.
     """
     cfgs, kernel_sets = list(cfgs), list(kernel_sets)
-    if len(cfgs) != len(kernel_sets):
+    rows = [None] * len(cfgs) if rows is None else list(rows)
+    if not (len(cfgs) == len(kernel_sets) == len(rows)):
         raise ConfigurationError(
-            f"{len(cfgs)} probe configs but {len(kernel_sets)} kernel sets")
+            f"{len(cfgs)} probe configs but {len(kernel_sets)} kernel sets "
+            f"and {len(rows)} row selections")
     for cfg, ks in zip(cfgs, kernel_sets):
         _check_kernelset(cfg, ks)
     check_shared_grid(cfgs)
     if not cfgs:
         return []
+    n_lanes, n_steps = len(cfgs), len(kernel_sets[0].grid) - 1
+    kept = {m: np.asarray(r, dtype=np.int64).reshape(-1)
+            for m, r in enumerate(rows) if r is not None}
+    for m, r in kept.items():
+        if r.size and not (0 <= r.min() and r.max() <= n_steps):
+            raise DomainError(f"rows kept for lane {m} must lie in [0, {n_steps}]")
     uniq = {id(ks): ks for ks in kernel_sets}  # each set once, in first-use order
     idx = np.array([list(uniq).index(id(ks)) for ks in kernel_sets])
     on_grid = [ks.values for ks in uniq.values()]
@@ -212,12 +231,29 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     half = 0.5 * dt
     sixth = dt / 6.0
     limit = 1.0 + PHYSICALITY_SLACK
-    n_lanes, n_steps = len(cfgs), len(kernel_sets[0].grid) - 1
-    states = np.empty((n_lanes, n_steps + 1, 3))
-    at = states.transpose(1, 2, 0)  # at[i] is the (3, lanes) state at grid[i]
+    # the lanes keeping every row, and their states; a slice when that is
+    # all of them, so copying a block out gathers no temporary (a fig1 run
+    # peaked 0.2-0.4 MB higher with the gather)
+    full = (np.array([m for m in range(n_lanes) if m not in kept], dtype=np.intp)
+            if kept else slice(None))
+    states = np.empty((n_lanes - len(kept), n_steps + 1, 3))
+    # the kept (step, lane) pairs by step; picked[order[q]] receives pair q
+    pick_step = np.concatenate([np.empty(0, np.int64), *kept.values()])
+    pick_lane = np.repeat(np.array(list(kept), dtype=np.intp), [r.size for r in kept.values()])
+    order = np.argsort(pick_step, kind="stable")
+    pick_step, pick_lane = pick_step[order], pick_lane[order]
+    picked = np.empty((order.size, 3))
+
+    def keep(i, block):
+        # the (n, 3, lanes) states of grid rows i ... i + n - 1, out to the
+        # lanes that keep them
+        states[:, i:i + len(block)] = block.transpose(2, 0, 1)[full]
+        q = slice(*np.searchsorted(pick_step, (i, i + len(block))))
+        picked[order[q]] = block[pick_step[q] - i, :, pick_lane[q]]
+
     s = np.ones((4, n_lanes))
     s[:3] = np.array([[float(c) for c in cfg.initial] for cfg in cfgs]).T
-    at[0] = s[:3]
+    keep(0, s[None, :3])
     u = np.ones((4, n_lanes))
     now, mid = s[:3], u[:3]  # the state and a stage's input
     k1, k2, k3, k4, tmp = (np.empty((3, n_lanes)) for _ in range(5))
@@ -225,6 +261,7 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
     p_kern, groups = p[6:], p.reshape(4, 3, n_lanes)  # groups: P0, off, P1, P2
     mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
     block = max(1, _BLOCK_LANE_STEPS // n_lanes)  # steps per block
+    buf = np.empty((min(block, n_steps), 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
 
     failed = None  # (lane, step, |D|^2) of the lowest-index lane out of the ball
     with np.errstate(all="ignore"):
@@ -234,8 +271,7 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
             on_h = zip(*_term_tables(on_half, idx, slice(i0, i1), *coefs))
             # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4); each
             # stage gathers w's products into p and reduces them to k = rhs(w)
-            for i, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(
-                    zip(on_g, on_h, on_g[1:]), start=i0 + 1):
+            for j, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(zip(on_g, on_h, on_g[1:])):
                 s.take(_GATHER, 0, p, "clip")
                 mul(p, c1, p)
                 mul(p_kern, r1, p_kern)
@@ -264,17 +300,18 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
                 add(now, k1, now)
-                at[i] = now
-            done = states[:, i0 + 1:i1 + 1]
-            x, y, z = done[..., 0], done[..., 1], done[..., 2]
+                buf[j] = now
+            done = buf[:i1 - i0]
+            keep(i0 + 1, done)
+            x, y, z = done[:, 0], done[:, 1], done[:, 2]
             n2 = x * x + y * y + z * z
             bad = ~(n2 <= limit)
-            lanes = np.flatnonzero(bad.any(axis=1))
+            lanes = np.flatnonzero(bad.any(axis=0))
             if lanes.size and (failed is None or lanes[0] < failed[0]):
                 # a lane below every earlier failure fails first in this block
                 m = int(lanes[0])
-                j = int(np.argmax(bad[m]))
-                failed = (m, i0 + 1 + j, float(n2[m, j]))
+                j = int(np.argmax(bad[:, m]))
+                failed = (m, i0 + 1 + j, float(n2[j, m]))
                 if m == 0:
                     break
     if failed is not None:
@@ -284,8 +321,16 @@ def integrate_lanes(cfgs, kernel_sets) -> list:
             f"Bloch norm left the unit ball at t={kernel_sets[m].grid[i]:g} "
             f"(|D|^2 = {norm2:.6g}; alpha={cfg.alpha:g}, T={cfg.T:g}, "
             f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})")
-    return [Trajectory(grid=ks.grid, states=states[m], config=cfg)
-            for m, (cfg, ks) in enumerate(zip(cfgs, kernel_sets))]
+    trajs, rest, lo = [], iter(states), 0
+    for m, (cfg, ks) in enumerate(zip(cfgs, kernel_sets)):
+        if m in kept:
+            r = kept[m]
+            trajs.append(Trajectory(grid=ks.grid[r], states=picked[lo:lo + r.size],
+                                    config=cfg))
+            lo += r.size
+        else:
+            trajs.append(Trajectory(grid=ks.grid, states=next(rest), config=cfg))
+    return trajs
 
 
 def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:

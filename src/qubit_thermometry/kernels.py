@@ -352,8 +352,10 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 class _KernelEngine:
     """Evaluates the six kernels at arbitrary times for one ``params``, and
-    R, K, X at each of the extra temperatures ``temps``, caching per-band
-    geometry and coefficients."""
+    R, K, X at each of the extra temperatures ``temps``.  It keeps no mesh
+    band between calls: each ``evaluate`` builds a band's geometry and
+    coefficients when its sweep reaches the band and releases them after,
+    so threads may share one engine."""
 
     def __init__(self, params: KernelParams, temps=()):
         self.params = params
@@ -367,7 +369,6 @@ class _KernelEngine:
                 raise DomainError(f"shifted temperature must be > 0, got {T}")
         self.w0 = self.omega_c / 4.0
         self.w_near = max(_RESONANCE_GUARD, self.omega_c / 16.0)
-        self._bands: dict = {}
         self._cut, self.tail_bound = self._choose_cut()
 
     # -- mesh geometry -------------------------------------------------------
@@ -419,9 +420,6 @@ class _KernelEngine:
     # -- band construction -----------------------------------------------------
 
     def _band(self, k: int) -> _Band:
-        band = self._bands.get(k)
-        if band is not None:
-            return band
         bounds = self._bounds(k)
         centers = 0.5 * (bounds[1:] + bounds[:-1])
         halfw = 0.5 * (bounds[1:] - bounds[:-1])
@@ -450,20 +448,31 @@ class _KernelEngine:
 
         b = _Band()
         b.omega = omega
-        # (E*coth, J*coth) at the base temperature, then at each of ``temps``
-        th = [self._thermal(omega, E, T) for T in (self.T,) + self.temps]
-        btil = th[0][1]                  # J * coth at T
+        nT = 1 + len(self.temps)
+        b.rows_S = rows_S = np.empty((2 * nT + 1, omega.size))
+        b.rows_C = rows_C = np.empty((nT + 2, omega.size))
+        b.p_btil = []
+        # wq * E*coth, wq * (J*coth * i2_dif) and wq * (J*coth * i2_sum) at
+        # the base temperature, then at each of ``temps``, one coth at a time
+        for j, T in enumerate((self.T,) + self.temps):
+            coth = _thermal_weight(omega, T, self.omega_c)
+            np.multiply(E, coth, out=rows_S[2 * j])
+            np.multiply(wq, rows_S[2 * j], out=rows_S[2 * j])
+            bt = np.multiply(jtil, coth, out=coth)  # J * coth
+            for row, i2 in ((rows_S[2 * j + 1], i2_dif), (rows_C[j], i2_sum)):
+                np.multiply(bt, i2, out=row)
+                np.multiply(wq, row, out=row)
+            b.p_btil.append(bt[idx])
+            if j == 0:
+                btil = bt                # J * coth at T
         sL = E
-        sP = btil * i2_sum
-        sQ = btil * i2_dif
         sF = jtil * (i2vm - i2vp)
         sG = jtil * i2_sum
-        b.rows_S = np.stack([v for r, bt in th for v in (wq * r, wq * (bt * i2_dif))]
-                            + [wq * sG])
-        b.rows_C = np.stack([wq * (bt * i2_sum) for _, bt in th] + [wq * sL, wq * sF])
-        *b.const_X, b.const_L, sum_F = (float(c) for c in b.rows_C.sum(axis=1))
+        np.multiply(wq, sG, out=rows_S[2 * nT])
+        np.multiply(wq, sL, out=rows_C[nT])
+        np.multiply(wq, sF, out=rows_C[nT + 1])
+        *b.const_X, b.const_L, sum_F = (float(c) for c in rows_C.sum(axis=1))
         b.const_F = -sum_F
-        b.p_btil = [bt[idx] for _, bt in th]
 
         # per-panel Legendre projections of the smooth factors -> oscillation
         # masses per width class and static truncation terms
@@ -493,8 +502,8 @@ class _KernelEngine:
         b.mass_R_inv, b.stat_R_inv = mass_stat(btil, amp=inv_w)
         b.mass_R_flat, b.stat_R_flat = mass_stat(btil)
         mL, sLst = mass_stat(sL)
-        mP, sPst = mass_stat(sP)
-        mQ, sQst = mass_stat(sQ)
+        mP, sPst = mass_stat(btil * i2_sum)
+        mQ, sQst = mass_stat(btil * i2_dif)
         mF, sFst = mass_stat(sF)
         mG, sGst = mass_stat(sG)
         b.mass_L, b.stat_L = mL, sLst
@@ -506,15 +515,7 @@ class _KernelEngine:
         b.p_vm = vm[idx]
         b.p_vp = vp[idx]
         b.p_hmax = float(halfw[patch_panel].max()) if patch_panel.any() else 0.0
-
-        self._bands[k] = b
         return b
-
-    def _thermal(self, omega: np.ndarray, E: np.ndarray, T: float) -> tuple:
-        """(E*coth, J*coth) on the nodes ``omega`` with the occupation factor
-        at T: the smooth factors of R and of the K/X terms."""
-        coth = _thermal_weight(omega, T, self.omega_c)
-        return E * coth, E * omega * coth
 
     # -- per-chunk evaluation ----------------------------------------------------
 
@@ -628,9 +629,13 @@ class _KernelEngine:
         Returns (sets, levels): ``sets[0]`` maps each kernel to an array over
         ts, and ``sets[1 + j]`` maps R, K, X to arrays at ``temps[j]``,
         evaluated on the mesh accepted at the base temperature; ``levels``
-        records the refinement depth used.  Each value is a fixed-order sum
-        over the nodes of its band, so it does not depend on which other
-        times or temperatures share the call.
+        records the refinement depth used.  One ascending sweep over band
+        keys: a time has key k from its base width exponent, or because
+        band k - 1 rejected it, and is evaluated on band k.  Each band is
+        built when the sweep first reaches it and released before the next,
+        so one band is held at a time and each is built once per call.
+        Each value is a fixed-order sum over the nodes of its band, so it
+        does not depend on which other times or temperatures share the call.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0.0)):
@@ -639,51 +644,49 @@ class _KernelEngine:
                for names in (KERNEL_NAMES,) + (THERMAL_KERNELS,) * len(self.temps)]
         levels = np.zeros(ts.shape, dtype=np.int64)
         base_k = np.array([self._width_exponent(t) for t in ts.tolist()], dtype=np.int64)
-        pending = np.arange(ts.size)
-        # flat sin and cos arrays and the product buffer, shared by every
-        # chunk of this call.  Fresh arrays per chunk go back to the system
-        # and are faulted in again: a t_end = 200 precompute on two threads
-        # took 38x the minor page faults and 1.8 s of system time that way.
-        work = []
-
-        while pending.size:
-            keys = base_k[pending] + levels[pending]
-            still = []
-            # ascending, as np.unique, which would import numpy.ma (~9 ms)
-            for k in sorted(set(keys.tolist())):
-                idx = pending[keys == k]
-                band = self._band(k)
-                nodes = len(band.omega)
-                chunk = max(1, _CHUNK_ELEMENTS // nodes)
-                for lo in range(0, idx.size, chunk):
-                    sel = idx[lo:lo + chunk]
-                    tsel = ts[sel]
-                    if not work or min(w.size for w in work) < nodes:
-                        work = None  # free the old arrays before allocating
-                        trig = max(nodes, _TRIG_BLOCK_ELEMENTS)
-                        work = [np.empty(trig), np.empty(trig),
-                                np.empty(max(nodes, _ROW_BLOCK_ELEMENTS))]
-                    sets, errs, bad = self._eval_chunk(band, tsel, work)
-                    good = ~bad
-                    for dst, src in zip(out, sets):
-                        for n, arr in dst.items():
-                            arr[sel[good]] = src[n][good]
-                    if bad.any():
-                        over = sel[bad]
-                        exhausted = levels[over] + 1 > _MAX_HALVINGS
-                        if exhausted.any():
-                            i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
-                            name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
-                            t, err = float(tsel[i0]), float(errs[name][i0])
-                            raise QuadratureError(
-                                f"kernel {name} did not reach tolerance at t={t:g} after "
-                                f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
-                                f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
-                                f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
-                                f"error estimate {err:.3g})")
-                        levels[over] += 1
-                        still.append(over)
-            pending = np.concatenate(still) if still else np.empty(0, dtype=np.int64)
+        k, last = (int(base_k.min()), int(base_k.max())) if ts.size else (0, -1)
+        carried = np.empty(0, dtype=np.int64)  # rows band k - 1 rejected
+        while k <= last or carried.size:
+            idx = np.concatenate((np.flatnonzero(base_k == k), carried))
+            k += 1
+            if not idx.size:
+                continue
+            band = self._band(k - 1)
+            nodes = len(band.omega)
+            chunk = max(1, _CHUNK_ELEMENTS // nodes)
+            # flat sin and cos arrays and the product buffer, shared by every
+            # chunk of this band.  Fresh arrays per chunk go back to the
+            # system and are faulted in again: a t_end = 200 precompute on
+            # two threads took 38x the minor page faults and 1.8 s of system
+            # time that way.
+            trig = max(nodes, _TRIG_BLOCK_ELEMENTS)
+            work = [np.empty(trig), np.empty(trig), np.empty(max(nodes, _ROW_BLOCK_ELEMENTS))]
+            rejected = []
+            for lo in range(0, idx.size, chunk):
+                sel = idx[lo:lo + chunk]
+                tsel = ts[sel]
+                sets, errs, bad = self._eval_chunk(band, tsel, work)
+                good = ~bad
+                for dst, src in zip(out, sets):
+                    for n, arr in dst.items():
+                        arr[sel[good]] = src[n][good]
+                if bad.any():
+                    over = sel[bad]
+                    exhausted = levels[over] + 1 > _MAX_HALVINGS
+                    if exhausted.any():
+                        i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
+                        name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
+                        t, err = float(tsel[i0]), float(errs[name][i0])
+                        raise QuadratureError(
+                            f"kernel {name} did not reach tolerance at t={t:g} after "
+                            f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
+                            f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
+                            f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
+                            f"error estimate {err:.3g})")
+                    levels[over] += 1
+                    rejected.append(over)
+            band = work = None  # neither outlives its rows
+            carried = np.concatenate(rejected) if rejected else np.empty(0, dtype=np.int64)
         return out, levels
 
 
@@ -707,10 +710,14 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return grid
 
 
-def _joined(parts):
-    """The read-only sets of per-part evaluate results, joined."""
-    sets = [{n: np.concatenate([p[0][j][n] for p in parts]) for n in d}
-            for j, d in enumerate(parts[0][0])]
+def _joined(parts, size: int):
+    """The read-only sets of ``size`` times from per-share evaluate results,
+    share j holding the times j, j + w, j + 2w, ... of w = len(parts)."""
+    sets = [{n: np.empty(size) for n in d} for d in parts[0][0]]
+    for j, part in enumerate(parts):
+        for dst, src in zip(sets, part[0]):
+            for n, arr in dst.items():
+                arr[j::len(parts)] = src[n]
     for d in sets:
         for arr in d.values():
             arr.flags.writeable = False
@@ -746,7 +753,9 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
     which the finite-difference temperature stencil relies on.
     Every value is bit-identical to a direct evaluation at its time alone.
     ``workers`` > 1 splits the time axis across threads (numpy releases the
-    GIL); the output does not depend on the worker count.
+    GIL), thread j sweeping the interleaved share ts[j::workers] of the
+    times, so each thread builds each band its share reaches once; the
+    output does not depend on the worker count.
     """
     grid = _uniform_grid(t_end, dt)
     # grid points and midpoints interleaved, evaluated in one pass
@@ -759,13 +768,12 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda ix: eng.evaluate(ts[ix]),
-                                np.array_split(np.arange(ts.size), min(workers * 8, ts.size))))
+            parts = list(ex.map(lambda j: eng.evaluate(ts[j::workers]), range(workers)))
     else:
         parts = [eng.evaluate(ts)]
     (g_vals, m_vals), *shifted = (
         ({n: a[0::2] for n, a in d.items()}, {n: a[1::2] for n, a in d.items()})
-        for d in _joined(parts))
+        for d in _joined(parts, ts.size))
     return tuple(
         KernelSet(grid=grid, values={**g_vals, **gs}, half_values={**m_vals, **ms},
                   params=replace(params, T=T))

@@ -98,8 +98,9 @@ def _stencil_bundle(params: KernelParams, t_end: float, dt: float,
 
 
 def _stencil_derivative(cfg: ProbeConfig, shifted) -> np.ndarray:
-    """dD/dT on the whole grid from the four trajectories of ``cfg`` on the
-    shifted sets of its stencil bundle, at T-2d, T-d, T+d and T+2d."""
+    """dD/dT from the four trajectories of ``cfg`` on the shifted sets of
+    its stencil bundle, at T-2d, T-d, T+d and T+2d, on the rows they kept
+    (all four keep the same ones)."""
     m2, m1, p1, p2 = (traj.states for traj in shifted)
     delta = shifted[2].config.T - cfg.T
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * delta)
@@ -191,10 +192,12 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     threads, ``workers`` first capped at the usable cores so that no pool
     outgrows them.  Either way the results do not depend on ``workers``.
     The five lanes of every probe are then integrated in one
-    ``integrate_lanes`` call.  Before any kernel is built, probes on
-    different (dt, t_end) grids raise ConfigurationError, and a probing time
-    below 0, beyond t_end or off the dt grid raises DomainError
-    (``ProbeConfig.index_of``).
+    ``integrate_lanes`` call, in which the base lane keeps every grid row
+    (the returned trajectory) and the four shifted lanes only the rows of
+    the probing times, the only ones the derivative is read at.  Before any
+    kernel is built, probes on different (dt, t_end) grids raise
+    ConfigurationError, and a probing time below 0, beyond t_end or off the
+    dt grid raises DomainError (``ProbeConfig.index_of``).
     """
     workers = min(workers, _usable_cores())
     check_shared_grid(probes)
@@ -215,7 +218,7 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
         bundle = bundle_of[key]
         cfgs += [probe] + [replace(probe, T=s.params.T) for s in bundle[1:]]
         sets += bundle
-    trajs = integrate_lanes(cfgs, sets)
+    trajs = integrate_lanes(cfgs, sets, [None, steps, steps, steps, steps] * len(probes))
     scans = []
     for j in range(0, len(trajs), 5):
         base = trajs[j]
@@ -226,8 +229,8 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
         except DomainError:
             mk_fisher = math.nan
         scan = []
-        for t, i in zip(times, steps):
-            D, d = base.states[i], deriv[i]
+        for t, i, d in zip(times, steps, deriv):
+            D = base.states[i]
             scan.append(MetrologyResult(
                 t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=qfi(D, d),
                 cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d), markov_fisher=mk_fisher))

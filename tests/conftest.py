@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def ks_long(params):
     """Figure-scale kernel set (t_end = 200), shared by the steady-state,
     Markov fixed-point and witness-sweep tests."""
     return precompute(params, 200.0, 0.01)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``peak(fn)``: the peak bytes that numpy and Python allocate while
+    ``fn`` runs."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

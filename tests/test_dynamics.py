@@ -263,6 +263,38 @@ def test_lane_block_does_not_change_values(lane_sets, monkeypatch):
             assert np.array_equal(a.states, b.states)
 
 
+def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):
+    # lanes keeping a few rows (out of order, repeated, the first and the
+    # last, none) beside lanes keeping every row: each kept row equals that
+    # row of the lane kept in full, 0 ulp, whatever the blocking
+    picks = [(0, 0.5), (1, 0.3), (2, 1.0), (3, 0.0), (4, 0.7)]
+    cfgs = [ProbeConfig(epsilon=lane_sets[j].params.epsilon, alpha=alpha,
+                        T=lane_sets[j].params.T, sd=lane_sets[j].params.sd,
+                        initial=(0.6, 0.05 * j, 0.7), t_end=2.0, dt=0.05)
+            for j, alpha in picks]
+    sets = [lane_sets[j] for j, _ in picks]
+    full = integrate_lanes(cfgs, sets)
+    rows = [None, [20, 0, 40], [40, 40], [], [1, 39, 2]]
+    for lane_steps in (1, 3 * len(cfgs), 10**9):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
+            kept = integrate_lanes(cfgs, sets, rows)
+        for a, b, r in zip(full, kept, rows):
+            assert b.config is a.config
+            r = slice(None) if r is None else r
+            assert np.array_equal(b.states, a.states[r])
+            assert np.array_equal(b.grid, a.grid[r])
+
+
+def test_kept_rows_validated(sd, ks_short):
+    cfg = _probe(sd, alpha=0.5)
+    for rows in ([[-1]], [[0, 1001]]):
+        with pytest.raises(DomainError, match=re.escape("must lie in [0, 1000]")):
+            integrate_lanes([cfg], [ks_short], rows)
+    with pytest.raises(ConfigurationError, match="1 row selections"):
+        integrate_lanes([cfg, cfg], [ks_short, ks_short], [None])
+
+
 def _growing_set(ks, T, rate):
     """Kernel set on ``ks``'s grid at temperature T whose only kernel is a
     constant R = rate; rate < 0 makes the coherences grow as e^(-4 rate t)."""
@@ -280,7 +312,8 @@ def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short, monkeypatch):
     # t = ln 2 / 0.4 ~ 1.73 (in its sixth block of steps); lane 2 leaves it at
     # t = dt (in the first block) and then overflows to inf and nan.  The
     # error is lane 1's, as if the lanes were integrated one by one, and no
-    # floating-point warning escapes.
+    # floating-point warning escapes.  The same holds when the failing lanes
+    # keep only rows before their failure: every step is norm-checked.
     monkeypatch.setattr(dynamics, "_BLOCK_LANE_STEPS", 3 * 32)
     sets = [ks_short, _growing_set(ks_short, 0.3, -0.1), _growing_set(ks_short, 0.2, -100.0)]
     cfgs = [_probe(sd, alpha=0.5), _probe(sd, alpha=0.0, T=0.3, initial=(0.5, 0.0, 0.0)),
@@ -289,12 +322,15 @@ def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
             integrate_lanes(cfgs, sets)
+        with pytest.raises(IntegrationError) as kept:
+            integrate_lanes(cfgs, sets, [None, [0, 5], [0]])
         with pytest.raises(IntegrationError) as alone:
             integrate(cfgs[1], sets[1])
         with pytest.raises(IntegrationError) as last:
             integrate(cfgs[2], sets[2])
     assert 1.7 < _failure_time(err) < 1.8
     assert _failure_time(err) == _failure_time(alone) and str(err.value) == str(alone.value)
+    assert _failure_time(kept) == _failure_time(err) and str(kept.value) == str(err.value)
     assert "alpha=0, T=0.3, epsilon=0.5, eta=0.05, dt=0.01)" in str(err.value)
     assert _failure_time(last) == 0.01
 

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 import warnings
 
 import mpmath
@@ -349,35 +348,26 @@ def test_wide_step_summed_in_panel_groups(sd, monkeypatch):
         assert np.max(gap) <= 1e-13 * np.max(np.abs(want))
 
 
-def _traced_peak(fn):
-    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_wide_step_work_arrays_stay_bounded(sd):
+def test_wide_step_work_arrays_stay_bounded(sd, traced_peak):
     # a half step of 400,000 nodes (eps = 1e5, dt = 0.5): measured 0.90 MB
     # in groups of whole panels, 76 MB as one block
     p = KernelParams(sd=sd, epsilon=1e5, T=0.2)
-    assert _traced_peak(lambda: precompute(p, 1.0, 0.5)) < 1.2e6
+    assert traced_peak(lambda: precompute(p, 1.0, 0.5)) < 1.2e6
 
 
-def test_time_domain_pass_work_arrays_stay_bounded(params):
+def test_time_domain_pass_work_arrays_stay_bounded(params, traced_peak):
     # fig1's pass (t_end 200, dt 0.05): measured 1.24 MB with 4,096-node
     # blocks, 0.42 MB of it the returned set; 32,768-node blocks reach 6.2 MB
-    assert _traced_peak(lambda: precompute(params, 200.0, 0.05)) < 1.6e6
+    assert traced_peak(lambda: precompute(params, 200.0, 0.05)) < 1.6e6
 
 
-def test_frequency_pass_work_arrays_stay_bounded(params):
+def test_frequency_pass_work_arrays_stay_bounded(params, traced_peak):
     # fig2's stencil pass (t_end 50, dt 0.05, four shifted temperatures):
-    # measured 5.56 MB with 65,536-element trig sub-blocks, 8.70 MB with
-    # whole-chunk ones (the product buffer is bounded by the test below)
+    # measured 2.96 MB holding one mesh band at a time, its coefficient
+    # stacks filled in place; 5.56 MB with every band cached, 8.70 MB with
+    # whole-chunk trig arrays (the product buffer is bounded by the test below)
     temps = _stencil_temps(params.T)
-    assert _traced_peak(lambda: frequency_pass(params, 50.0, 0.05, temps)) < 6.5e6
+    assert traced_peak(lambda: frequency_pass(params, 50.0, 0.05, temps)) < 3.4e6
 
 
 @pytest.mark.parametrize("m,n", [(11, 40_000), (11, 7_168), (7, 920), (1, 3)])
@@ -565,6 +555,33 @@ def test_chunk_size_does_not_change_values(params, monkeypatch):
             for name in KERNEL_NAMES:
                 assert np.array_equal(sa.values[name], sb.values[name])
                 assert np.array_equal(sa.half_values[name], sb.half_values[name])
+
+
+def test_each_band_built_once_per_pass(params, monkeypatch):
+    # one ascending sweep over band keys: one thread builds each band its
+    # times reach exactly once, and each of four threads, sweeping its
+    # interleaved share, at most once
+    temps = _stencil_temps(params.T)
+    eng = kernels._KernelEngine(params, temps)
+    grid = kernels._uniform_grid(10.0, 0.05)
+    base = [eng._width_exponent(t) for t in np.concatenate((grid, grid[:-1] + 0.025))]
+    levels = np.concatenate(_pass_levels(params, 10.0, 0.05, temps))
+    assert levels.max() > 0  # refined rows covered
+    bands = {b + j for b, lv in zip(base, levels.tolist()) for j in range(lv + 1)}
+    built, build = [], kernels._KernelEngine._band
+
+    def counting_band(self, k):
+        built.append(k)
+        return build(self, k)
+
+    monkeypatch.setattr(kernels._KernelEngine, "_band", counting_band)
+    frequency_pass(params, 10.0, 0.05, temps, workers=1)
+    assert sorted(built) == sorted(bands)
+    built.clear()
+    frequency_pass(params, 10.0, 0.05, temps, workers=4)
+    assert set(built) == bands
+    assert max(built.count(k) for k in bands) <= 4
+    assert len(built) <= 4 * len(bands)
 
 
 def test_base_set_independent_of_shifted_temperatures(params, ks_stencil_short):

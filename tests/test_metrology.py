@@ -261,6 +261,16 @@ def test_stencil_scans_one_pass_per_bundle(sd, monkeypatch):
         assert scan == stencil_scans([cfg], (0.5, 1.0))[1][0]
 
 
+def test_stencil_scans_work_arrays_stay_bounded(sd, traced_peak):
+    # fig2's scans (21 alphas, t_end 50, dt 0.05, times 1, 5, 20 and 50):
+    # measured 3.35 MB with the shifted lanes keeping only the probing-time
+    # rows and the pass holding one mesh band at a time; 5.32 MB when every
+    # lane keeps every row, 5.56 MB when the pass also caches its bands
+    probes = [ProbeConfig(epsilon=0.5, alpha=float(a), T=0.2, sd=sd, t_end=50.0, dt=0.05)
+              for a in np.linspace(0.0, 1.0, 21)]
+    assert traced_peak(lambda: stencil_scans(probes, (1.0, 5.0, 20.0, 50.0))) < 3.85e6
+
+
 def test_stencil_scans_rejects_mixed_grids_before_any_pass(sd, monkeypatch):
     # probes on different (dt, t_end) grids fail before a frequency-domain
     # pass is paid for any of them
