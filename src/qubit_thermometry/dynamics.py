@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IntegrationError
-from .kernels import KERNEL_NAMES, KernelParams, KernelSet, grid_steps, precompute
+from .kernels import KernelParams, KernelSet, grid_steps, precompute
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -137,9 +137,10 @@ def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
 # reduced as ((P0 - off) - P1) - P2: subtract is never reassociated, so an
 # axis-0 ``subtract.reduce`` takes them in that order, as ``rhs`` does.
 _GATHER = np.array([1, 0, 3, 3, 3, 3, 2, 1, 2, 0, 2, 0])
-# lane-steps per block of kernel-term tables and of norm checks (~1 MB of
-# tables whatever the lane count)
-_BLOCK_LANE_STEPS = 3584
+# lane-steps per block of kernel-term tables and of norm checks: one grid
+# and one midpoint table of 18 rows each, ~0.5 MB together whatever the lane
+# count
+_BLOCK_LANE_STEPS = 1792
 
 
 def check_shared_grid(cfgs):
@@ -150,18 +151,26 @@ def check_shared_grid(cfgs):
             f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
 
 
-def _term_tables(tables: list, idx: np.ndarray, steps: slice, eps, aa, am2, a2) -> tuple:
-    """Kernel terms of every lane at the times ``steps``, lane j reading the
-    kernel arrays ``tables[idx[j]]``: the coefficients (b, 12, lanes) and
-    kernels (b, 6, lanes) of ``_GATHER``'s products, each entry the float
-    that ``rhs`` forms."""
-    R, K, L, X, F, G = (np.stack([vals[name][steps] for vals in tables])[idx].T
-                        for name in KERNEL_NAMES)
-    coef = np.stack(np.broadcast_arrays(-eps, eps + a2 * X, -a2 * G, aa * G,
-                                        -(aa * (F - L)), 0.0, aa, 1.0, a2,
-                                        am2, aa, aa), axis=1)
-    kern = np.stack((K, a2 * K + am2 * R, K, R, X, R), axis=1)
-    return coef, kern
+def _term_tables(coef, kern, sources, steps: slice, eps, aa, am2, a2):
+    """Fill the kernel terms of every lane at the times ``steps`` into the
+    rows of the coefficient table ``coef`` (b, 12, lanes) and the kernel
+    table ``kern`` (b, 6, lanes) of ``_GATHER``'s products that vary in
+    time; the coefficient rows that do not (-eps, 0, 1 and the alpha
+    factors) keep what the caller wrote there.  ``sources`` pairs each
+    kernel-array dict with the lanes that read it.  Each entry is the float
+    that ``rhs`` forms, from the same operands in the same order."""
+    K, R, X = kern[:, 0], kern[:, 3], kern[:, 4]
+    L, G, F = coef[:, 1], coef[:, 3], coef[:, 4]  # raw L, G, F until formed
+    for vals, lanes in sources:
+        for dst, name in ((K, "K"), (R, "R"), (X, "X"), (L, "L"), (G, "G"), (F, "F")):
+            dst[:, lanes] = vals[name][steps, None]
+    F[...] = -(aa * (F - L))
+    L[...] = eps + a2 * X
+    coef[:, 2] = -a2 * G
+    G[...] = aa * G
+    kern[:, 1] = a2 * K + am2 * R
+    kern[:, 2] = K
+    kern[:, 5] = R
 
 
 def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
@@ -173,10 +182,12 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     lanes step together in 29 numpy calls per step, whatever their number.
     Each stage gathers the state into ``_GATHER``'s 12-row product table,
     multiplies it by the kernel-only terms of ``rhs`` (the one-time
-    right-hand side in ``tests/oracles.py``), read from tables built per
-    block of about ``_BLOCK_LANE_STEPS`` lane-steps, and reduces its four
-    3-row groups with one ``subtract.reduce``, which subtracts them left to
-    right as ``rhs`` does.  Each call performs, lane by lane, the
+    right-hand side in ``tests/oracles.py``), read from one grid and one
+    midpoint table that the call allocates once and refills in place for
+    each block of about ``_BLOCK_LANE_STEPS`` lane-steps (nothing outlives
+    the call), and reduces its four 3-row groups with one
+    ``subtract.reduce``, which subtracts them left to right as ``rhs``
+    does.  Each call performs, lane by lane, the
     floating-point operation of ``rhs`` on the same operands (the reordering
     uses only a*b = b*a, 1*v = v, a - (-b) = a + b and h - 0 = h), so every
     state equals that of a stage-by-stage RK4 over ``rhs``
@@ -216,16 +227,26 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     for m, r in kept.items():
         if r.size and not (0 <= r.min() and r.max() <= n_steps):
             raise DomainError(f"rows kept for lane {m} must lie in [0, {n_steps}]")
-    uniq = {id(ks): ks for ks in kernel_sets}  # each set once, in first-use order
-    idx = np.array([list(uniq).index(id(ks)) for ks in kernel_sets])
-    on_grid = [ks.values for ks in uniq.values()]
-    on_half = [ks.half_values for ks in uniq.values()]
+    # each set once, in first-use order, with the lanes that read it: a
+    # slice where they are evenly spaced (a sweep's lanes, or one stencil
+    # temperature's; fig2's 105 lanes took 0.033 s so, 0.037 s by index)
+    by_set = {}
+    for m, ks in enumerate(kernel_sets):
+        by_set.setdefault(id(ks), (ks, []))[1].append(m)
+    on_grid, on_half = [], []
+    for ks, lanes in by_set.values():
+        step = lanes[1] - lanes[0] if len(lanes) > 1 else 1
+        evenly = lanes == list(range(lanes[0], lanes[-1] + 1, step))
+        lanes = slice(lanes[0], lanes[-1] + 1, step) if evenly else np.array(lanes)
+        on_grid.append((ks.values, lanes))
+        on_half.append((ks.half_values, lanes))
     # rhs's coefficients per lane, each formed as rhs forms it
     alpha = [cfg.alpha for cfg in cfgs]
     coefs = (np.array([cfg.epsilon for cfg in cfgs]),
              np.array([4.0 * a * (a - 1.0) for a in alpha]),
              np.array([4.0 * (a - 1.0) ** 2 for a in alpha]),
              np.array([4.0 * a * a for a in alpha]))
+    eps, aa, am2, a2 = coefs
 
     dt = cfgs[0].dt
     half = 0.5 * dt
@@ -260,18 +281,28 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     p = np.empty((12, n_lanes))
     p_kern, groups = p[6:], p.reshape(4, 3, n_lanes)  # groups: P0, off, P1, P2
     mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
-    block = max(1, _BLOCK_LANE_STEPS // n_lanes)  # steps per block
-    buf = np.empty((min(block, n_steps), 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
+    block = min(max(1, _BLOCK_LANE_STEPS // n_lanes), n_steps)  # steps per block
+    buf = np.empty((block, 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
+    # one grid and one midpoint table for every block, their lane-constant
+    # rows written once; each block refills the rest in place
+    g_coef, h_coef = np.empty((block + 1, 12, n_lanes)), np.empty((block, 12, n_lanes))
+    g_kern, h_kern = np.empty((block + 1, 6, n_lanes)), np.empty((block, 6, n_lanes))
+    constant = {0: -eps, 5: 0.0, 6: aa, 7: 1.0, 8: a2, 9: am2, 10: aa, 11: aa}
+    for row, value in constant.items():
+        g_coef[:, row] = h_coef[:, row] = value
+    on_g = list(zip(g_coef, g_kern))
+    on_h = list(zip(h_coef, h_kern))
 
     failed = None  # (lane, step, |D|^2) of the lowest-index lane out of the ball
     with np.errstate(all="ignore"):
         for i0 in range(0, n_steps, block):
             i1 = min(i0 + block, n_steps)
-            on_g = list(zip(*_term_tables(on_grid, idx, slice(i0, i1 + 1), *coefs)))
-            on_h = zip(*_term_tables(on_half, idx, slice(i0, i1), *coefs))
+            b = i1 - i0
+            _term_tables(g_coef[:b + 1], g_kern[:b + 1], on_grid, slice(i0, i1 + 1), *coefs)
+            _term_tables(h_coef[:b], h_kern[:b], on_half, slice(i0, i1), *coefs)
             # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4); each
             # stage gathers w's products into p and reduces them to k = rhs(w)
-            for j, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(zip(on_g, on_h, on_g[1:])):
+            for j, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(zip(on_g, on_h[:b], on_g[1:])):
                 s.take(_GATHER, 0, p, "clip")
                 mul(p, c1, p)
                 mul(p_kern, r1, p_kern)
@@ -301,7 +332,7 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
                 mul(k1, sixth, k1)
                 add(now, k1, now)
                 buf[j] = now
-            done = buf[:i1 - i0]
+            done = buf[:b]
             keep(i0 + 1, done)
             x, y, z = done[:, 0], done[:, 1], done[:, 2]
             n2 = x * x + y * y + z * z

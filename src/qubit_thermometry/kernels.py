@@ -138,8 +138,8 @@ _MAX_HALVINGS = 6
 # times x nodes per chunk, the unit of the error estimate and assembly
 _CHUNK_ELEMENTS = 262_144
 # times x nodes per trigonometric sub-block of a chunk: the sin and cos work
-# arrays of one thread take 512 kB each (at least one time row)
-_TRIG_BLOCK_ELEMENTS = 65_536
+# arrays of one thread take 128 kB each (at least one time row)
+_TRIG_BLOCK_ELEMENTS = 16_384
 # Gauss nodes per block of the time-domain pass: 64 kB per complex array
 _STEP_BLOCK_NODES = 4_096
 # time rows x coefficient rows x nodes per stacked reduction: the products
@@ -542,9 +542,10 @@ class _KernelEngine:
 
         ``work`` holds two flat arrays of at least max(_TRIG_BLOCK_ELEMENTS,
         N) elements that receive sin(t w) and cos(t w) for a sub-block of
-        times (t*w is written into the cos array first), and the flat
-        product buffer of the stacked reductions, of at least
-        max(_ROW_BLOCK_ELEMENTS, N) elements.
+        max(1, _TRIG_BLOCK_ELEMENTS // N) times (t*w is written into the cos
+        array first; each entry's reductions do not depend on the sub-block
+        size), and the flat product buffer of the stacked reductions, of at
+        least max(_ROW_BLOCK_ELEMENTS, N) elements.
         """
         n = band.omega.size
         red_S = np.empty((ts.size, len(band.rows_S)))

@@ -245,22 +245,53 @@ def test_integrate_lanes_matches_staged_rk4_bit_for_bit(lane_sets, lanes, data):
 
 
 def test_lane_block_does_not_change_values(lane_sets, monkeypatch):
-    # one step per block, three steps per block (a ragged last block), then
-    # the whole run in one block, against the default blocking, 0 ulp, over
-    # mixed lanes that share and shift kernel sets
-    picks = [(0, 0.5), (1, 0.3), (2, 1.0), (3, 0.0), (4, 0.7), (0, 1.0), (3, 0.25)]
-    cfgs = [ProbeConfig(epsilon=lane_sets[j].params.epsilon, alpha=alpha,
-                        T=lane_sets[j].params.T, sd=lane_sets[j].params.sd,
-                        initial=(0.6, 0.05 * j, 0.7), t_end=2.0, dt=0.05)
-            for j, alpha in picks]
-    sets = [lane_sets[j] for j, _ in picks]
-    default = integrate_lanes(cfgs, sets)
-    for lane_steps in (1, 3 * len(cfgs), 10**9):
+    # 64 lanes that share and shift kernel sets, each set's lanes unevenly
+    # spaced: the default block takes 28 of the 40 steps, then a ragged 12
+    # shorter than the tables it refills; one step per block, three (a last
+    # block of one) and the whole run in one block as well.  Each lane
+    # equals the stage-by-stage RK4 over rhs, 0 ulp, whatever the blocking.
+    rng = np.random.default_rng(5)
+    sets = [lane_sets[j] for j in rng.integers(0, len(lane_sets), 64)]
+    cfgs = [ProbeConfig(epsilon=ks.params.epsilon, alpha=float(alpha), T=ks.params.T,
+                        sd=ks.params.sd, initial=(0.6, 0.05 * ks.params.T, 0.7),
+                        t_end=2.0, dt=0.05)
+            for ks, alpha in zip(sets, rng.uniform(0.0, 1.0, len(sets)))]
+    assert dynamics._BLOCK_LANE_STEPS // len(cfgs) == 28
+    want = [staged_rk4(cfg, ks) for cfg, ks in zip(cfgs, sets)]
+    for lane_steps in (None, 1, 3 * len(cfgs), 10**9):
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
+            if lane_steps is not None:
+                patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
             blocked = integrate_lanes(cfgs, sets)
-        for a, b in zip(default, blocked):
-            assert np.array_equal(a.states, b.states)
+        for a, b in zip(want, blocked):
+            assert np.array_equal(a, b.states)
+
+
+def test_back_to_back_calls_carry_no_tables(lane_sets, ks_short, sd):
+    # calls on 3 lanes of a 1,000-step grid (two blocks) and on 5 lanes of a
+    # 40-step one (one block; a set read by evenly spaced lanes), in turn:
+    # each call equals the stage-by-stage RK4 over rhs, 0 ulp, whatever came
+    # before it
+    long_run = ([_probe(sd, alpha=a) for a in (0.2, 0.5, 0.9)], [ks_short] * 3)
+    sets = [lane_sets[0], lane_sets[3], lane_sets[0], lane_sets[4], lane_sets[0]]
+    short_run = ([_probe(sd, alpha=a, T=ks.params.T, eps=ks.params.epsilon, t_end=2.0,
+                         dt=0.05, initial=(0.6, 0.1, 0.7))
+                  for ks, a in zip(sets, (0.1, 0.3, 0.5, 0.7, 0.9))], sets)
+    runs = (long_run, short_run)
+    want = [[staged_rk4(cfg, ks) for cfg, ks in zip(*run)] for run in runs]
+    for k in (0, 1, 0, 1):
+        for a, b in zip(want[k], integrate_lanes(*runs[k])):
+            assert np.array_equal(a, b.states)
+
+
+def test_integrate_lanes_work_arrays_stay_bounded(params, traced_peak):
+    # fig1's 21 lanes (t_end 200, dt 0.05): measured 2.71 MB with one set of
+    # term tables refilled in place, 2.02 MB of it the returned states;
+    # 4.46 MB with fresh tables for every block
+    ks = precompute(params, 200.0, 0.05)
+    probes = [ProbeConfig(epsilon=params.epsilon, alpha=float(a), T=params.T, sd=params.sd,
+                          t_end=200.0, dt=0.05) for a in np.linspace(0.0, 1.0, 21)]
+    assert traced_peak(lambda: integrate_lanes(probes, [ks] * len(probes))) < 3.1e6
 
 
 def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):

@@ -263,12 +263,15 @@ def test_stencil_scans_one_pass_per_bundle(sd, monkeypatch):
 
 def test_stencil_scans_work_arrays_stay_bounded(sd, traced_peak):
     # fig2's scans (21 alphas, t_end 50, dt 0.05, times 1, 5, 20 and 50):
-    # measured 3.35 MB with the shifted lanes keeping only the probing-time
-    # rows and the pass holding one mesh band at a time; 5.32 MB when every
-    # lane keeps every row, 5.56 MB when the pass also caches its bands
+    # measured 2.45 MB with the shifted lanes keeping only the probing-time
+    # rows, the lanes refilling one set of term tables, and the pass holding
+    # one mesh band at a time with 16,384-element trig sub-blocks; 3.35 MB
+    # with fresh tables per block and 65,536-element sub-blocks, 5.32 MB when
+    # every lane also keeps every row, 5.56 MB when the pass also caches its
+    # bands
     probes = [ProbeConfig(epsilon=0.5, alpha=float(a), T=0.2, sd=sd, t_end=50.0, dt=0.05)
               for a in np.linspace(0.0, 1.0, 21)]
-    assert traced_peak(lambda: stencil_scans(probes, (1.0, 5.0, 20.0, 50.0))) < 3.85e6
+    assert traced_peak(lambda: stencil_scans(probes, (1.0, 5.0, 20.0, 50.0))) < 2.8e6
 
 
 def test_stencil_scans_rejects_mixed_grids_before_any_pass(sd, monkeypatch):
