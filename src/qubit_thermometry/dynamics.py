@@ -151,12 +151,29 @@ def check_shared_grid(cfgs):
             f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
 
 
+def _new_tables(block: int, eps, aa, am2, a2) -> tuple:
+    """One grid table (block + 1 steps) and one midpoint table (block
+    steps) of ``_GATHER``'s coefficients and kernels, each a pair of
+    (steps, 12, lanes) and (steps, 6, lanes) arrays.  The coefficient rows
+    that do not vary in time (-eps, 0, aa, 1, a2, am2, aa, aa) are written
+    here, once; ``_term_tables`` fills the rest for each block."""
+    lanes = len(eps)
+    tables = []
+    for steps in (block + 1, block):
+        coef, kern = np.empty((steps, 12, lanes)), np.empty((steps, 6, lanes))
+        for row, value in ((0, -eps), (5, 0.0), (6, aa), (7, 1.0), (8, a2), (9, am2),
+                           (10, aa), (11, aa)):
+            coef[:, row] = value
+        tables.append((coef, kern))
+    return tuple(tables)
+
+
 def _term_tables(coef, kern, sources, steps: slice, eps, aa, am2, a2):
     """Fill the kernel terms of every lane at the times ``steps`` into the
     rows of the coefficient table ``coef`` (b, 12, lanes) and the kernel
     table ``kern`` (b, 6, lanes) of ``_GATHER``'s products that vary in
-    time; the coefficient rows that do not (-eps, 0, 1 and the alpha
-    factors) keep what the caller wrote there.  ``sources`` pairs each
+    time; the coefficient rows that do not keep what ``_new_tables`` wrote
+    there.  ``sources`` pairs each
     kernel-array dict with the lanes that read it.  Each entry is the float
     that ``rhs`` forms, from the same operands in the same order."""
     K, R, X = kern[:, 0], kern[:, 3], kern[:, 4]
@@ -227,26 +244,18 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     for m, r in kept.items():
         if r.size and not (0 <= r.min() and r.max() <= n_steps):
             raise DomainError(f"rows kept for lane {m} must lie in [0, {n_steps}]")
-    # each set once, in first-use order, with the lanes that read it: a
-    # slice where they are evenly spaced (a sweep's lanes, or one stencil
-    # temperature's; fig2's 105 lanes took 0.033 s so, 0.037 s by index)
+    # each set once, in first-use order, with the lanes that read it
     by_set = {}
     for m, ks in enumerate(kernel_sets):
         by_set.setdefault(id(ks), (ks, []))[1].append(m)
-    on_grid, on_half = [], []
-    for ks, lanes in by_set.values():
-        step = lanes[1] - lanes[0] if len(lanes) > 1 else 1
-        evenly = lanes == list(range(lanes[0], lanes[-1] + 1, step))
-        lanes = slice(lanes[0], lanes[-1] + 1, step) if evenly else np.array(lanes)
-        on_grid.append((ks.values, lanes))
-        on_half.append((ks.half_values, lanes))
+    on_grid = [(ks.values, np.array(lanes)) for ks, lanes in by_set.values()]
+    on_half = [(ks.half_values, np.array(lanes)) for ks, lanes in by_set.values()]
     # rhs's coefficients per lane, each formed as rhs forms it
     alpha = [cfg.alpha for cfg in cfgs]
     coefs = (np.array([cfg.epsilon for cfg in cfgs]),
              np.array([4.0 * a * (a - 1.0) for a in alpha]),
              np.array([4.0 * (a - 1.0) ** 2 for a in alpha]),
              np.array([4.0 * a * a for a in alpha]))
-    eps, aa, am2, a2 = coefs
 
     dt = cfgs[0].dt
     half = 0.5 * dt
@@ -283,13 +292,8 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
     block = min(max(1, _BLOCK_LANE_STEPS // n_lanes), n_steps)  # steps per block
     buf = np.empty((block, 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
-    # one grid and one midpoint table for every block, their lane-constant
-    # rows written once; each block refills the rest in place
-    g_coef, h_coef = np.empty((block + 1, 12, n_lanes)), np.empty((block, 12, n_lanes))
-    g_kern, h_kern = np.empty((block + 1, 6, n_lanes)), np.empty((block, 6, n_lanes))
-    constant = {0: -eps, 5: 0.0, 6: aa, 7: 1.0, 8: a2, 9: am2, 10: aa, 11: aa}
-    for row, value in constant.items():
-        g_coef[:, row] = h_coef[:, row] = value
+    # one grid and one midpoint table for every block, refilled in place
+    (g_coef, g_kern), (h_coef, h_kern) = _new_tables(block, *coefs)
     on_g = list(zip(g_coef, g_kern))
     on_h = list(zip(h_coef, h_kern))
 

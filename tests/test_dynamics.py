@@ -245,17 +245,20 @@ def test_integrate_lanes_matches_staged_rk4_bit_for_bit(lane_sets, lanes, data):
 
 
 def test_lane_block_does_not_change_values(lane_sets, monkeypatch):
-    # 64 lanes that share and shift kernel sets, each set's lanes unevenly
-    # spaced: the default block takes 28 of the 40 steps, then a ragged 12
-    # shorter than the tables it refills; one step per block, three (a last
-    # block of one) and the whole run in one block as well.  Each lane
-    # equals the stage-by-stage RK4 over rhs, 0 ulp, whatever the blocking.
+    # 64 lanes that share and shift kernel sets, the first two at alpha 0
+    # and 1 (where the aa, a2 and am2 rows are exactly zero): the default
+    # block takes 28 of the 40 steps, then a ragged 12 shorter than the
+    # tables it refills; one step per block, three (a last block of one) and
+    # the whole run in one block as well.  Each lane equals the
+    # stage-by-stage RK4 over rhs, 0 ulp, whatever the blocking.
     rng = np.random.default_rng(5)
     sets = [lane_sets[j] for j in rng.integers(0, len(lane_sets), 64)]
+    alphas = rng.uniform(0.0, 1.0, len(sets))
+    alphas[:2] = 0.0, 1.0
     cfgs = [ProbeConfig(epsilon=ks.params.epsilon, alpha=float(alpha), T=ks.params.T,
                         sd=ks.params.sd, initial=(0.6, 0.05 * ks.params.T, 0.7),
                         t_end=2.0, dt=0.05)
-            for ks, alpha in zip(sets, rng.uniform(0.0, 1.0, len(sets)))]
+            for ks, alpha in zip(sets, alphas)]
     assert dynamics._BLOCK_LANE_STEPS // len(cfgs) == 28
     want = [staged_rk4(cfg, ks) for cfg, ks in zip(cfgs, sets)]
     for lane_steps in (None, 1, 3 * len(cfgs), 10**9):
@@ -269,7 +272,7 @@ def test_lane_block_does_not_change_values(lane_sets, monkeypatch):
 
 def test_back_to_back_calls_carry_no_tables(lane_sets, ks_short, sd):
     # calls on 3 lanes of a 1,000-step grid (two blocks) and on 5 lanes of a
-    # 40-step one (one block; a set read by evenly spaced lanes), in turn:
+    # 40-step one (one block; a set read by three of them), in turn:
     # each call equals the stage-by-stage RK4 over rhs, 0 ulp, whatever came
     # before it
     long_run = ([_probe(sd, alpha=a) for a in (0.2, 0.5, 0.9)], [ks_short] * 3)
