@@ -173,9 +173,9 @@ def _term_tables(coef, kern, sources, steps: slice, eps, aa, am2, a2):
     rows of the coefficient table ``coef`` (b, 12, lanes) and the kernel
     table ``kern`` (b, 6, lanes) of ``_GATHER``'s products that vary in
     time; the coefficient rows that do not keep what ``_new_tables`` wrote
-    there.  ``sources`` pairs each
-    kernel-array dict with the lanes that read it.  Each entry is the float
-    that ``rhs`` forms, from the same operands in the same order."""
+    there.  ``sources`` pairs each kernel-array dict with the lanes that
+    read it.  Each entry is the float that ``rhs`` forms, from the same
+    operands in the same order."""
     K, R, X = kern[:, 0], kern[:, 3], kern[:, 4]
     L, G, F = coef[:, 1], coef[:, 3], coef[:, 4]  # raw L, G, F until formed
     for vals, lanes in sources:
