@@ -6,9 +6,11 @@
 Prints one ``<sha256>  <name>`` line per item:
 
 * every CSV and SVG that ``reproduce fig1|fig2|fig3 --dt 0.05`` writes at
-  ``--workers 1`` and ``2``, and the ``trajectory.csv`` of ``trajectory`` at
-  the CLI defaults (one integration lane; each run in a fresh subprocess,
-  into a temporary directory that is removed afterwards);
+  ``--workers 1`` and ``2``, and every CSV and SVG of ``reproduce fig1`` at
+  the default ``--dt 0.01`` (its equator plot draws three 5,001-point paths)
+  and of ``trajectory --svg`` at the CLI defaults (one integration lane;
+  each run in a fresh subprocess, into a temporary directory that is
+  removed afterwards);
 * every kernel array of the temperature-stencil bundle that
   ``metrology.stencil_scans`` builds (the base set and its four shifted
   sets, grid and midpoints) at the headline eps = 0.5, eta = 0.05,
@@ -50,24 +52,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run_cli(env, out, *args):
+    subprocess.run([sys.executable, "-m", "qubit_thermometry.cli", *args, "--out", out],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def _file_digests(out, tag):
+    for name in sorted(os.listdir(out)):
+        if name.endswith((".csv", ".svg")):
+            with open(os.path.join(out, name), "rb") as fh:
+                yield _sha(fh.read()), f"{tag}/{name}"
+
+
 def figure_digests(src: str):
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as tmp:
         for fig in FIGURES:
             for w in FIG_WORKERS:
                 out = os.path.join(tmp, f"{fig}_w{w}")
-                subprocess.run([sys.executable, "-m", "qubit_thermometry.cli", "reproduce",
-                                fig, "--dt", str(DT), "--workers", str(w), "--out", out],
-                               env=env, check=True, stdout=subprocess.DEVNULL)
-                for name in sorted(os.listdir(out)):
-                    if name.endswith((".csv", ".svg")):
-                        with open(os.path.join(out, name), "rb") as fh:
-                            yield _sha(fh.read()), f"{fig}/w{w}/{name}"
+                _run_cli(env, out, "reproduce", fig, "--dt", str(DT), "--workers", str(w))
+                yield from _file_digests(out, f"{fig}/w{w}")
+        out = os.path.join(tmp, "fig1_default")
+        _run_cli(env, out, "reproduce", "fig1")
+        yield from _file_digests(out, "fig1/default_dt")
         out = os.path.join(tmp, "trajectory")
-        subprocess.run([sys.executable, "-m", "qubit_thermometry.cli", "trajectory",
-                        "--out", out], env=env, check=True, stdout=subprocess.DEVNULL)
-        with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
-            yield _sha(fh.read()), "trajectory/trajectory.csv"
+        _run_cli(env, out, "trajectory", "--svg")
+        yield from _file_digests(out, "trajectory")
 
 
 def _set_digests(ks, tag):

@@ -196,17 +196,23 @@ def _trigamma(z) -> np.ndarray:
     z^(2k+1) (Abramowitz & Stegun 6.4.12), cut after B_16, is accurate to
     ~1e-17 relative.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.array(z, dtype=complex)  # a copy, stepped in place
     out = np.zeros_like(z)
+    work = np.empty_like(z)
     for _ in range(max(0, math.ceil(11.0 - float(z.real.min(initial=11.0))))):
-        out += 1.0 / (z * z)
-        z = z + 1.0
-    iz = 1.0 / z
-    iz2 = iz * iz
-    tail = 0.0
+        out += np.divide(1.0, np.multiply(z, z, out=work), out=work)
+        z += 1.0
+    # the series' own operations in its own operand order, each written into
+    # z, work or tail: complex products need not commute to the bit
+    iz = np.divide(1.0, z, out=z)
+    iz2 = np.multiply(iz, iz, out=work)
+    tail = np.zeros_like(z)
     for b in reversed(_BERNOULLI):
-        tail = b + iz2 * tail
-    return out + iz * (1.0 + iz * (0.5 + iz * tail))
+        np.add(b, np.multiply(iz2, tail, out=tail), out=tail)
+    np.add(0.5, np.multiply(iz, tail, out=tail), out=tail)
+    np.add(1.0, np.multiply(iz, tail, out=tail), out=tail)
+    out += np.multiply(iz, tail, out=tail)
+    return out
 
 
 def _correlations(s: np.ndarray, sd: SpectralDensity, T: float) -> tuple:
@@ -229,7 +235,9 @@ def _time_domain(params: KernelParams, n_half: int, h: float) -> dict:
     # misses by 3e-7 at dt = 5 and by 2.6e-3 at omega_c = 4, dt = 5
     panels = math.ceil(2.0 * max(sd.omega_c, eps) * h)
     width = h / panels
-    steps = {name: np.empty(n_half) for name in KERNEL_NAMES}
+    # out[name][1:] takes the step sums, then their cumulative sum in place
+    out = {name: np.zeros(n_half + 1) for name in KERNEL_NAMES}
+    steps = {name: a[1:] for name, a in out.items()}
     # a step with more nodes than a block is summed in groups of whole
     # panels, the group sums added in order; a step that fits is one group
     group = min(panels, max(1, _STEP_BLOCK_NODES // _GL_X.size))
@@ -249,12 +257,9 @@ def _time_domain(params: KernelParams, n_half: int, h: float) -> dict:
                                ("F", c * mu), ("G", sn * mu)):
                 total = rate.sum(axis=1)
                 steps[name][rows] = steps[name][rows] + total if p0 else total
-    out = {}
-    for name in KERNEL_NAMES:
-        acc = np.zeros(n_half + 1)
-        np.cumsum(steps[name], out=acc[1:])
-        acc.flags.writeable = False
-        out[name] = acc
+    for name, acc in steps.items():
+        np.cumsum(acc, out=acc)
+        out[name].flags.writeable = False
     return out
 
 

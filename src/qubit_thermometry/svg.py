@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["LinePlot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -39,8 +41,18 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _plotted(vals: np.ndarray, log: bool) -> np.ndarray:
+    """``vals`` in the plotted coordinate.  A log axis takes math.log10 of
+    each value: np.log10 need not round the same way."""
+    return np.fromiter(map(math.log10, vals.tolist()), float, vals.size) if log else vals
+
+
 class LinePlot:
-    """Accumulates (x, y) series and renders one 640 x 420 SVG file."""
+    """Accumulates (x, y) series and renders one 640 x 420 SVG file.
+
+    ``series`` holds each series as its x and y float64 arrays in the plotted
+    coordinate (log10 on a log axis), then its label and dash flag.
+    """
 
     def __init__(self, title="", xlabel="", ylabel="", xlog=False, ylog=False):
         self.title = title
@@ -51,29 +63,30 @@ class LinePlot:
         self.series = []
 
     def add(self, x, y, label=None, dashed=False):
-        """Add a series.  Non-finite points, and points <= 0 on a log axis,
-        are skipped; a series left without points keeps its legend entry."""
-        pts = []
-        for xi, yi in zip(x, y):
-            xi = float(xi)
-            yi = float(yi)
-            if not (math.isfinite(xi) and math.isfinite(yi)):
-                continue
-            if self.xlog and xi <= 0.0:
-                continue
-            if self.ylog and yi <= 0.0:
-                continue
-            pts.append((xi, yi))
-        self.series.append((pts, label, dashed))
+        """Add a series.  x and y pair up to the shorter of the two, as zip
+        pairs them; non-finite points, and points <= 0 on a log axis, are
+        skipped; a series left without points keeps its legend entry."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = min(x.size, y.size)
+        x, y = x[:n], y[:n]
+        keep = np.isfinite(x) & np.isfinite(y)
+        if self.xlog:
+            keep &= x > 0.0
+        if self.ylog:
+            keep &= y > 0.0
+        self.series.append((_plotted(x[keep], self.xlog), _plotted(y[keep], self.ylog),
+                            label, dashed))
 
     @staticmethod
-    def _span(vals) -> tuple:
-        """(low, high) of one axis in its plotted coordinate (log10 on a log
-        axis): a single value is padded by 0.5 either side, and an axis
-        without points spans (0, 1)."""
-        if not vals:
+    def _span(arrays) -> tuple:
+        """(low, high) over the arrays of one axis in its plotted coordinate
+        (log10 on a log axis): a single value is padded by 0.5 either side,
+        and an axis without points spans (0, 1)."""
+        drawn = [a for a in arrays if a.size]
+        if not drawn:
             return 0.0, 1.0
-        lo, hi = min(vals), max(vals)
+        lo, hi = min(float(a.min()) for a in drawn), max(float(a.max()) for a in drawn)
         return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
 
     def _ticks(self, lo: float, hi: float, log: bool):
@@ -95,9 +108,8 @@ class LinePlot:
     def render(self) -> str:
         tx = math.log10 if self.xlog else (lambda v: v)
         ty = math.log10 if self.ylog else (lambda v: v)
-        pts_all = [p for pts, _, _ in self.series for p in pts]
-        fx0, fx1 = self._span([tx(x) for x, _ in pts_all])
-        fy0, fy1 = self._span([ty(y) for _, y in pts_all])
+        fx0, fx1 = self._span([u for u, _, _, _ in self.series])
+        fy0, fy1 = self._span([w for _, w, _, _ in self.series])
         pad_y = 0.05 * (fy1 - fy0)
         fy0, fy1 = fy0 - pad_y, fy1 + pad_y
 
@@ -105,11 +117,12 @@ class LinePlot:
         W, H = _WIDTH, _HEIGHT
         ax_w, ax_h = W - ml - mr, H - mt - mb
 
-        def sx(v):
-            return ml + (tx(v) - fx0) / (fx1 - fx0) * ax_w
+        # pixel position of a plotted coordinate (a number or an array)
+        def sx(u):
+            return ml + (u - fx0) / (fx1 - fx0) * ax_w
 
-        def sy(v):
-            return H - mb - (ty(v) - fy0) / (fy1 - fy0) * ax_h
+        def sy(u):
+            return H - mb - (u - fy0) / (fy1 - fy0) * ax_h
 
         out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
                f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="11">',
@@ -121,14 +134,14 @@ class LinePlot:
                        f'font-size="13">{_escape(self.title)}</text>')
 
         for v in self._ticks(fx0, fx1, self.xlog):
-            px = sx(v)
+            px = sx(tx(v))
             if ml - 1 <= px <= W - mr + 1:
                 out.append(f'<line x1="{px:.1f}" y1="{H-mb}" x2="{px:.1f}" '
                            f'y2="{H-mb+4}" stroke="black"/>')
                 out.append(f'<text x="{px:.1f}" y="{H-mb+16}" '
                            f'text-anchor="middle">{_fmt(v)}</text>')
         for v in self._ticks(fy0, fy1, self.ylog):
-            py = sy(v)
+            py = sy(ty(v))
             if mt - 1 <= py <= H - mb + 1:
                 out.append(f'<line x1="{ml-4}" y1="{py:.1f}" x2="{ml}" '
                            f'y2="{py:.1f}" stroke="black"/>')
@@ -142,14 +155,14 @@ class LinePlot:
                        f'transform="rotate(-90 16 {mt + ax_h/2:.1f})">{_escape(self.ylabel)}</text>')
 
         legend_y = mt + 14
-        for i, (pts, label, dashed) in enumerate(self.series):
+        for i, (u, w, label, dashed) in enumerate(self.series):
             color = _PALETTE[i % len(_PALETTE)]
             dash = ' stroke-dasharray="6 4"' if dashed else ""
-            if len(pts) == 1:
-                px, py = sx(pts[0][0]), sy(pts[0][1])
-                out.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>')
-            elif pts:
-                coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
+            px, py = sx(u).tolist(), sy(w).tolist()
+            if len(px) == 1:
+                out.append(f'<circle cx="{px[0]:.1f}" cy="{py[0]:.1f}" r="2.5" fill="{color}"/>')
+            elif px:
+                coords = " ".join(map("{:.1f},{:.1f}".format, px, py))
                 out.append(f'<polyline points="{coords}" fill="none" '
                            f'stroke="{color}" stroke-width="1.4"{dash}/>')
             if label:
