@@ -287,6 +287,14 @@ def _sum_nodes(vec: np.ndarray, trig: np.ndarray) -> np.ndarray:
     return (vec * trig).sum(axis=1)
 
 
+def _line_aligned(n: int) -> np.ndarray:
+    """n uninitialized floats from a 64-byte cache line: as the product buffer
+    of ``_reduce_rows``, 12% faster than at malloc's 16-byte alignment."""
+    raw = np.empty(n + 7)
+    lo = -raw.ctypes.data % 64 // 8
+    return raw[lo:lo + n]
+
+
 def _reduce_rows(trig: np.ndarray, rows: np.ndarray, out: np.ndarray, buf: np.ndarray):
     """out[i, r] = sum_j rows[r, j] * trig[i, j] for (nt, N) ``trig`` and
     (m, N) ``rows``, a block of time and coefficient rows at a time through
@@ -357,10 +365,9 @@ def _osc_error(kappa: np.ndarray) -> np.ndarray:
 
 class _KernelEngine:
     """Evaluates the six kernels at arbitrary times for one ``params``, and
-    R, K, X at each of the extra temperatures ``temps``.  It keeps no mesh
-    band between calls: each ``evaluate`` builds a band's geometry and
-    coefficients when its sweep reaches the band and releases them after,
-    so threads may share one engine."""
+    R, K, X at each of the extra temperatures ``temps``.  Each ``evaluate``
+    is one sweep that builds each mesh band once, shares its chunks of times
+    among the threads and releases it before the next; no band outlives it."""
 
     def __init__(self, params: KernelParams, temps=()):
         self.params = params
@@ -628,7 +635,7 @@ class _KernelEngine:
 
     # -- public evaluation ---------------------------------------------------------
 
-    def evaluate(self, ts):
+    def evaluate(self, ts, workers: int = 1, map=map):
         """Evaluate at times ``ts``, bisecting the mesh until every kernel
         meets its tolerance.
 
@@ -640,60 +647,64 @@ class _KernelEngine:
         band k - 1 rejected it, and is evaluated on band k.  Each band is
         built when the sweep first reaches it and released before the next,
         so one band is held at a time and each is built once per call.
-        Each value is a fixed-order sum over the nodes of its band, so it
-        does not depend on which other times or temperatures share the call.
+        Its rows are cut, ascending, into near-equal chunks, a multiple of
+        ``workers`` in number, and ``map`` runs sweep j over every
+        ``workers``-th chunk from j on, on work arrays of its own.  Each
+        value is a fixed-order sum over its band's nodes, so it depends
+        neither on the other times or temperatures in the call nor on
+        ``workers``.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0.0)):
             raise DomainError("kernel times must be finite and >= 0")
         out = [{n: np.empty(ts.shape) for n in names}
                for names in (KERNEL_NAMES,) + (THERMAL_KERNELS,) * len(self.temps)]
-        levels = np.zeros(ts.shape, dtype=np.int64)
         base_k = np.array([self._width_exponent(t) for t in ts.tolist()], dtype=np.int64)
-        k, last = (int(base_k.min()), int(base_k.max())) if ts.size else (0, -1)
-        carried = np.empty(0, dtype=np.int64)  # rows band k - 1 rejected
-        while k <= last or carried.size:
-            idx = np.concatenate((np.flatnonzero(base_k == k), carried))
+        keys = base_k.copy()  # a rejected row's key moves on to the next band
+        k = 0
+        while k <= keys.max(initial=-1):
+            idx = np.flatnonzero(keys == k)
             k += 1
             if not idx.size:
                 continue
             band = self._band(k - 1)
             nodes = len(band.omega)
+            # near-equal chunks, a multiple of ``workers`` in number: sweeps end together
             chunk = max(1, _CHUNK_ELEMENTS // nodes)
-            # flat sin and cos arrays and the product buffer, shared by every
-            # chunk of this band.  Fresh arrays per chunk go back to the
-            # system and are faulted in again: a t_end = 200 precompute on
-            # two threads took 38x the minor page faults and 1.8 s of system
-            # time that way.
+            chunks = np.array_split(idx, min(idx.size, workers * -(-idx.size // (workers * chunk))))
+            # each sweep's flat sin and cos arrays and product buffer serve
+            # all its chunks: fresh ones per chunk were faulted in again, 38x
+            # the minor page faults and 1.8 s of system time on two threads
             trig = max(nodes, _TRIG_BLOCK_ELEMENTS)
-            work = [np.empty(trig), np.empty(trig), np.empty(max(nodes, _ROW_BLOCK_ELEMENTS))]
-            rejected = []
-            for lo in range(0, idx.size, chunk):
-                sel = idx[lo:lo + chunk]
-                tsel = ts[sel]
-                sets, errs, bad = self._eval_chunk(band, tsel, work)
-                good = ~bad
-                for dst, src in zip(out, sets):
-                    for n, arr in dst.items():
-                        arr[sel[good]] = src[n][good]
-                if bad.any():
-                    over = sel[bad]
-                    exhausted = levels[over] + 1 > _MAX_HALVINGS
-                    if exhausted.any():
-                        i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
-                        name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
-                        t, err = float(tsel[i0]), float(errs[name][i0])
-                        raise QuadratureError(
-                            f"kernel {name} did not reach tolerance at t={t:g} after "
-                            f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
-                            f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
-                            f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
-                            f"error estimate {err:.3g})")
-                    levels[over] += 1
-                    rejected.append(over)
-            band = work = None  # neither outlives its rows
-            carried = np.concatenate(rejected) if rejected else np.empty(0, dtype=np.int64)
-        return out, levels
+            works = [(np.empty(trig), np.empty(trig), _line_aligned(max(nodes, _ROW_BLOCK_ELEMENTS)))
+                     for _ in range(min(workers, len(chunks)))]
+
+            def sweep(j):
+                for sel in chunks[j::len(works)]:
+                    tsel = ts[sel]
+                    sets, errs, bad = self._eval_chunk(band, tsel, works[j])
+                    good = ~bad
+                    for dst, src in zip(out, sets):
+                        for n, arr in dst.items():
+                            arr[sel[good]] = src[n][good]
+                    if bad.any():
+                        over = sel[bad]
+                        exhausted = keys[over] - base_k[over] + 1 > _MAX_HALVINGS
+                        if exhausted.any():
+                            i0 = int(np.nonzero(bad)[0][np.argmax(exhausted)])
+                            name = max(KERNEL_NAMES, key=lambda n: float(errs[n][i0]))
+                            t, err = float(tsel[i0]), float(errs[name][i0])
+                            raise QuadratureError(
+                                f"kernel {name} did not reach tolerance at t={t:g} after "
+                                f"{_MAX_HALVINGS} mesh halvings (epsilon={self.eps:g}, "
+                                f"T={self.T:g}, eta={self.eta:g}, omega_c={self.omega_c:g}, "
+                                f"rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g}; "
+                                f"error estimate {err:.3g})")
+                        keys[over] += 1
+
+            list(map(sweep, range(len(works))))
+            band = works = None  # neither outlives its rows
+        return out, keys - base_k
 
 
 def grid_steps(t_end: float, dt: float) -> int:
@@ -714,20 +725,6 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     grid = np.arange(grid_steps(t_end, dt) + 1) * dt
     grid.flags.writeable = False
     return grid
-
-
-def _joined(parts, size: int):
-    """The read-only sets of ``size`` times from per-share evaluate results,
-    share j holding the times j, j + w, j + 2w, ... of w = len(parts)."""
-    sets = [{n: np.empty(size) for n in d} for d in parts[0][0]]
-    for j, part in enumerate(parts):
-        for dst, src in zip(sets, part[0]):
-            for n, arr in dst.items():
-                arr[j::len(parts)] = src[n]
-    for d in sets:
-        for arr in d.values():
-            arr.flags.writeable = False
-    return sets
 
 
 def precompute(params: KernelParams, t_end: float, dt: float) -> KernelSet:
@@ -758,10 +755,9 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
     depend on ``temps``.  Freezing the mesh keeps the kernels smooth in T,
     which the finite-difference temperature stencil relies on.
     Every value is bit-identical to a direct evaluation at its time alone.
-    ``workers`` > 1 splits the time axis across threads (numpy releases the
-    GIL), thread j sweeping the interleaved share ts[j::workers] of the
-    times, so each thread builds each band its share reaches once; the
-    output does not depend on the worker count.
+    ``workers`` > 1 threads (numpy releases the GIL) share each band's chunks
+    of times in the one sweep, so each band is built once; the output does
+    not depend on the worker count.
     """
     grid = _uniform_grid(t_end, dt)
     # grid points and midpoints interleaved, evaluated in one pass
@@ -769,17 +765,20 @@ def frequency_pass(params: KernelParams, t_end: float, dt: float, temps,
     ts[0::2] = grid
     ts[1::2] = grid[:-1] + 0.5 * dt
     eng = _KernelEngine(params, temps)
-    if workers > 1 and grid.size > 64:
+    if workers > 1:
         # imported here: concurrent.futures costs ~5 ms of every CLI start-up
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda j: eng.evaluate(ts[j::workers]), range(workers)))
+            sets, _ = eng.evaluate(ts, workers, ex.map)
     else:
-        parts = [eng.evaluate(ts)]
+        sets, _ = eng.evaluate(ts)
+    for d in sets:
+        for arr in d.values():
+            arr.flags.writeable = False
     (g_vals, m_vals), *shifted = (
         ({n: a[0::2] for n, a in d.items()}, {n: a[1::2] for n, a in d.items()})
-        for d in _joined(parts, ts.size))
+        for d in sets)
     return tuple(
         KernelSet(grid=grid, values={**g_vals, **gs}, half_values={**m_vals, **ms},
                   params=replace(params, T=T))

@@ -188,8 +188,8 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     Probes that share their kernel parameters and grid (e.g. differ only in
     alpha) share one stencil bundle.  With more than one bundle and
     ``workers`` > 1 the bundles are built in a pool of ``workers``
-    processes; otherwise each pass splits its time axis over ``workers``
-    threads, ``workers`` first capped at the usable cores so that no pool
+    processes; otherwise ``workers`` threads share each pass's chunks of
+    times, ``workers`` first capped at the usable cores so that no pool
     outgrows them.  Either way the results do not depend on ``workers``.
     The five lanes of every probe are then integrated in one
     ``integrate_lanes`` call, in which the base lane keeps every grid row
