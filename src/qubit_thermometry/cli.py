@@ -79,11 +79,11 @@ class RunConfig:
     def __post_init__(self):
         if self.alpha_count < 1 or self.temp_count < 1:
             raise ConfigurationError("sweep counts must be >= 1")
-        if self.temp_count > 1 and not (self.temp_min < self.temp_max):
-            raise ConfigurationError("temperature sweep range must be strictly increasing")
         for key, T in (("temp_min", self.temp_min), ("temp_max", self.temp_max)):
             if not (0.0 < T < math.inf):
                 raise ConfigurationError(f"{key} must be finite and > 0, got {T}")
+        if self.temp_count > 1 and not (self.temp_min < self.temp_max):
+            raise ConfigurationError("temperature sweep range must be strictly increasing")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 

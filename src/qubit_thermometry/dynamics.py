@@ -137,9 +137,9 @@ def _check_kernelset(cfg: ProbeConfig, ks: KernelSet):
 # reduced as ((P0 - off) - P1) - P2: subtract is never reassociated, so an
 # axis-0 ``subtract.reduce`` takes them in that order, as ``rhs`` does.
 _GATHER = np.array([1, 0, 3, 3, 3, 3, 2, 1, 2, 0, 2, 0])
-# lane-steps per block of kernel-term tables and of norm checks: one grid
-# and one midpoint table of 18 rows each, ~0.5 MB together whatever the lane
-# count
+# lane-steps per block of kernel-term tables and of norm checks: one table
+# of 2 * block + 1 grid points and midpoints, 18 rows each, ~0.5 MB whatever
+# the lane count
 _BLOCK_LANE_STEPS = 1792
 
 
@@ -151,36 +151,22 @@ def check_shared_grid(cfgs):
             f"lanes must share one grid, got (dt, t_end) in {sorted(grids)}")
 
 
-def _new_tables(block: int, eps, aa, am2, a2) -> tuple:
-    """One grid table (block + 1 steps) and one midpoint table (block
-    steps) of ``_GATHER``'s coefficients and kernels, each a pair of
-    (steps, 12, lanes) and (steps, 6, lanes) arrays.  The coefficient rows
-    that do not vary in time (-eps, 0, aa, 1, a2, am2, aa, aa) are written
-    here, once; ``_term_tables`` fills the rest for each block."""
-    lanes = len(eps)
-    tables = []
-    for steps in (block + 1, block):
-        coef, kern = np.empty((steps, 12, lanes)), np.empty((steps, 6, lanes))
-        for row, value in ((0, -eps), (5, 0.0), (6, aa), (7, 1.0), (8, a2), (9, am2),
-                           (10, aa), (11, aa)):
-            coef[:, row] = value
-        tables.append((coef, kern))
-    return tuple(tables)
-
-
-def _term_tables(coef, kern, sources, steps: slice, eps, aa, am2, a2):
-    """Fill the kernel terms of every lane at the times ``steps`` into the
-    rows of the coefficient table ``coef`` (b, 12, lanes) and the kernel
-    table ``kern`` (b, 6, lanes) of ``_GATHER``'s products that vary in
-    time; the coefficient rows that do not keep what ``_new_tables`` wrote
-    there.  ``sources`` pairs each kernel-array dict with the lanes that
-    read it.  Each entry is the float that ``rhs`` forms, from the same
-    operands in the same order."""
+def _term_tables(coef, kern, sources, i0: int, eps, aa, am2, a2):
+    """Fill the kernel terms of every lane at grid[i0], its midpoint,
+    grid[i0 + 1], ..., grid[i0 + b] into the rows 0, 1, ..., 2b of the
+    coefficient table ``coef`` (2b + 1, 12, lanes) and the kernel table
+    ``kern`` (2b + 1, 6, lanes) of ``_GATHER``'s products that vary in
+    time; the coefficient rows that do not keep what ``integrate_lanes``
+    wrote there.  ``sources`` pairs each kernel set with the lanes that read
+    it.  Each entry is the float that ``rhs`` forms, from the same operands
+    in the same order."""
+    b = len(coef) // 2
     K, R, X = kern[:, 0], kern[:, 3], kern[:, 4]
     L, G, F = coef[:, 1], coef[:, 3], coef[:, 4]  # raw L, G, F until formed
-    for vals, lanes in sources:
+    for ks, lanes in sources:
         for dst, name in ((K, "K"), (R, "R"), (X, "X"), (L, "L"), (G, "G"), (F, "F")):
-            dst[:, lanes] = vals[name][steps, None]
+            dst[0::2, lanes] = ks.values[name][i0:i0 + b + 1, None]
+            dst[1::2, lanes] = ks.half_values[name][i0:i0 + b, None]
     F[...] = -(aa * (F - L))
     L[...] = eps + a2 * X
     coef[:, 2] = -a2 * G
@@ -199,10 +185,11 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     lanes step together in 29 numpy calls per step, whatever their number.
     Each stage gathers the state into ``_GATHER``'s 12-row product table,
     multiplies it by the kernel-only terms of ``rhs`` (the one-time
-    right-hand side in ``tests/oracles.py``), read from one grid and one
-    midpoint table that the call allocates once and refills in place for
-    each block of about ``_BLOCK_LANE_STEPS`` lane-steps (nothing outlives
-    the call), and reduces its four 3-row groups with one
+    right-hand side in ``tests/oracles.py``), read from one table of the
+    block's grid points and midpoints in stage order, which the call
+    allocates once and refills in place, with one ``_term_tables`` call,
+    for each block of about ``_BLOCK_LANE_STEPS`` lane-steps (nothing
+    outlives the call), and reduces its four 3-row groups with one
     ``subtract.reduce``, which subtracts them left to right as ``rhs``
     does.  Each call performs, lane by lane, the
     floating-point operation of ``rhs`` on the same operands (the reordering
@@ -213,19 +200,21 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
 
     A block's states go into one (steps, 3, lanes) buffer, and only the
     rows each lane keeps are copied out of it.  ``rows`` has one entry per
-    lane: None keeps every grid row, a sequence of grid indices keeps the
-    states at those indices alone, in its order (that lane's Trajectory
-    then has the kernel grid at those indices as its ``grid``).  The
-    default None keeps every row of every lane.  Every step of every lane
-    is taken and norm-checked, whichever rows it keeps.
+    lane: None keeps every grid row, and the lanes that do not keep every
+    row all keep one selection of grid indices, the states at those
+    indices alone, in its order (their Trajectories then have the kernel
+    grid at those indices as their ``grid``).  The default None keeps every
+    row of every lane.  Every step of every lane is taken and norm-checked,
+    whichever rows it keeps.
 
     Raises IntegrationError if a lane's Bloch norm exceeds 1 +
     PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
     renormalizing it away): for the lowest-index such lane, at its first
     such step, with a message naming its alpha, T, epsilon, eta and dt.
     Raises ConfigurationError for a kernel set that does not match its lane,
-    for lanes on different grids or for ``rows`` of another length than
-    ``cfgs``, and DomainError for a kept row outside the grid.
+    for lanes on different grids, for ``rows`` of another length than
+    ``cfgs`` or for lanes keeping different selections, and DomainError for
+    a kept row outside the grid.
     """
     cfgs, kernel_sets = list(cfgs), list(kernel_sets)
     rows = [None] * len(cfgs) if rows is None else list(rows)
@@ -239,23 +228,26 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     if not cfgs:
         return []
     n_lanes, n_steps = len(cfgs), len(kernel_sets[0].grid) - 1
-    kept = {m: np.asarray(r, dtype=np.int64).reshape(-1)
-            for m, r in enumerate(rows) if r is not None}
-    for m, r in kept.items():
-        if r.size and not (0 <= r.min() and r.max() <= n_steps):
-            raise DomainError(f"rows kept for lane {m} must lie in [0, {n_steps}]")
+    kept = [m for m, r in enumerate(rows) if r is not None]
+    other = [rows[m] for m in kept if not np.array_equal(rows[m], rows[kept[0]])]
+    if other:
+        raise ConfigurationError(f"lanes that keep rows must keep one selection of "
+                                 f"them, got {rows[kept[0]]} and {other[0]}")
+    sel = np.asarray(rows[kept[0]] if kept else [], dtype=np.int64).reshape(-1)
+    if sel.size and not (0 <= sel.min() and sel.max() <= n_steps):
+        raise DomainError(f"kept rows must lie in [0, {n_steps}]")
     # each set once, in first-use order, with the lanes that read it
     by_set = {}
     for m, ks in enumerate(kernel_sets):
         by_set.setdefault(id(ks), (ks, []))[1].append(m)
-    on_grid = [(ks.values, np.array(lanes)) for ks, lanes in by_set.values()]
-    on_half = [(ks.half_values, np.array(lanes)) for ks, lanes in by_set.values()]
+    sources = [(ks, np.array(lanes)) for ks, lanes in by_set.values()]
     # rhs's coefficients per lane, each formed as rhs forms it
     alpha = [cfg.alpha for cfg in cfgs]
-    coefs = (np.array([cfg.epsilon for cfg in cfgs]),
-             np.array([4.0 * a * (a - 1.0) for a in alpha]),
-             np.array([4.0 * (a - 1.0) ** 2 for a in alpha]),
-             np.array([4.0 * a * a for a in alpha]))
+    eps = np.array([cfg.epsilon for cfg in cfgs])
+    aa = np.array([4.0 * a * (a - 1.0) for a in alpha])
+    am2 = np.array([4.0 * (a - 1.0) ** 2 for a in alpha])
+    a2 = np.array([4.0 * a * a for a in alpha])
+    coefs = eps, aa, am2, a2
 
     dt = cfgs[0].dt
     half = 0.5 * dt
@@ -264,22 +256,17 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     # the lanes keeping every row, and their states; a slice when that is
     # all of them, so copying a block out gathers no temporary (a fig1 run
     # peaked 0.2-0.4 MB higher with the gather)
-    full = (np.array([m for m in range(n_lanes) if m not in kept], dtype=np.intp)
+    full = (np.array([m for m, r in enumerate(rows) if r is None], dtype=np.intp)
             if kept else slice(None))
     states = np.empty((n_lanes - len(kept), n_steps + 1, 3))
-    # the kept (step, lane) pairs by step; picked[order[q]] receives pair q
-    pick_step = np.concatenate([np.empty(0, np.int64), *kept.values()])
-    pick_lane = np.repeat(np.array(list(kept), dtype=np.intp), [r.size for r in kept.values()])
-    order = np.argsort(pick_step, kind="stable")
-    pick_step, pick_lane = pick_step[order], pick_lane[order]
-    picked = np.empty((order.size, 3))
+    picked = np.empty((sel.size, 3, len(kept)))  # picked[q]: grid row sel[q]
 
     def keep(i, block):
         # the (n, 3, lanes) states of grid rows i ... i + n - 1, out to the
         # lanes that keep them
         states[:, i:i + len(block)] = block.transpose(2, 0, 1)[full]
-        q = slice(*np.searchsorted(pick_step, (i, i + len(block))))
-        picked[order[q]] = block[pick_step[q] - i, :, pick_lane[q]]
+        hit = (i <= sel) & (sel < i + len(block))
+        picked[hit] = block[sel[hit] - i][..., kept]
 
     s = np.ones((4, n_lanes))
     s[:3] = np.array([[float(c) for c in cfg.initial] for cfg in cfgs]).T
@@ -292,21 +279,24 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
     block = min(max(1, _BLOCK_LANE_STEPS // n_lanes), n_steps)  # steps per block
     buf = np.empty((block, 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
-    # one grid and one midpoint table for every block, refilled in place
-    (g_coef, g_kern), (h_coef, h_kern) = _new_tables(block, *coefs)
-    on_g = list(zip(g_coef, g_kern))
-    on_h = list(zip(h_coef, h_kern))
+    # one term table for every block, refilled in place: _GATHER's
+    # coefficients and kernels at a block's 2b + 1 grid points and midpoints
+    # in stage order; the rows that do not vary in time are written here
+    coef, kern = (np.empty((2 * block + 1, n, n_lanes)) for n in (12, 6))
+    for row, value in ((0, -eps), (5, 0.0), (6, aa), (7, 1.0), (8, a2), (9, am2),
+                       (10, aa), (11, aa)):
+        coef[:, row] = value
+    terms = list(zip(coef, kern))
 
     failed = None  # (lane, step, |D|^2) of the lowest-index lane out of the ball
     with np.errstate(all="ignore"):
         for i0 in range(0, n_steps, block):
-            i1 = min(i0 + block, n_steps)
-            b = i1 - i0
-            _term_tables(g_coef[:b + 1], g_kern[:b + 1], on_grid, slice(i0, i1 + 1), *coefs)
-            _term_tables(h_coef[:b], h_kern[:b], on_half, slice(i0, i1), *coefs)
+            b = min(block, n_steps - i0)
+            _term_tables(coef[:2 * b + 1], kern[:2 * b + 1], sources, i0, *coefs)
             # terms at grid[i] (1), the midpoint (m) and grid[i+1] (4); each
             # stage gathers w's products into p and reduces them to k = rhs(w)
-            for j, ((c1, r1), (cm, rm), (c4, r4)) in enumerate(zip(on_g, on_h[:b], on_g[1:])):
+            for j in range(b):
+                (c1, r1), (cm, rm), (c4, r4) = terms[2 * j:2 * j + 3]
                 s.take(_GATHER, 0, p, "clip")
                 mul(p, c1, p)
                 mul(p_kern, r1, p_kern)
@@ -356,16 +346,10 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
             f"Bloch norm left the unit ball at t={kernel_sets[m].grid[i]:g} "
             f"(|D|^2 = {norm2:.6g}; alpha={cfg.alpha:g}, T={cfg.T:g}, "
             f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})")
-    trajs, rest, lo = [], iter(states), 0
-    for m, (cfg, ks) in enumerate(zip(cfgs, kernel_sets)):
-        if m in kept:
-            r = kept[m]
-            trajs.append(Trajectory(grid=ks.grid[r], states=picked[lo:lo + r.size],
-                                    config=cfg))
-            lo += r.size
-        else:
-            trajs.append(Trajectory(grid=ks.grid, states=next(rest), config=cfg))
-    return trajs
+    whole, part = iter(states), iter(picked.transpose(2, 0, 1))
+    return [Trajectory(grid=ks.grid, states=next(whole), config=cfg) if r is None
+            else Trajectory(grid=ks.grid[sel], states=next(part), config=cfg)
+            for cfg, ks, r in zip(cfgs, kernel_sets, rows)]
 
 
 def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:

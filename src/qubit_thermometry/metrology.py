@@ -197,11 +197,16 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     the probing times, the only ones the derivative is read at.  Before any
     kernel is built, probes on different (dt, t_end) grids raise
     ConfigurationError, and a probing time below 0, beyond t_end or off the
-    dt grid raises DomainError (``ProbeConfig.index_of``).
+    dt grid (``ProbeConfig.index_of``), or two probing times on one grid
+    row, raise DomainError.
     """
     workers = min(workers, _usable_cores())
     check_shared_grid(probes)
     steps = [probes[0].index_of(t) for t in times] if probes else []
+    for j, i in enumerate(steps):
+        if i in steps[:j]:
+            raise DomainError(f"probing times {times[steps.index(i)]} and {times[j]} "
+                              f"share grid row {i}")
     keys = [(probe.kernel_params, probe.t_end, probe.dt) for probe in probes]
     uniq = list(dict.fromkeys(keys))
     if workers > 1 and len(uniq) > 1:

@@ -74,6 +74,10 @@ def test_runconfig_validation():
     for temp_max in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="temp_max must be finite and > 0"):
             RunConfig(temp_count=1, temp_max=temp_max)
+    # a NaN bound of a sweep is named, not taken for a range out of order
+    for key in ("temp_min", "temp_max"):
+        with pytest.raises(ConfigurationError, match=f"{key} must be finite and > 0, got nan"):
+            RunConfig(**{key: math.nan})
 
 
 def test_single_point_sweeps():
@@ -392,13 +396,13 @@ def test_sweep_temperature_zero_coupling(tmp_path):
 @pytest.mark.parametrize("args,rows,footer", [
     (("--epsilon", "0", "--times", "1,2"), 6, False),
     (("--times", "0,1"), 6, False),
-    (("--times", "1,1", "--temp-max", "0.05"), 6, True),
+    (("--times", "2,1", "--temp-max", "0.05"), 6, True),
     (("--times", "0", "--t-end", "1", "--temp-count", "2"), 2, False),
-], ids=["gapless", "first-time-zero", "repeated-time", "only-time-zero"])
+], ids=["gapless", "first-time-zero", "unsorted-times", "only-time-zero"])
 def test_sweep_temperature_degenerate_inputs_write_both_svgs(tmp_path, args, rows, footer):
-    # a NaN Born-Markov series, a probing time without information, a
-    # repeated probing time (the slope is fitted to one point per
-    # temperature), and plots with no drawable point at all
+    # a NaN Born-Markov series, a probing time without information, the
+    # earliest probing time listed last (the slope is fitted at it, one
+    # point per temperature), and plots with no drawable point at all
     import xml.etree.ElementTree as ET
 
     assert run_cli("sweep-temperature", "--t-end", "2", "--dt", "0.01", "--temp-count", "3",
@@ -406,6 +410,7 @@ def test_sweep_temperature_degenerate_inputs_write_both_svgs(tmp_path, args, row
     lines = (tmp_path / "sweep_temperature.csv").read_text().splitlines()
     assert len(lines) == 1 + rows + footer
     assert lines[-1].startswith("# low_T_slope_qfi = ") == footer
+    assert not footer or "(log-log fit at t=1 over T <= 0.05)" in lines[-1]
     for name in ("sweep_temperature_qfi.svg", "sweep_temperature_measurements.svg"):
         assert ET.fromstring((tmp_path / name).read_text()).tag.endswith("svg")
 
@@ -502,6 +507,23 @@ def test_negative_probing_time_fails_before_kernels(tmp_path, capsys, monkeypatc
                  "--temp-count", "2", "--out", str(tmp_path))
     assert rc == 1
     assert "probing time -1.0 must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-alpha", "sweep-temperature"])
+def test_probing_times_on_one_grid_row_fail_before_kernels(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # let through, they wrote two qfi_t_1 columns or duplicate rows
+    def no_kernels(*args, **kwargs):
+        pytest.fail("kernels built for two probing times on one grid row")
+
+    monkeypatch.setattr(cli, "kernels_for", no_kernels)
+    monkeypatch.setattr(metrology, "frequency_pass", no_kernels)
+    rc = run_cli(command, "--t-end", "2", "--dt", "0.05", "--times=1,2,1.0",
+                 "--temp-count", "2", "--alpha-count", "2", "--out", str(tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qtherm: error: probing times 1.0 and 1.0 share grid row 20\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -298,9 +299,10 @@ def test_integrate_lanes_work_arrays_stay_bounded(params, traced_peak):
 
 
 def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):
-    # lanes keeping a few rows (out of order, repeated, the first and the
-    # last, none) beside lanes keeping every row: each kept row equals that
-    # row of the lane kept in full, 0 ulp, whatever the blocking
+    # lanes keeping one shared selection of rows (out of order, repeated,
+    # the first and the last; or none) beside lanes keeping every row: each
+    # kept row equals that row of the lane kept in full, 0 ulp, whatever the
+    # blocking
     picks = [(0, 0.5), (1, 0.3), (2, 1.0), (3, 0.0), (4, 0.7)]
     cfgs = [ProbeConfig(epsilon=lane_sets[j].params.epsilon, alpha=alpha,
                         T=lane_sets[j].params.T, sd=lane_sets[j].params.sd,
@@ -308,8 +310,9 @@ def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):
             for j, alpha in picks]
     sets = [lane_sets[j] for j, _ in picks]
     full = integrate_lanes(cfgs, sets)
-    rows = [None, [20, 0, 40], [40, 40], [], [1, 39, 2]]
-    for lane_steps in (1, 3 * len(cfgs), 10**9):
+    for sel, lane_steps in itertools.product(([20, 0, 40, 40, 1, 39, 2], []),
+                                             (1, 3 * len(cfgs), 10**9)):
+        rows = [None, sel, sel, None, sel]
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
             kept = integrate_lanes(cfgs, sets, rows)
@@ -327,6 +330,13 @@ def test_kept_rows_validated(sd, ks_short):
             integrate_lanes([cfg], [ks_short], rows)
     with pytest.raises(ConfigurationError, match="1 row selections"):
         integrate_lanes([cfg, cfg], [ks_short, ks_short], [None])
+
+
+def test_kept_rows_differing_between_lanes_rejected(sd, ks_short):
+    cfg = _probe(sd, alpha=0.5)
+    for rows in ([[0, 5], [5, 0]], [[0, 5], [0]], [[0], []], [None, [1], [2]]):
+        with pytest.raises(ConfigurationError, match="must keep one selection of them"):
+            integrate_lanes([cfg] * len(rows), [ks_short] * len(rows), rows)
 
 
 def _growing_set(ks, T, rate):
@@ -357,7 +367,7 @@ def test_integrate_lanes_reports_lowest_failing_lane(sd, ks_short, monkeypatch):
         with pytest.raises(IntegrationError) as err:
             integrate_lanes(cfgs, sets)
         with pytest.raises(IntegrationError) as kept:
-            integrate_lanes(cfgs, sets, [None, [0, 5], [0]])
+            integrate_lanes(cfgs, sets, [None, [0, 5], [0, 5]])
         with pytest.raises(IntegrationError) as alone:
             integrate(cfgs[1], sets[1])
         with pytest.raises(IntegrationError) as last:

@@ -292,8 +292,9 @@ def test_stencil_scans_rejects_mixed_grids_before_any_pass(sd, monkeypatch):
 
 
 def test_stencil_scans_rejects_bad_times_before_any_pass(sd, monkeypatch):
-    # a negative, a past-t_end and an off-grid probing time each fail, naming
-    # the time, before a frequency-domain pass is paid for
+    # a negative, a past-t_end and an off-grid probing time, and one on the
+    # grid row of another, each fail, naming the time, before a
+    # frequency-domain pass is paid for
     calls = []
 
     def counting_pass(*args, **kwargs):
@@ -304,7 +305,8 @@ def test_stencil_scans_rejects_bad_times_before_any_pass(sd, monkeypatch):
     probe = ProbeConfig(epsilon=0.5, alpha=0.5, T=0.2, sd=sd, t_end=5.0, dt=0.01)
     for t, named in ((-1.0, "probing time -1.0 must be >= 0"),
                      (10.0, "probing time 10.0 lies beyond t_end=5.0"),
-                     (1.005, "probing time 1.005 is not on the dt=0.01 grid")):
+                     (1.005, "probing time 1.005 is not on the dt=0.01 grid"),
+                     (1.0 + 1e-12, "probing times 1.0 and 1.000000000001 share grid row 100")):
         with pytest.raises(DomainError) as info:
             stencil_scans([probe, replace(probe, T=0.3)], (1.0, t))
         assert str(info.value) == named
