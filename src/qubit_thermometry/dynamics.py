@@ -157,9 +157,9 @@ def _term_tables(coef, kern, sources, i0: int, eps, aa, am2, a2):
     coefficient table ``coef`` (2b + 1, 12, lanes) and the kernel table
     ``kern`` (2b + 1, 6, lanes) of ``_GATHER``'s products that vary in
     time; the coefficient rows that do not keep what ``integrate_lanes``
-    wrote there.  ``sources`` pairs each kernel set with the lanes that read
-    it.  Each entry is the float that ``rhs`` forms, from the same operands
-    in the same order."""
+    wrote there.  ``sources`` pairs each kernel set with a slice of lanes,
+    one pair per run of adjacent lanes that read it.  Each entry is the
+    float that ``rhs`` forms, from the same operands in the same order."""
     b = len(coef) // 2
     K, R, X = kern[:, 0], kern[:, 3], kern[:, 4]
     L, G, F = coef[:, 1], coef[:, 3], coef[:, 4]  # raw L, G, F until formed
@@ -180,9 +180,10 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     """Classical fixed-step RK4 of many lanes over one shared kernel grid.
 
     Lane ``j`` integrates ``cfgs[j]`` on ``kernel_sets[j]``; lanes may differ
-    in alpha, epsilon, T, initial state and kernel set (a set shared by
-    several lanes is read once per block), but not in dt or t_end.  All
-    lanes step together in 29 numpy calls per step, whatever their number.
+    in alpha, epsilon, T, initial state and kernel set (a set is read once
+    per block for each run of adjacent lanes that share it), but not in dt
+    or t_end.  All lanes step together in 28 numpy calls per step, whatever
+    their number.
     Each stage gathers the state into ``_GATHER``'s 12-row product table,
     multiplies it by the kernel-only terms of ``rhs`` (the one-time
     right-hand side in ``tests/oracles.py``), read from one table of the
@@ -191,21 +192,21 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     for each block of about ``_BLOCK_LANE_STEPS`` lane-steps (nothing
     outlives the call), and reduces its four 3-row groups with one
     ``subtract.reduce``, which subtracts them left to right as ``rhs``
-    does.  Each call performs, lane by lane, the
-    floating-point operation of ``rhs`` on the same operands (the reordering
-    uses only a*b = b*a, 1*v = v, a - (-b) = a + b and h - 0 = h), so every
+    does.  Each call performs, lane by lane, the floating-point operation
+    of ``rhs`` on the same operands (the reordering uses only a*b = b*a,
+    1*v = v, a - (-b) = a + b, h - 0 = h and 2*v = v + v), so every
     state equals that of a stage-by-stage RK4 over ``rhs``
     (``oracles.staged_rk4``) to the last bit, whatever the lanes, their
     order and the block size.
 
-    A block's states go into one (steps, 3, lanes) buffer, and only the
+    A block's states go into one (steps + 1, 4, lanes) buffer, and only the
     rows each lane keeps are copied out of it.  ``rows`` has one entry per
     lane: None keeps every grid row, and the lanes that do not keep every
     row all keep one selection of grid indices, the states at those
     indices alone, in its order (their Trajectories then have the kernel
-    grid at those indices as their ``grid``).  The default None keeps every
-    row of every lane.  Every step of every lane is taken and norm-checked,
-    whichever rows it keeps.
+    grid at those indices as their ``grid``).  The lanes that keep every
+    row come first.  The default None keeps every row of every lane.  Every
+    step of every lane is taken and norm-checked, whichever rows it keeps.
 
     Raises IntegrationError if a lane's Bloch norm exceeds 1 +
     PHYSICALITY_SLACK (surfacing a weak-coupling breakdown rather than
@@ -213,8 +214,9 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     such step, with a message naming its alpha, T, epsilon, eta and dt.
     Raises ConfigurationError for a kernel set that does not match its lane,
     for lanes on different grids, for ``rows`` of another length than
-    ``cfgs`` or for lanes keeping different selections, and DomainError for
-    a kept row outside the grid.
+    ``cfgs``, for a lane keeping every row after one that keeps a selection
+    or for lanes keeping different selections, and DomainError for a kept
+    row outside the grid.
     """
     cfgs, kernel_sets = list(cfgs), list(kernel_sets)
     rows = [None] * len(cfgs) if rows is None else list(rows)
@@ -228,19 +230,20 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     if not cfgs:
         return []
     n_lanes, n_steps = len(cfgs), len(kernel_sets[0].grid) - 1
-    kept = [m for m, r in enumerate(rows) if r is not None]
-    other = [rows[m] for m in kept if not np.array_equal(rows[m], rows[kept[0]])]
+    # lanes [0, n_full) keep every row, the lanes after them one selection
+    n_full = next((m for m, r in enumerate(rows) if r is not None), n_lanes)
+    kept = rows[n_full:]
+    other = [r for r in kept if r is None or not np.array_equal(r, kept[0])]
     if other:
-        raise ConfigurationError(f"lanes that keep rows must keep one selection of "
-                                 f"them, got {rows[kept[0]]} and {other[0]}")
-    sel = np.asarray(rows[kept[0]] if kept else [], dtype=np.int64).reshape(-1)
+        raise ConfigurationError(
+            f"lanes that keep every row must come first, and lanes that keep rows must "
+            f"keep one selection of them, got {kept[0]} and then {other[0]}")
+    sel = np.asarray(kept[0] if kept else [], dtype=np.int64).reshape(-1)
     if sel.size and not (0 <= sel.min() and sel.max() <= n_steps):
         raise DomainError(f"kept rows must lie in [0, {n_steps}]")
-    # each set once, in first-use order, with the lanes that read it
-    by_set = {}
-    for m, ks in enumerate(kernel_sets):
-        by_set.setdefault(id(ks), (ks, []))[1].append(m)
-    sources = [(ks, np.array(lanes)) for ks, lanes in by_set.values()]
+    # each run of adjacent lanes on one kernel set, with its slice of lanes
+    starts = [m for m in range(n_lanes) if m == 0 or kernel_sets[m] is not kernel_sets[m - 1]]
+    sources = [(kernel_sets[m], slice(m, end)) for m, end in zip(starts, starts[1:] + [n_lanes])]
     # rhs's coefficients per lane, each formed as rhs forms it
     alpha = [cfg.alpha for cfg in cfgs]
     eps = np.array([cfg.epsilon for cfg in cfgs])
@@ -250,35 +253,21 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
     coefs = eps, aa, am2, a2
 
     dt = cfgs[0].dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    # RK4's step factors as arrays: a ufunc takes them faster than floats
+    half, step, sixth = (np.full((3, n_lanes), f) for f in (0.5 * dt, dt, dt / 6.0))
     limit = 1.0 + PHYSICALITY_SLACK
-    # the lanes keeping every row, and their states; a slice when that is
-    # all of them, so copying a block out gathers no temporary (a fig1 run
-    # peaked 0.2-0.4 MB higher with the gather)
-    full = (np.array([m for m, r in enumerate(rows) if r is None], dtype=np.intp)
-            if kept else slice(None))
-    states = np.empty((n_lanes - len(kept), n_steps + 1, 3))
-    picked = np.empty((sel.size, 3, len(kept)))  # picked[q]: grid row sel[q]
-
-    def keep(i, block):
-        # the (n, 3, lanes) states of grid rows i ... i + n - 1, out to the
-        # lanes that keep them
-        states[:, i:i + len(block)] = block.transpose(2, 0, 1)[full]
-        hit = (i <= sel) & (sel < i + len(block))
-        picked[hit] = block[sel[hit] - i][..., kept]
-
-    s = np.ones((4, n_lanes))
-    s[:3] = np.array([[float(c) for c in cfg.initial] for cfg in cfgs]).T
-    keep(0, s[None, :3])
+    states = np.empty((n_full, n_steps + 1, 3))
+    picked = np.empty((sel.size, 3, n_lanes - n_full))  # picked[q]: grid row sel[q]
+    block = min(max(1, _BLOCK_LANE_STEPS // n_lanes), n_steps)  # steps per block
+    # buf[j]: the state at grid[i0 + j] over a row of ones, which _GATHER reads
+    buf = np.ones((block + 1, 4, n_lanes))
+    buf[0, :3] = np.array([[float(c) for c in cfg.initial] for cfg in cfgs]).T
     u = np.ones((4, n_lanes))
-    now, mid = s[:3], u[:3]  # the state and a stage's input
+    mid = u[:3]  # a stage's input
     k1, k2, k3, k4, tmp = (np.empty((3, n_lanes)) for _ in range(5))
     p = np.empty((12, n_lanes))
     p_kern, groups = p[6:], p.reshape(4, 3, n_lanes)  # groups: P0, off, P1, P2
     mul, add, sub_reduce = np.multiply, np.add, np.subtract.reduce
-    block = min(max(1, _BLOCK_LANE_STEPS // n_lanes), n_steps)  # steps per block
-    buf = np.empty((block, 3, n_lanes))  # buf[j]: the state at grid[i0 + 1 + j]
     # one term table for every block, refilled in place: _GATHER's
     # coefficients and kernels at a block's 2b + 1 grid points and midpoints
     # in stage order; the rows that do not vary in time are written here
@@ -297,6 +286,7 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
             # stage gathers w's products into p and reduces them to k = rhs(w)
             for j in range(b):
                 (c1, r1), (cm, rm), (c4, r4) = terms[2 * j:2 * j + 3]
+                s, now = buf[j], buf[j, :3]
                 s.take(_GATHER, 0, p, "clip")
                 mul(p, c1, p)
                 mul(p_kern, r1, p_kern)
@@ -313,21 +303,23 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
                 mul(p, cm, p)
                 mul(p_kern, rm, p_kern)
                 sub_reduce(groups, 0, None, k3)
-                mul(k3, dt, tmp)
+                mul(k3, step, tmp)
                 add(now, tmp, mid)
                 u.take(_GATHER, 0, p, "clip")
                 mul(p, c4, p)
                 mul(p_kern, r4, p_kern)
                 sub_reduce(groups, 0, None, k4)
                 add(k2, k3, k2)
-                mul(k2, 2.0, k2)
+                add(k2, k2, k2)
                 add(k1, k2, k1)
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
-                add(now, k1, now)
-                buf[j] = now
-            done = buf[:b]
-            keep(i0 + 1, done)
+                add(now, k1, buf[j + 1, :3])
+            # the states of grid rows i0 ... i0 + b, out to the lanes that keep them
+            states[:, i0:i0 + b + 1] = buf[:b + 1, :3, :n_full].transpose(2, 0, 1)
+            hit = (i0 <= sel) & (sel <= i0 + b)
+            picked[hit] = buf[sel[hit] - i0, :3, n_full:]
+            done = buf[1:b + 1]
             x, y, z = done[:, 0], done[:, 1], done[:, 2]
             n2 = x * x + y * y + z * z
             bad = ~(n2 <= limit)
@@ -339,6 +331,7 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
                 failed = (m, i0 + 1 + j, float(n2[j, m]))
                 if m == 0:
                     break
+            buf[0] = buf[b]
     if failed is not None:
         m, i, norm2 = failed
         cfg = cfgs[m]
@@ -346,10 +339,9 @@ def integrate_lanes(cfgs, kernel_sets, rows=None) -> list:
             f"Bloch norm left the unit ball at t={kernel_sets[m].grid[i]:g} "
             f"(|D|^2 = {norm2:.6g}; alpha={cfg.alpha:g}, T={cfg.T:g}, "
             f"epsilon={cfg.epsilon:g}, eta={cfg.sd.eta:g}, dt={dt:g})")
-    whole, part = iter(states), iter(picked.transpose(2, 0, 1))
-    return [Trajectory(grid=ks.grid, states=next(whole), config=cfg) if r is None
-            else Trajectory(grid=ks.grid[sel], states=next(part), config=cfg)
-            for cfg, ks, r in zip(cfgs, kernel_sets, rows)]
+    outs = [*states, *picked.transpose(2, 0, 1)]
+    return [Trajectory(grid=ks.grid if m < n_full else ks.grid[sel], states=out, config=cfg)
+            for m, (cfg, ks, out) in enumerate(zip(cfgs, kernel_sets, outs))]
 
 
 def integrate(cfg: ProbeConfig, ks: KernelSet) -> Trajectory:

@@ -192,9 +192,12 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     times, ``workers`` first capped at the usable cores so that no pool
     outgrows them.  Either way the results do not depend on ``workers``.
     The five lanes of every probe are then integrated in one
-    ``integrate_lanes`` call, in which the base lane keeps every grid row
-    (the returned trajectory) and the four shifted lanes only the rows of
-    the probing times, the only ones the derivative is read at.  Before any
+    ``integrate_lanes`` call, laid out as [every probe at T | every probe
+    at T - 2 delta | T - delta | T + delta | T + 2 delta], so that the
+    probes of one bundle read each of its sets as one run of lanes.  The
+    lanes at T keep every grid row (the returned trajectories) and the
+    shifted lanes only the rows of the probing times, the only ones the
+    derivative is read at.  Before any
     kernel is built, probes on different (dt, t_end) grids raise
     ConfigurationError, and a probing time below 0, beyond t_end or off the
     dt grid (``ProbeConfig.index_of``), or two probing times on one grid
@@ -218,17 +221,14 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
     else:
         bundles = [_stencil_bundle(*key, workers=workers) for key in uniq]
     bundle_of = dict(zip(uniq, bundles))
-    cfgs, sets = [], []
-    for probe, key in zip(probes, keys):  # lanes at T, T-2d, T-d, T+d, T+2d
-        bundle = bundle_of[key]
-        cfgs += [probe] + [replace(probe, T=s.params.T) for s in bundle[1:]]
-        sets += bundle
-    trajs = integrate_lanes(cfgs, sets, [None, steps, steps, steps, steps] * len(probes))
+    n = len(probes)
+    sets = [bundle_of[key][k] for k in range(5) for key in keys]
+    cfgs = [*probes, *(replace(probe, T=ks.params.T) for probe, ks in zip(probes * 4, sets[n:]))]
+    trajs = integrate_lanes(cfgs, sets, [None] * n + [steps] * (4 * n))
     scans = []
-    for j in range(0, len(trajs), 5):
-        base = trajs[j]
+    for j, base in enumerate(trajs[:n]):
         cfg = base.config
-        deriv = _stencil_derivative(cfg, trajs[j + 1:j + 5])
+        deriv = _stencil_derivative(cfg, trajs[n + j::n])
         try:
             mk_fisher = markov_comparator(cfg.epsilon, cfg.T)
         except DomainError:
@@ -240,7 +240,7 @@ def stencil_scans(probes, times, workers: int = 1) -> tuple:
                 t=float(t), T=cfg.T, alpha=cfg.alpha, qfi=qfi(D, d),
                 cfi_x=cfi("x", D, d), cfi_z=cfi("z", D, d), markov_fisher=mk_fisher))
         scans.append(scan)
-    return trajs[::5], scans
+    return trajs[:n], scans
 
 
 def loglog_slope(x, y) -> float:

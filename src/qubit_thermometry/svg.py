@@ -15,6 +15,7 @@ __all__ = ["LinePlot"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f")
 _WIDTH, _HEIGHT = 640, 420
+_CHUNK_POINTS = 512
 
 
 def _escape(text: str) -> str:
@@ -158,11 +159,15 @@ class LinePlot:
         for i, (u, w, label, dashed) in enumerate(self.series):
             color = _PALETTE[i % len(_PALETTE)]
             dash = ' stroke-dasharray="6 4"' if dashed else ""
-            px, py = sx(u).tolist(), sy(w).tolist()
+            px, py = sx(u), sy(w)
             if len(px) == 1:
                 out.append(f'<circle cx="{px[0]:.1f}" cy="{py[0]:.1f}" r="2.5" fill="{color}"/>')
-            elif px:
-                coords = " ".join(map("{:.1f},{:.1f}".format, px, py))
+            elif len(px):
+                # _CHUNK_POINTS at a time: no list of all a long path's floats or strings
+                n = _CHUNK_POINTS
+                coords = " ".join(" ".join(map("{:.1f},{:.1f}".format, px[k:k + n].tolist(),
+                                               py[k:k + n].tolist()))
+                                  for k in range(0, len(px), n))
                 out.append(f'<polyline points="{coords}" fill="none" '
                            f'stroke="{color}" stroke-width="1.4"{dash}/>')
             if label:

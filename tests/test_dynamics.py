@@ -300,10 +300,10 @@ def test_integrate_lanes_work_arrays_stay_bounded(params, traced_peak):
 
 def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):
     # lanes keeping one shared selection of rows (out of order, repeated,
-    # the first and the last; or none) beside lanes keeping every row: each
+    # the first and the last; or none) after lanes keeping every row: each
     # kept row equals that row of the lane kept in full, 0 ulp, whatever the
     # blocking
-    picks = [(0, 0.5), (1, 0.3), (2, 1.0), (3, 0.0), (4, 0.7)]
+    picks = [(0, 0.5), (3, 0.0), (1, 0.3), (2, 1.0), (4, 0.7)]
     cfgs = [ProbeConfig(epsilon=lane_sets[j].params.epsilon, alpha=alpha,
                         T=lane_sets[j].params.T, sd=lane_sets[j].params.sd,
                         initial=(0.6, 0.05 * j, 0.7), t_end=2.0, dt=0.05)
@@ -312,7 +312,7 @@ def test_kept_rows_equal_full_rows(lane_sets, monkeypatch):
     full = integrate_lanes(cfgs, sets)
     for sel, lane_steps in itertools.product(([20, 0, 40, 40, 1, 39, 2], []),
                                              (1, 3 * len(cfgs), 10**9)):
-        rows = [None, sel, sel, None, sel]
+        rows = [None, None, sel, sel, sel]
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_BLOCK_LANE_STEPS", lane_steps)
             kept = integrate_lanes(cfgs, sets, rows)
@@ -330,6 +330,9 @@ def test_kept_rows_validated(sd, ks_short):
             integrate_lanes([cfg], [ks_short], rows)
     with pytest.raises(ConfigurationError, match="1 row selections"):
         integrate_lanes([cfg, cfg], [ks_short, ks_short], [None])
+    for rows in ([[0], None], [None, [0], None]):
+        with pytest.raises(ConfigurationError, match="must come first"):
+            integrate_lanes([cfg] * len(rows), [ks_short] * len(rows), rows)
 
 
 def test_kept_rows_differing_between_lanes_rejected(sd, ks_short):
